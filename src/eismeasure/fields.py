@@ -5,9 +5,14 @@ of Q(i), Q(sqrt(-3)) or Q(sqrt(-7)), generated by an algebraic integer w
 with w^2 = s*w + t.  In symplectic mode the extension collapses to the
 rationals and conjugation is the identity.
 
+An exact element is three integers (a, b, d) standing for (a + b*w)/d, in
+lowest terms with d > 0, so all field arithmetic is integer arithmetic
+with one shared denominator.
+
 A split odd prime p gives an isomorphism of the p-completed ring of
 integers with Z_p x Z_p; the two projections are realised by the two
-Hensel-lifted roots of x^2 - s*x - t.
+Hensel-lifted roots of x^2 - s*x - t.  The residue of an element mod p^j
+under a root r is computed directly as (a + b*r) * d^-1 mod p^j.
 """
 
 from __future__ import annotations
@@ -15,89 +20,129 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 
-from .errors import (
-    DenominatorDivisibleByP,
-    FieldDataError,
-    NegativeValuationResult,
-    NotAUnit,
-)
+from .errors import DenominatorDivisibleByP, FieldDataError
 from .padic import DEFAULT_PRECISION, PadicElt
 
 # discriminant -> (s, t) with w^2 = s*w + t
 _OMEGA_PARAMS = {-4: (0, -1), -3: (1, -1), -7: (1, -2)}
 
 
-@dataclass(frozen=True)
 class KNum:
-    """Exact element u + v*w of the quadratic field (v = 0 on the rationals)."""
+    """Exact element (a + b*w)/d of the quadratic field (b = 0 on the rationals).
 
-    u: Fraction
-    v: Fraction
-    s: int
-    t: int
+    a, b and d are integers with d > 0 and gcd(a, b, d) = 1, so each element
+    has exactly one representation and equality is equality of the fields.
+    Instances are immutable.  ``KNum(a, b, d, s, t)`` reduces its input;
+    ``FieldData.K`` builds elements from rational coordinates.
+    """
 
-    @staticmethod
-    def make(u, v=0, s=0, t=0) -> "KNum":
-        return KNum(Fraction(u), Fraction(v), s, t)
+    __slots__ = ("a", "b", "d", "s", "t")
+
+    def __new__(cls, a: int, b: int = 0, d: int = 1, s: int = 0, t: int = 0):
+        if d == 0:
+            raise ZeroDivisionError("KNum with denominator zero")
+        return _reduced(a, b, d, s, t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KNum is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("KNum is immutable")
+
+    def __reduce__(self):
+        return (KNum, (self.a, self.b, self.d, self.s, self.t))
+
+    # -- rational coordinates in the basis (1, w), for cold callers ---------
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def _like(self, u, v) -> "KNum":
-        return KNum(Fraction(u), Fraction(v), self.s, self.t)
+        return _from_coords(u, v, self.s, self.t)
 
+    # -- arithmetic ----------------------------------------------------------
     def __add__(self, o: "KNum") -> "KNum":
-        return self._like(self.u + o.u, self.v + o.v)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a + o.a, self.b + o.b, d, self.s, self.t)
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e,
+                        self.s, self.t)
 
     def __sub__(self, o: "KNum") -> "KNum":
-        return self._like(self.u - o.u, self.v - o.v)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a - o.a, self.b - o.b, d, self.s, self.t)
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e,
+                        self.s, self.t)
 
     def __neg__(self) -> "KNum":
-        return self._like(-self.u, -self.v)
+        return _raw(-self.a, -self.b, self.d, self.s, self.t)
 
     def __mul__(self, o) -> "KNum":
+        if type(o) is KNum:
+            a, b, c, e = self.a, self.b, o.a, o.b
+            return _reduced(a * c + self.t * b * e,
+                            a * e + b * c + self.s * b * e,
+                            self.d * o.d, self.s, self.t)
         if isinstance(o, (int, Fraction)):
-            return self._like(self.u * o, self.v * o)
-        return self._like(self.u * o.u + self.t * self.v * o.v,
-                          self.u * o.v + self.v * o.u + self.s * self.v * o.v)
+            n, m = o.numerator, o.denominator
+            return _reduced(self.a * n, self.b * n, self.d * m, self.s, self.t)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def conj(self) -> "KNum":
-        return self._like(self.u + self.s * self.v, -self.v)
+        # conj(w) = s - w keeps gcd(a, b, d) = 1
+        return _raw(self.a + self.s * self.b, -self.b, self.d, self.s, self.t)
+
+    def _norm_num(self) -> int:
+        """Numerator of the norm over the denominator d^2."""
+        a, b = self.a, self.b
+        return a * a + self.s * a * b - self.t * b * b
 
     def norm(self) -> Fraction:
-        n = self * self.conj()
-        assert n.v == 0
-        return n.u
+        return Fraction(self._norm_num(), self.d * self.d)
 
     def trace(self) -> Fraction:
-        return 2 * self.u + self.s * self.v
+        return Fraction(2 * self.a + self.s * self.b, self.d)
 
     def inverse(self) -> "KNum":
-        n = self.norm()
+        n = self._norm_num()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.conj() * Fraction(1, 1) * Fraction(n.denominator, n.numerator)
+        d = self.d
+        return _reduced(d * (self.a + self.s * self.b), -d * self.b, n,
+                        self.s, self.t)
 
     def __truediv__(self, o) -> "KNum":
         if isinstance(o, (int, Fraction)):
-            return self._like(self.u / o, self.v / o)
+            n, m = o.numerator, o.denominator
+            if n == 0:
+                raise ZeroDivisionError("division by zero")
+            return _reduced(self.a * m, self.b * m, self.d * n, self.s, self.t)
         return self * o.inverse()
 
     @property
     def is_rational(self) -> bool:
-        return self.v == 0
+        return self.b == 0
 
     @property
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self.a == 0 and self.b == 0
 
     def is_integral(self) -> bool:
-        return self.u.denominator == 1 and self.v.denominator == 1
+        return self.d == 1
 
     def __pow__(self, e: int) -> "KNum":
         if e < 0:
             return self.inverse() ** (-e)
-        out = self._like(1, 0)
+        out = _raw(1, 0, 1, self.s, self.t)
         b = self
         while e:
             if e & 1:
@@ -106,8 +151,57 @@ class KNum:
             e >>= 1
         return out
 
+    # -- comparison ----------------------------------------------------------
+    def __eq__(self, o) -> bool:
+        if type(o) is not KNum:
+            return NotImplemented
+        return (self.a == o.a and self.b == o.b and self.d == o.d
+                and self.s == o.s and self.t == o.t)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d, self.s, self.t))
+
     def __repr__(self):
         return f"({self.u}+{self.v}w)"
+
+
+# The slot setters bypass the immutability guard of __setattr__.
+_new = object.__new__
+_set_a, _set_b, _set_d, _set_s, _set_t = (
+    KNum.__dict__[name].__set__ for name in KNum.__slots__)
+
+
+def _raw(a: int, b: int, d: int, s: int, t: int) -> KNum:
+    """An element from fields already in lowest terms with d > 0."""
+    x = _new(KNum)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    _set_s(x, s)
+    _set_t(x, t)
+    return x
+
+
+def _reduced(a: int, b: int, d: int, s: int, t: int) -> KNum:
+    """(a + b*w)/d in lowest terms; d must be nonzero."""
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d, s, t)
+
+
+def _from_coords(u, v, s: int, t: int) -> KNum:
+    """The element u + v*w from rational coordinates."""
+    if type(u) is int and type(v) is int:
+        return _raw(u, v, 1, s, t)
+    u, v = Fraction(u), Fraction(v)
+    du, dv = u.denominator, v.denominator
+    # with d = lcm(du, dv) no prime divides all of a, b and d
+    d = du * dv // gcd(du, dv)
+    return _raw(u.numerator * (d // du), v.numerator * (d // dv), d, s, t)
 
 
 def _is_prime(m: int) -> bool:
@@ -146,7 +240,6 @@ class FieldData:
     k_disc: int = -4
     precision: int = DEFAULT_PRECISION
     mode: str = "unitary"
-    e_degree: int = 1
     omega_s: int = dc_field(init=False, default=0)
     omega_t: int = dc_field(init=False, default=0)
     split_roots: tuple[int, int] = dc_field(init=False, default=(0, 0))
@@ -186,9 +279,10 @@ class FieldData:
 
     # -- exact elements ----------------------------------------------------
     def K(self, u, v=0) -> KNum:
+        """The element u + v*w from rational coordinates."""
         if self.mode == "symplectic" and v != 0:
             raise FieldDataError("symplectic mode has no imaginary part")
-        return KNum(Fraction(u), Fraction(v), self.omega_s, self.omega_t)
+        return _from_coords(u, v, self.omega_s, self.omega_t)
 
     def one(self) -> KNum:
         return self.K(1)
@@ -207,24 +301,41 @@ class FieldData:
                 self.K(1, -1), self.K(-1, 1))
 
     # -- embeddings ----------------------------------------------------------
+    # The split roots are integers known mod p^precision; an element
+    # (a + b*w)/d goes to the rational (a + b*r)/d, which must be p-integral.
     def sigma_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
         """First-root embedding of an exact element as a p-adic integer."""
-        prec = prec or self.precision
-        r = self.split_roots[0] if self.mode == "unitary" else 0
-        num = a.u + a.v * r
-        return PadicElt.from_rational(num, p=self.p, prec=prec)
+        num, den = _at_root(a, self.split_roots[0])
+        return PadicElt.from_rational(num, den, p=self.p,
+                                      prec=prec or self.precision)
 
     def sigma_bar_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
-        prec = prec or self.precision
-        r = self.split_roots[1] if self.mode == "unitary" else 0
-        return PadicElt.from_rational(a.u + a.v * r, p=self.p, prec=prec)
+        num, den = _at_root(a, self.split_roots[1])
+        return PadicElt.from_rational(num, den, p=self.p,
+                                      prec=prec or self.precision)
 
     def sigma_residue(self, a: KNum, j: int) -> int:
         """First-root embedding reduced mod p^j (p-integral input required)."""
-        return self.sigma_padic(a, prec=max(j, 1)).lift(j)
+        return self._residue(a, self.split_roots[0], j)
 
     def sigma_bar_residue(self, a: KNum, j: int) -> int:
-        return self.sigma_bar_padic(a, prec=max(j, 1)).lift(j)
+        return self._residue(a, self.split_roots[1], j)
+
+    def _residue(self, a: KNum, r: int, j: int) -> int:
+        num, den = _at_root(a, r)
+        if den % self.p == 0:
+            raise DenominatorDivisibleByP(f"{den} is divisible by {self.p}")
+        pj = self.p ** j
+        return num * pow(den, -1, pj) % pj
+
+
+def _at_root(a: KNum, r: int) -> tuple[int, int]:
+    """(a + b*r)/d in lowest terms, as numerator and positive denominator."""
+    num, den = a.a + a.b * r, a.d
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -289,11 +400,6 @@ class CMElt:
         return f"CM({self.xs!r}, {self.xb!r})"
 
 
-def cm_split_embed(a, b, field: FieldData, prec: int | None = None) -> CMElt:
-    """Split embedding of a + b*w; rejects p-divisible denominators."""
-    return CMElt.from_pair(a, b, field, prec)
-
-
 def norm_weight(b: CMElt, w: Weight) -> PadicElt:
     """Weight norm: first component to the (k+2*nu) times the pair norm to the (-nu).
 
@@ -305,9 +411,3 @@ def norm_weight(b: CMElt, w: Weight) -> PadicElt:
     den = b.xs ** max(-e1, 0) * b.xb ** max(-e2, 0)
     return num / den
 
-
-def norm_weight_exact(b: Fraction, w: Weight) -> Fraction:
-    """Weight norm of an exact rational element: the plain k-th power."""
-    if b == 0:
-        raise NotAUnit("weight norm of zero")
-    return Fraction(b) ** w.k

@@ -32,32 +32,17 @@ from .errors import (
 )
 from .fields import CMElt, FieldData, KNum, Weight, norm_weight
 from .hermitian import Matrix, mat_det
-from .padic import PadicElt
+from .padic import PadicElt, _vp
 from .rings import QQ, CyclotomicRing, PadicRing
 
 XKey = tuple[int, int]
 YKey = tuple[int, ...]
 
 
-def _vp_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ZeroDivisionError("valuation of zero")
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def norm_rel_exact(a: KNum, field: FieldData) -> Fraction:
     """Exact relative norm (identity map in symplectic mode)."""
     if field.mode == "symplectic":
-        return a.u
+        return Fraction(a.a, a.d)
     return a.norm()
 
 
@@ -239,7 +224,7 @@ class LCFunction(GnFunction):
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "LCFunction":
         level = int(data["level"])
-        ring = _ring_from_tag(data["ring"], field, level)
+        ring = _ring_from_tag(data["ring"], field)
         values = {}
         for ent in data["entries"]:
             key = (tuple(ent["x_coset"]), tuple(ent["y_coset"]))
@@ -262,7 +247,7 @@ def _value_from_json(v, ring):
     return PadicElt(ring.p, v["val"], v["unit"], v["prec"])
 
 
-def _ring_from_tag(tag: str, field: FieldData, level: int):
+def _ring_from_tag(tag: str, field: FieldData):
     if tag == "qq":
         return QQ
     if tag == "zp":
@@ -302,10 +287,16 @@ class MonomialFunction(GnFunction):
             d = pt.det_y_exact()
             if not d.is_rational:
                 raise RingMismatch("determinant is not rational")
-            if d.u == 0:
+            if d.a == 0:
                 return Fraction(0) if self.e_det >= 0 else self.ring.zero()
-            return (Fraction(self.coef) * x.u ** (self.e_xs + self.e_xb)
-                    * d.u ** self.e_det)
+            # coef * x^e * det^e_det on the integer fields (x, det rational)
+            coef = Fraction(self.coef)
+            num, den = coef.numerator, coef.denominator
+            for z, e in ((x, self.e_xs + self.e_xb), (d, self.e_det)):
+                top, bottom = (z.a, z.d) if e >= 0 else (z.d, z.a)
+                num *= top ** abs(e)
+                den *= bottom ** abs(e)
+            return Fraction(num, den)
         if self.ring.tag == "zp":
             xc = pt.x_cm(self.field.precision)
             d = pt.det_y_padic(self.field.precision)
@@ -413,7 +404,7 @@ class ContinuousFunction(GnFunction):
 def _congruent(a, b, p: int, j: int) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         diff = a - b
-        return diff == 0 or _vp_fraction(diff, p) >= j
+        return diff == 0 or _vp(diff, p) >= j
     return a.congruent_mod(b, j)
 
 

@@ -60,6 +60,13 @@ def identity_matrix(field: FieldData, n: int) -> Matrix:
                  for i in range(n))
 
 
+def _coord_key(c: int, d: int):
+    """The coordinate c/d as an int when integral, else as its Fraction string."""
+    if c % d == 0:
+        return c // d
+    return str(Fraction(c, d))
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A Hermitian matrix with exact entries and rational diagonal."""
@@ -84,17 +91,18 @@ class HermitianMatrix:
     @classmethod
     def from_pairs(cls, field: FieldData, pairs) -> "HermitianMatrix":
         """Build from nested [u, v] coordinate pairs in the basis (1, w)."""
-        rows = tuple(tuple(field.K(Fraction(u), Fraction(v)) for (u, v) in row)
-                     for row in pairs)
+        rows = tuple(tuple(field.K(u, v) for (u, v) in row) for row in pairs)
         return cls(field, rows)
 
     def det(self) -> Fraction:
         d = mat_det(self.entries)
         assert d.is_rational
-        return d.u
+        return Fraction(d.a, d.d)
 
     def trace(self) -> Fraction:
-        return sum(self.entries[i][i].u for i in range(self.n))
+        t = sum((self.entries[i][i] for i in range(1, self.n)),
+                self.entries[0][0])
+        return Fraction(t.a, t.d)  # the diagonal is rational
 
     def leading_minor(self, j: int) -> Fraction:
         sub = tuple(tuple(self.entries[a][b] for b in range(j))
@@ -104,16 +112,16 @@ class HermitianMatrix:
         return d.u
 
     def is_integral(self) -> bool:
-        return (all(e.is_integral() for row in self.entries for e in row)
-                and all(self.entries[i][i].u.denominator == 1
-                        for i in range(self.n)))
+        return all(e.d == 1 for row in self.entries for e in row)
 
     def key(self) -> tuple:
-        """Canonical hashable form: ((u, v) per entry, row-major)."""
-        def pair(e: KNum):
-            return (str(e.u) if e.u.denominator != 1 else int(e.u),
-                    str(e.v) if e.v.denominator != 1 else int(e.v))
-        return tuple(pair(e) for row in self.entries for e in row)
+        """Canonical hashable form: ((u, v) per entry, row-major).
+
+        Integral coordinates appear as ints, the others as Fraction strings.
+        """
+        return tuple((e.a, e.b) if e.d == 1
+                     else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
+                     for row in self.entries for e in row)
 
     def scaled(self, c) -> Matrix:
         return mat_scale(self.entries, c)
@@ -151,8 +159,9 @@ def enumerate_positive(field: FieldData, n: int, trace_bound: int) -> list[Hermi
             umax = math.isqrt(a * c) + abs(s) * vmax + 1
             for v in range(-vmax, vmax + 1):
                 for u in range(-umax, umax + 1):
-                    b = field.K(u, v)
-                    if b.norm() < a * c:
+                    # norm(u + v*w) < a*c
+                    if u * u + s * u * v - t * v * v < a * c:
+                        b = field.K(u, v)
                         m = HermitianMatrix(field, (
                             (field.K(a), b),
                             (b.conj(), field.K(c))))
@@ -201,12 +210,17 @@ class CuspData:
 
     @classmethod
     def divisor_rule(cls, field: FieldData) -> "CuspData":
-        """Katz-style rank-one rule: positive divisors prime to p."""
+        """Katz-style rank-one rule: positive divisors prime to p, ascending."""
         p = field.p
 
         def rule(beta: HermitianMatrix):
             m = int(beta.trace())
-            return [(field.K(d), 1) for d in range(1, m + 1)
-                    if m % d == 0 and d % p != 0]
+            small, large = [], []
+            for d in range(1, math.isqrt(m) + 1):
+                if m % d == 0:
+                    small.append(d)
+                    if d * d != m:
+                        large.append(m // d)
+            return [(field.K(d), 1) for d in small + large[::-1] if d % p != 0]
 
         return cls("divisor", 1, rule)

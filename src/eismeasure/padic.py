@@ -25,8 +25,12 @@ DEFAULT_PRECISION = 24
 PRECISION_FLOOR = 1
 
 
-def _vp(m: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+def _vp(m, p: int) -> int:
+    """p-adic valuation of a nonzero integer or Fraction."""
+    if m == 0:
+        raise ZeroDivisionError("valuation of zero")
+    if isinstance(m, Fraction):
+        return _vp(m.numerator, p) - _vp(m.denominator, p)
     v = 0
     while m % p == 0:
         m //= p

@@ -25,6 +25,7 @@ from .functions import (
     GnFunction,
     GnPoint,
     _congruent,
+    _ring_from_tag,
     check_equivariance,
     evaluate,
     norm_rel_exact,
@@ -38,7 +39,6 @@ from .hermitian import (
     mat_det,
 )
 from .padic import PadicElt
-from .rings import QQ, PadicRing
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +118,7 @@ class QExpansion:
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "QExpansion":
-        ring = QQ if data["ring"] == "qq" else PadicRing(field.p, field.precision)
+        ring = _ring_from_tag(data["ring"], field)
         terms = {}
         for t in data["terms"]:
             beta = HermitianMatrix.from_pairs(field, t["beta"])
@@ -181,14 +181,17 @@ def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
             fval = evaluate(f, pt, precision)
             if ring.is_zero(fval):
                 continue
-            b = field.K(detb) * a.inverse()
             if ring.tag == "qq":
-                if not b.is_rational:
+                # b = det(beta)/a is rational exactly when a is
+                if not a.is_rational:
                     raise RingMismatch(
                         "rational coefficients need rational norm arguments")
-                factor = Fraction(b.u) ** w.k / Fraction(detb) ** n
+                # b^k / det(beta)^n
+                dn, dd = detb.numerator, detb.denominator
+                factor = Fraction((dn * a.d) ** w.k * dd ** n,
+                                  (dd * a.a) ** w.k * dn ** n)
             else:
-                bc = CMElt.embed(b, field)
+                bc = CMElt.embed(field.K(detb) * a.inverse(), field)
                 num = norm_weight(bc, w)
                 den = PadicElt.from_rational(Fraction(detb), p=field.p,
                                              prec=field.precision) ** n

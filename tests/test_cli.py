@@ -21,6 +21,14 @@ def test_kummer_success(capsys):
     assert data["passed"] is True and data["modulus_exponent"] == 2
 
 
+def test_kummer_over_no_coefficients_fails(capsys):
+    code, out, _ = run(capsys, "kummer", "--p", "5", "--k", "4",
+                       "--k2", "24", "--m", "1", "--bound", "0")
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False and data["checked"] == 0
+
+
 def test_kummer_bad_hypothesis_is_usage_error(capsys):
     code, _, err = run(capsys, "kummer", "--p", "5", "--k", "4", "--k2", "5")
     assert code == 2

@@ -1,12 +1,14 @@
 """Imaginary quadratic arithmetic and split-prime embeddings."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eismeasure.errors import FieldDataError
+from eismeasure.errors import DenominatorDivisibleByP, FieldDataError
 from eismeasure.fields import CMElt, FieldData, KNum, Weight, norm_weight
+from knum_oracle import OracleKNum
 
 GAUSS = FieldData(p=5, k_disc=-4)
 EISEN = FieldData(p=7, k_disc=-3)
@@ -132,3 +134,121 @@ def test_from_config(tmp_path):
 def test_from_rational_embedding_pinned():
     x = GAUSS.sigma_padic(GAUSS.K(Fraction(3, 2)), prec=3)
     assert x.lift(3) == 3 * pow(2, -1, 125) % 125 == 64
+
+
+# -- differential checks against the Fraction-pair oracle --------------------
+
+SYMPL = FieldData(p=5, mode="symplectic")
+ALL_FIELDS = FIELDS + [SYMPL]
+
+# rational coordinates, with denominators that include multiples of p
+coords = st.fractions(min_value=-40, max_value=40, max_denominator=50)
+
+
+def pair(fld, u, v):
+    """The same element in the integer form and in the oracle form."""
+    if fld.mode == "symplectic":
+        v = Fraction(0)
+    return (fld.K(u, v),
+            OracleKNum(Fraction(u), Fraction(v), fld.omega_s, fld.omega_t))
+
+
+def agrees(x: KNum, o: OracleKNum) -> bool:
+    return (x.u, x.v, x.s, x.t) == (o.u, o.v, o.s, o.t)
+
+
+def canonical(x: KNum) -> bool:
+    return x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+@given(fld=st.sampled_from(ALL_FIELDS), u1=coords, v1=coords, u2=coords,
+       v2=coords, c=coords)
+def test_arithmetic_matches_oracle(fld, u1, v1, u2, v2, c):
+    x, ox = pair(fld, u1, v1)
+    y, oy = pair(fld, u2, v2)
+    for got, want in ((x + y, ox + oy), (x - y, ox - oy), (-x, -ox),
+                      (x * y, ox * oy), (x * c, ox * c), (c * x, c * ox),
+                      (x * 3, ox * 3), (x.conj(), ox.conj())):
+        assert agrees(got, want) and canonical(got)
+    assert x.norm() == ox.norm() and isinstance(x.norm(), Fraction)
+    assert x.trace() == ox.trace()
+    assert x.is_integral() == ox.is_integral()
+    assert x.is_rational == ox.is_rational and x.is_zero == ox.is_zero
+    if oy.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert agrees(y.inverse(), oy.inverse())
+        assert agrees(x / y, ox / oy)
+    if c == 0:
+        with pytest.raises(ZeroDivisionError):
+            x / c
+    else:
+        assert agrees(x / c, ox / c)
+
+
+@given(fld=st.sampled_from(ALL_FIELDS), u=coords, v=coords,
+       e=st.integers(min_value=-5, max_value=6))
+def test_powers_match_oracle(fld, u, v, e):
+    x, ox = pair(fld, u, v)
+    if e < 0 and ox.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x ** e
+        return
+    got = x ** e
+    assert agrees(got, ox ** e) and canonical(got)
+
+
+@given(fld=st.sampled_from(ALL_FIELDS), u1=coords, v1=coords, u2=coords,
+       v2=coords)
+def test_equality_and_hash_are_by_value(fld, u1, v1, u2, v2):
+    x, ox = pair(fld, u1, v1)
+    y, oy = pair(fld, u2, v2)
+    assert (x == y) == (ox == oy)
+    # the same value reached by another route has the same fields and hash
+    z = (x * y) / y if not oy.is_zero else x + y - y
+    assert z == x and hash(z) == hash(x)
+    assert (z.a, z.b, z.d) == (x.a, x.b, x.d)
+
+
+def test_knum_is_immutable_and_reduces():
+    x = KNum(4, -6, -8, 0, -1)
+    assert (x.a, x.b, x.d) == (-2, 3, 4)
+    assert x == GAUSS.K(Fraction(-1, 2), Fraction(3, 4))
+    with pytest.raises(AttributeError):
+        x.a = 1
+    with pytest.raises(ZeroDivisionError):
+        KNum(1, 0, 0)
+    assert x != Fraction(-1, 2) and GAUSS.K(3) != 3
+
+
+def embedding_outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared by type with the other route
+        return ("raised", type(exc))
+
+
+@given(fld=st.sampled_from(ALL_FIELDS), u=coords, v=coords,
+       j=st.integers(min_value=0, max_value=30))
+def test_residues_match_the_padic_embedding(fld, u, v, j):
+    x, _ = pair(fld, u, v)
+    for residue, padic in ((fld.sigma_residue, fld.sigma_padic),
+                           (fld.sigma_bar_residue, fld.sigma_bar_padic)):
+        direct = embedding_outcome(residue, x, j)
+        via = embedding_outcome(lambda a, j: padic(a, prec=max(j, 1)).lift(j),
+                                x, j)
+        assert direct == via
+
+
+def test_residue_with_p_in_the_denominator():
+    # (1 + 2w)/5 is p-integral under the first root only
+    x = GAUSS.K(Fraction(1, 5), Fraction(2, 5))
+    assert GAUSS.sigma_residue(x, 3) == 73
+    assert GAUSS.sigma_padic(x, prec=3).lift(3) == 73
+    with pytest.raises(DenominatorDivisibleByP):
+        GAUSS.sigma_bar_residue(x, 3)
+    with pytest.raises(DenominatorDivisibleByP):
+        GAUSS.sigma_bar_padic(x, prec=3)

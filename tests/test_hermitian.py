@@ -113,3 +113,13 @@ def test_cusp_rules():
     assert ds == [1, 2, 3, 6]
     beta10 = HermitianMatrix(fs, ((fs.K(10),),))
     assert sorted(a.u for a, _ in div.rule(beta10)) == [1, 2]
+
+
+def test_divisor_rule_matches_trial_division_in_order():
+    fs = FieldData(p=5, mode="symplectic")
+    rule = CuspData.divisor_rule(fs).rule
+    for m in list(range(1, 130)) + [625, 1000, 997, 30 * 30]:
+        beta = HermitianMatrix(fs, ((fs.K(m),),))
+        want = [d for d in range(1, m + 1) if m % d == 0 and d % 5 != 0]
+        assert [a.u for a, _ in rule(beta)] == want
+        assert all(mult == 1 for _, mult in rule(beta))

@@ -75,6 +75,11 @@ def test_kummer_check_passes_for_congruent_weights():
     assert rep.checked > 0 and rep.witness is None
 
 
+def test_kummer_check_over_no_coefficients_does_not_pass():
+    rep = kummer_check(SYMPL, 4, 24, 1, 0)
+    assert rep.checked == 0 and not rep.passed
+
+
 def test_kummer_check_rejects_bad_weight_pairs():
     with pytest.raises(HypothesisViolation):
         kummer_check(SYMPL, 4, 5, 0, 10)

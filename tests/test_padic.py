@@ -12,7 +12,7 @@ from eismeasure.errors import (
     PrecisionUnavailable,
     ZeroDenominator,
 )
-from eismeasure.padic import DEFAULT_PRECISION, PadicElt
+from eismeasure.padic import DEFAULT_PRECISION, PadicElt, _vp
 
 PRIMES = [3, 5, 7, 13]
 
@@ -68,6 +68,16 @@ def test_from_rational_matches(p, num, den):
             PadicElt.from_rational(q, p=p)
         return
     assert agree(PadicElt.from_rational(q, p=p), q)
+
+
+def test_valuation_of_integers_and_fractions():
+    assert _vp(250, 5) == 3 and _vp(-7, 5) == 0
+    assert _vp(Fraction(50, 3), 5) == 2
+    assert _vp(Fraction(3, 125), 5) == -3
+    with pytest.raises(ZeroDivisionError):
+        _vp(0, 5)
+    with pytest.raises(ZeroDivisionError):
+        _vp(Fraction(0), 5)
 
 
 @given(p=st.sampled_from(PRIMES), a=st.integers(1, 10**9))

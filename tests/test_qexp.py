@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eismeasure.errors import EquivarianceViolation, LatticeMismatch
+from eismeasure.errors import EquivarianceViolation, LatticeMismatch, RingMismatch
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import MonomialFunction, random_lc_function, symmetrize
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
@@ -63,6 +63,14 @@ def test_json_roundtrip_preserves_everything():
     q2 = QExpansion.from_json(q.to_json(), GAUSS)
     assert q == q2
     assert q2.weight == q.weight and q2.cusp_label == q.cusp_label
+
+
+@pytest.mark.parametrize("tag", ["bogus", "cyclo", ""])
+def test_json_with_unknown_ring_tag_is_rejected(tag):
+    data = rank_one_qexp(4, bound=3).to_json()
+    data["ring"] = tag
+    with pytest.raises(RingMismatch):
+        QExpansion.from_json(data, SYMPL)
 
 
 def test_congruent_mod_detects_differences():
