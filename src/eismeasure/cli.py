@@ -12,10 +12,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import EisMeasureError
+from .errors import EisMeasureError, EquivarianceViolation
 from .fields import FieldData, Weight
 from .functions import LCFunction, MonomialFunction, character_decompose
-from .hermitian import CuspData, HermitianMatrix
+from .hermitian import CuspData
 from .measure import MeasureContext, integrate, kummer_check, moment_detd
 from .qexp import ChiData, QExpansion, cusp_transform, eisenstein_qexp
 from .rings import QQ, PadicRing
@@ -152,6 +152,9 @@ def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except EquivarianceViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except EisMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

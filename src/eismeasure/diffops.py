@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import RingMismatch, SpanNotClosed, UnsupportedSize
-from .fields import Weight
+from .errors import RingMismatch, SpanNotClosed
 from .hermitian import HermitianMatrix
-from .padic import PadicElt
 
 Monomial = tuple[int, ...]  # exponents of the n*n matrix entries, row-major
 

@@ -16,13 +16,11 @@ coefficient side (equivariant F) is the pair ``h_to_f`` / ``f_to_h``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import (
-    EquivarianceViolation,
     GroupOrderNotInvertible,
     LevelMismatch,
     NotAUnit,
@@ -168,9 +166,6 @@ class GnFunction:
         return LinearCombination(self.field, self.n, self.ring,
                                  ((1, self), (1, other)))
 
-    def scaled(self, c) -> "LinearCombination":
-        return LinearCombination(self.field, self.n, self.ring, ((c, self),))
-
 
 @dataclass(frozen=True, eq=False)
 class LCFunction(GnFunction):
@@ -203,11 +198,6 @@ class LCFunction(GnFunction):
         if self.values is not None:
             return self.values.get(key, self.ring.zero())
         return self.rule(*key)
-
-    def to_table(self) -> "LCFunction":
-        if self.values is not None:
-            return self
-        raise RingMismatch("rule-backed functions have no finite table")
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -578,8 +568,17 @@ def _twist_table(f: LCFunction, kp: int, nu: int) -> LCFunction:
 
 @dataclass(frozen=True)
 class EquivarianceReport:
+    """A failed check's witness is (unit, point, value at the moved point,
+    value it should equal)."""
+
     passed: bool
     witness: tuple | None = None
+
+    def witness_text(self) -> str:
+        """The witness as the unit, the point's x and y, and the two values."""
+        e, pt, got, want = self.witness
+        x, y = (pt.x, pt.y) if pt.x is not None else (pt.x_padic, pt.y_padic)
+        return f"unit {e}, x = {x}, y = {y}: {got} != {want}"
 
 
 def unit_weight_factor(e: KNum, w: Weight, field: FieldData) -> KNum:
@@ -609,9 +608,10 @@ def check_equivariance(f: GnFunction, w: Weight, points,
             if fac is None:
                 ok = f.ring.is_zero(lhs) and f.ring.is_zero(rhs)
             else:
-                ok = f.ring.eq(lhs, fac * rhs)
+                rhs = fac * rhs
+                ok = f.ring.eq(lhs, rhs)
             if not ok:
-                return EquivarianceReport(False, (e, pt))
+                return EquivarianceReport(False, (e, pt, lhs, rhs))
     return EquivarianceReport(True)
 
 
@@ -625,7 +625,7 @@ def check_unit_invariance(h: GnFunction, points,
             lhs = h.evaluate(pt.unit_translate(ei), j)
             rhs = h.evaluate(pt, j)
             if not h.ring.eq(lhs, rhs):
-                return EquivarianceReport(False, (e, pt))
+                return EquivarianceReport(False, (e, pt, lhs, rhs))
     return EquivarianceReport(True)
 
 
@@ -739,14 +739,6 @@ class UnitCharacter:
         pj = p ** level
         vals = {r: teichmuller(r, p, prec) ** t
                 for r in range(1, pj) if r % p}
-        return cls(p, level, ring, vals)
-
-    @classmethod
-    def from_exponent(cls, t: int, p: int, level: int) -> "UnitCharacter":
-        """The character g^e -> zeta^(t*e) over the cyclotomic ring."""
-        g, dlog, order = _dlog_table(p, level)
-        ring = CyclotomicRing(order)
-        vals = {r: ring.root(t * e % order) for r, e in dlog.items()}
         return cls(p, level, ring, vals)
 
 

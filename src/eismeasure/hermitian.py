@@ -55,11 +55,6 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
-def identity_matrix(field: FieldData, n: int) -> Matrix:
-    return tuple(tuple(field.K(1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
 def _coord_key(c: int, d: int):
     """The coordinate c/d as an int when integral, else as its Fraction string."""
     if c % d == 0:
@@ -122,9 +117,6 @@ class HermitianMatrix:
         return tuple((e.a, e.b) if e.d == 1
                      else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
                      for row in self.entries for e in row)
-
-    def scaled(self, c) -> Matrix:
-        return mat_scale(self.entries, c)
 
     def __eq__(self, o):
         if not isinstance(o, HermitianMatrix):

@@ -9,14 +9,13 @@ multiplication) and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffops import MatrixPolynomial, theta_apply
 from .errors import EquivarianceViolation, HypothesisViolation, ShapeMismatch
 from .fields import FieldData, Weight
 from .functions import (
-    ContinuousFunction,
     GnFunction,
     GnPoint,
     MonomialFunction,
@@ -60,7 +59,7 @@ def integrate(h: GnFunction, ctx: MeasureContext,
         rep = check_unit_invariance(h, pts, j=ctx.precision)
         if not rep.passed:
             raise EquivarianceViolation(
-                f"integrand is not unit invariant at {rep.witness}")
+                f"integrand is not unit invariant at {rep.witness_text()}")
     return eisenstein_qexp(f, Weight(ctx.n, 0), ctx.cusp, ctx.trace_bound,
                            ctx.field, precision=ctx.precision,
                            validate=validate)

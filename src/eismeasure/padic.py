@@ -21,9 +21,6 @@ from .errors import (
 
 DEFAULT_PRECISION = 24
 
-#: Relative precision below which arithmetic refuses to continue.
-PRECISION_FLOOR = 1
-
 
 def _vp(m, p: int) -> int:
     """p-adic valuation of a nonzero integer or Fraction."""
@@ -116,9 +113,6 @@ class PadicElt:
             return 0
         return self.p**self.val * self.unit % self.p**j
 
-    def residue(self, j: int) -> int:
-        return self.lift(j)
-
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "PadicElt"):
         if self.p != other.p:
@@ -133,10 +127,7 @@ class PadicElt:
         v = _vp(m, self.p)
         if v >= ap:
             return PadicElt.zero(self.p, ap)
-        rel = ap - v
-        if rel < PRECISION_FLOOR:
-            raise PrecisionUnavailable("cancellation below precision floor")
-        return PadicElt(self.p, v, m // self.p**v, rel)
+        return PadicElt(self.p, v, m // self.p**v, ap - v)
 
     def __neg__(self) -> "PadicElt":
         if self.is_zero:
@@ -212,14 +203,6 @@ class PadicElt:
             return PadicElt.zero(self.p, j)
         return PadicElt(self.p, self.val, self.unit % self.p**(j - self.val),
                         j - self.val)
-
-    def with_prec(self, prec: int) -> "PadicElt":
-        """Truncate (never extend) the relative precision."""
-        if self.is_zero:
-            return PadicElt.zero(self.p, min(self.prec, prec))
-        if prec >= self.prec:
-            return self
-        return PadicElt(self.p, self.val, self.unit % self.p**prec, prec)
 
     def __repr__(self):
         if self.is_zero:

@@ -9,9 +9,8 @@ measure, moments, congruence checks) goes through this one constructor.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .fields import CMElt, FieldData, KNum, Weight, norm_weight
+from .fields import CMElt, FieldData, Weight, norm_weight
 from .functions import (
     GnFunction,
     GnPoint,
@@ -77,11 +76,6 @@ class QExpansion:
         self._compatible(other)
         out = {k: (b, c + other.terms[k][1]) for k, (b, c) in self.terms.items()}
         return self.replace_terms(out)
-
-    def scaled(self, s) -> "QExpansion":
-        s = self.ring.coerce(s)
-        return self.replace_terms(
-            {k: (b, s * c) for k, (b, c) in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
@@ -167,8 +161,8 @@ def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
         report = check_equivariance(f, w, _sample_points(field, cusp, betas),
                                     j=precision)
         if not report.passed:
-            raise EquivarianceViolation(
-                f"coefficient function fails unit equivariance at {report.witness}")
+            raise EquivarianceViolation("coefficient function fails unit "
+                                        f"equivariance at {report.witness_text()}")
     ring = f.ring
     terms = {}
     for beta in betas:
@@ -274,12 +268,6 @@ class NormalizationConstant:
     disc_powers: tuple  # symbolic leftovers: (base, Fraction exponent)
     lvalue_tokens: tuple[str, ...]
     euler_polynomials: dict
-
-    def c_value(self) -> Fraction:
-        """The leading lattice constant, when nothing stays symbolic."""
-        if self.disc_powers:
-            raise RingMismatch("constant retains symbolic discriminant powers")
-        return self.rational_part * Fraction(2) ** self.two_power
 
 
 def leading_constant(field: FieldData, n: int) -> tuple[Fraction, int, tuple]:

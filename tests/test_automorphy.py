@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import automorphy_oracle as oracle
+from eismeasure import automorphy
 from eismeasure.errors import NearSingularAutomorphyFactor
 from eismeasure.automorphy import (
     DomainPoint,
@@ -92,3 +94,138 @@ def test_section_positivity_requirement():
 def test_selftest_meets_tolerance():
     worst = selftest(2, 200, seed=11)
     assert max(worst.values()) < TOL
+
+
+# -- the stacked self-test against the frozen pass-by-pass loop ------------------
+
+#: (k, nu, s) triples, cycled over the seeds
+WEIGHTS = [(4, 1, 3.0), (2, 0, 1.5), (6, -1, 4.25)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_selftest_matches_the_pass_by_pass_oracle(n):
+    # 65 cases cross the boundary between the first two chunks
+    for seed in range(21):
+        k, nu, s = WEIGHTS[seed % len(WEIGHTS)]
+        assert (selftest(n, 65, seed, k, nu, s)
+                == oracle.selftest(n, 65, seed, k, nu, s)), (n, seed)
+
+
+@pytest.mark.parametrize("cases", [1, 63, 64, 65, 1000])  # around CHUNK = 64
+def test_selftest_matches_the_oracle_at_chunk_boundaries(cases):
+    assert selftest(2, cases, 7) == oracle.selftest(2, cases, 7)
+
+
+def _oracle_rejections(monkeypatch, n, cases, seed):
+    """The oracle's residuals and its (cocycle-stage, section-stage) rejections.
+
+    A pass draws a point and two words, and a third word (g) only when its
+    cocycle stage passed; it counts when its section stage passed too.
+    """
+    calls = {"random_point": 0, "random_word": 0}
+    with monkeypatch.context() as mp:
+        for name in calls:
+            def counted(*args, _fn=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            mp.setattr(oracle, name, counted)
+        worst = oracle.selftest(n, cases, seed)
+    points, words = calls["random_point"], calls["random_word"]
+    with_g = words - 2 * points
+    return worst, points - with_g, with_g - cases
+
+
+def test_forced_rejections_match_the_oracle(monkeypatch):
+    # TOL_COND = 20 rejects many passes at both stages, so both ways of
+    # putting the stream back after a rejected pass are taken, and the
+    # cocycle residual of passes rejected at the section stage is folded
+    for mod in (automorphy, oracle):
+        monkeypatch.setattr(mod, "TOL_COND", 20.0)
+    worst, at_cocycle, at_section = _oracle_rejections(monkeypatch, 2, 300, 0)
+    assert (at_cocycle, at_section) == (175, 102)
+    assert selftest(2, 300, 0) == worst
+    for n, cases in ((1, 65), (2, 65), (3, 20)):
+        for seed in range(1, 4):
+            assert (selftest(n, cases, seed)
+                    == oracle.selftest(n, cases, seed)), (n, seed)
+
+
+def test_point_off_the_domain_raises_where_the_loop_would(monkeypatch):
+    # a point drawn after a rejected pass of the same chunk must not raise:
+    # the loop never draws it
+    def strict(mod):
+        draw = mod.random_point
+
+        def random_point(n, rng):
+            pt = draw(n, rng)
+            if pt.z[0, 0].real > 0.9:
+                raise ValueError(f"point is not in the tube domain: {pt.z[0, 0]}")
+            return pt
+        return random_point
+
+    for mod in (automorphy, oracle):
+        monkeypatch.setattr(mod, "TOL_COND", 20.0)
+        monkeypatch.setattr(mod, "random_point", strict(mod))
+    for seed in range(8):
+        outcomes = []
+        for run in (selftest, oracle.selftest):
+            try:
+                outcomes.append(run(2, 200, seed))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], seed
+
+
+def test_selftest_draws_one_point_per_pass(monkeypatch):
+    # the benchmark's traced check counts random_point calls as passes
+    calls = []
+    draw = automorphy.random_point
+
+    def counted(n, rng):
+        calls.append(n)
+        return draw(n, rng)
+
+    monkeypatch.setattr(automorphy, "random_point", counted)
+    for seed in range(3):
+        calls.clear()
+        selftest(2, 200, seed)
+        assert len(calls) == 200
+
+
+@pytest.mark.parametrize("n, cases", [(2, 0), (2, -3), (0, 5)])
+def test_selftest_needs_a_case(n, cases):
+    with pytest.raises(ValueError, match="at least one case"):
+        selftest(n, cases, 0)
+
+
+def test_single_sample_functions_match_the_oracle():
+    for n in (1, 2, 3):
+        rng, ref = random.Random(n), random.Random(n)
+        for _ in range(40):
+            a, a0 = random_word(n, rng), oracle.random_word(n, ref)
+            b, b0 = random_word(n, rng), oracle.random_word(n, ref)
+            pt, pt0 = random_point(n, rng), oracle.random_point(n, ref)
+            assert np.array_equal(a.matrix, a0.matrix) and a.nu == a0.nu
+            assert np.array_equal(b.matrix, b0.matrix) and b.nu == b0.nu
+            assert np.array_equal(pt.z, pt0.z)
+            try:
+                ref_az = oracle.act(a0, pt0)
+                ref_factors = oracle.factors(a0, pt0)
+                ref_report = oracle.cocycle_check(a0, b0, pt0)
+                ref_section = oracle.section_infty(a0, pt0, 4, 1, 3.0)
+            except NearSingularAutomorphyFactor:
+                with pytest.raises(NearSingularAutomorphyFactor):
+                    act(a, pt)
+                    factors(a, pt)
+                    cocycle_check(a, b, pt)
+                    section_infty(a, pt, 4, 1, 3.0)
+                continue
+            assert np.array_equal(act(a, pt).z, ref_az.z)
+            lam, mu, jj = factors(a, pt)
+            assert (np.array_equal(lam, ref_factors[0])
+                    and np.array_equal(mu, ref_factors[1])
+                    and jj == ref_factors[2])
+            report = cocycle_check(a, b, pt)
+            assert (report.residual, report.details) == (ref_report.residual,
+                                                         ref_report.details)
+            assert section_infty(a, pt, 4, 1, 3.0) == ref_section

@@ -87,6 +87,23 @@ def test_automorphy_selftest_command(capsys):
     assert max(data["residuals"].values()) < data["tolerance"]
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_automorphy_selftest_over_no_cases_is_usage_error(capsys, cases):
+    code, out, err = run(capsys, "automorphy-selftest", "--cases", cases)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at least one case" in err
+
+
+def test_equivariance_violation_is_a_failed_verification(capsys):
+    # x^3 is not invariant under the unit -1 of Q(i) in unitary mode
+    code, out, err = run(capsys, "integrate", "--function", "x^3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: integrand is not unit invariant at unit (-1+0w)")
+    assert "x = (1+0w), y = (((1+0w),),)" in err and " != " in err
+    assert "GnPoint" not in err and "FieldData" not in err
+    assert len(err) < 160
+
+
 def test_decompose_command(tmp_path, capsys):
     import random
 
