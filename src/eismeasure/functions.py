@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -77,7 +78,11 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 
 @dataclass(frozen=True)
 class GnPoint:
-    """A point of the pair domain, exact and/or p-adic."""
+    """A point of the pair domain, exact and/or p-adic.
+
+    ``x_is_unit`` and ``y_is_invertible`` are computed once per point, so
+    every function evaluated at the same point shares them.
+    """
 
     field: FieldData
     n: int
@@ -140,10 +145,12 @@ class GnPoint:
         y2 = tuple(tuple(v * ni for v in row) for row in self.y_padic)
         return GnPoint(self.field, self.n, x_padic=self.x_cm() * ec, y_padic=y2)
 
+    @cached_property
     def x_is_unit(self) -> bool:
         xk = self.x_key(1)
         return xk[0] % self.field.p != 0 and xk[1] % self.field.p != 0
 
+    @cached_property
     def y_is_invertible(self) -> bool:
         return y_det_key(self.y_key(1), self.n, self.field.p) % self.field.p != 0
 
@@ -190,9 +197,9 @@ class LCFunction(GnFunction):
             raise LevelMismatch("level must be >= 1")
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
-        if not pt.x_is_unit():
+        if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
-        if self.y_invertible and not pt.y_is_invertible():
+        if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
         key = (pt.x_key(self.level), pt.y_key(self.level))
         if self.values is not None:
@@ -218,12 +225,14 @@ class LCFunction(GnFunction):
         values = {}
         for ent in data["entries"]:
             key = (tuple(ent["x_coset"]), tuple(ent["y_coset"]))
-            values[key] = _value_from_json(ent["value"], ring)
+            values[key] = _value_from_json(ent["value"], field)
         return cls(field, int(data["n"]), ring, level, values=values,
                    y_invertible=data.get("support") == "y_invertible")
 
 
 def _value_to_json(v):
+    """A table value or coefficient as JSON: a Fraction string, or a p-adic
+    element's val, unit and prec (val null for zero)."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, PadicElt):
@@ -231,10 +240,10 @@ def _value_to_json(v):
     raise RingMismatch(f"cannot serialize {type(v).__name__}")
 
 
-def _value_from_json(v, ring):
+def _value_from_json(v, field: FieldData):
     if isinstance(v, str):
         return Fraction(v)
-    return PadicElt(ring.p, v["val"], v["unit"], v["prec"])
+    return PadicElt(field.p, v["val"], v["unit"], v["prec"])
 
 
 def _ring_from_tag(tag: str, field: FieldData):
@@ -266,9 +275,9 @@ class MonomialFunction(GnFunction):
             object.__setattr__(self, "e_xb", 0)
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
-        if not pt.x_is_unit():
+        if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
-        if self.y_invertible and not pt.y_is_invertible():
+        if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
         if self.ring.tag == "qq":
             x = pt.x if pt.x is not None else None

@@ -7,6 +7,7 @@ expansions live.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,14 +133,18 @@ def is_positive_definite(beta: HermitianMatrix) -> bool:
     return all(beta.leading_minor(j) > 0 for j in range(1, beta.n + 1))
 
 
-def enumerate_positive(field: FieldData, n: int, trace_bound: int) -> list[HermitianMatrix]:
+@functools.lru_cache(maxsize=16)
+def enumerate_positive(field: FieldData, n: int,
+                       trace_bound: int) -> tuple[HermitianMatrix, ...]:
     """All positive-definite lattice matrices with trace <= trace_bound.
 
-    Ordered by (trace, canonical entry key).  Sizes n <= 2 only.
+    Ordered by (trace, canonical entry key).  Sizes n <= 2 only.  The result
+    is an immutable tuple, memoised per (field, n, trace_bound): every
+    expansion over the same context shares it.
     """
     if n == 1:
-        return [HermitianMatrix.from_pairs(field, [[(m, 0)]])
-                for m in range(1, trace_bound + 1)]
+        return tuple(HermitianMatrix.from_pairs(field, [[(m, 0)]])
+                     for m in range(1, trace_bound + 1))
     if n != 2:
         raise UnsupportedSize(f"enumeration for n = {n} not supported")
     s, t = field.omega_s, field.omega_t
@@ -159,7 +164,7 @@ def enumerate_positive(field: FieldData, n: int, trace_bound: int) -> list[Hermi
                             (b.conj(), field.K(c))))
                         out.append(m)
     out.sort(key=lambda m: (m.trace(), m.key()))
-    return out
+    return tuple(out)
 
 
 def gl_conjugate(beta: HermitianMatrix, h: Matrix, lam) -> HermitianMatrix:

@@ -24,8 +24,9 @@ from .functions import (
     h_to_f,
     norm_rel_exact,
 )
-from .hermitian import CuspData
-from .qexp import QExpansion, _sample_points, eisenstein_qexp
+from .hermitian import CuspData, enumerate_positive
+from .padic import _vp
+from .qexp import QExpansion, _expansions, _sample_points, eisenstein_qexp
 from .rings import QQ
 
 
@@ -53,7 +54,6 @@ def integrate(h: GnFunction, ctx: MeasureContext,
     """Integrate a unit-invariant function; returns the base-weight expansion."""
     f = h_to_f(h)
     if validate:
-        from .hermitian import enumerate_positive
         betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
         pts = _sample_points(ctx.field, ctx.cusp, betas)
         rep = check_unit_invariance(h, pts, j=ctx.precision)
@@ -92,21 +92,21 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial, ctx: MeasureContext,
     """Integrate h times the multiplier evaluated at relnorm(x) * y^-1.
 
     Equals coefficientwise multiplication of integrate(h) by the multiplier
-    value at each index; with verify=True both routes are computed and must
-    agree exactly.
+    value at each index; with verify=True both routes are computed, in one
+    sweep, and must agree exactly.
     """
     f = h_to_f(h)
     # on the coefficient side the multiplier argument y^-1 turns back into y
     f2 = ProductFunction(f.field, f.n, f.ring, f, _zeta_multiplier(mult),
                          y_invertible=True)
-    q = eisenstein_qexp(f2, Weight(ctx.n, 0), ctx.cusp, ctx.trace_bound,
-                        ctx.field, precision=ctx.precision, validate=False)
-    if verify:
-        base = integrate(h, ctx, validate=False)
-        other = theta_apply(base, mult)
-        if not q == other:
-            raise ShapeMismatch("moment routes disagree")
-    return q
+    w = Weight(ctx.n, 0)
+    # the second job is integrate(h, ctx, validate=False)
+    jobs = [(f2, w), (f, w)] if verify else [(f2, w)]
+    qs = _expansions(jobs, ctx.cusp, ctx.trace_bound, ctx.field,
+                     precision=ctx.precision, validate=False)
+    if verify and not qs[0] == theta_apply(qs[1], mult):
+        raise ShapeMismatch("moment routes disagree")
+    return qs[0]
 
 
 def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
@@ -131,9 +131,13 @@ def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
 
 @dataclass(frozen=True)
 class KummerReport:
+    """On failure ``witness`` is the first failing coefficient pair: its
+    ``trace``, the coefficients ``coeff_k`` and ``coeff_k2`` as strings, and
+    the p-adic ``valuation`` of their difference."""
+
     passed: bool
     checked: int
-    witness: tuple | None
+    witness: dict | None
     modulus_exponent: int
 
 
@@ -157,10 +161,18 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     ctx = MeasureContext.rank_one(field, trace_bound)
     h1 = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=k - 1)
     h2 = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=k2 - 1)
-    q1 = integrate(h1, ctx, validate=False)
-    q2 = integrate(h2, ctx, validate=False)
+    # both integrals, integrate(h, ctx, validate=False), in one sweep
+    w = Weight(1, 0)
+    q1, q2 = _expansions([(h_to_f(h1), w), (h_to_f(h2), w)], ctx.cusp,
+                         trace_bound, field, validate=False)
     j = m + 1 if modulus_exponent is None else modulus_exponent
-    ok, witness = q1.congruent_mod(q2, j, skip_p_divisible_trace=True)
+    ok, key = q1.congruent_mod(q2, j, skip_p_divisible_trace=True)
+    witness = None
+    if not ok:
+        beta, c1 = q1.terms[key]
+        c2 = q2.terms[key][1]
+        witness = {"trace": int(beta.trace()), "coeff_k": str(c1),
+                   "coeff_k2": str(c2), "valuation": _vp(c1 - c2, p)}
     checked = sum(1 for _, (b, _c) in q1.terms.items()
                   if int(b.trace()) % p != 0)
     # a pass over zero coefficients is not a pass

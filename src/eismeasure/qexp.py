@@ -4,7 +4,9 @@ The coefficient of an expansion at index beta is a finite sum over the
 cusp rule: multiplicity times the coefficient function at the point
 (a, relnorm(a)^-1 * beta), times the weight norm of a^-1 * det(beta),
 times det(beta)^-n.  Everything downstream (integration against the
-measure, moments, congruence checks) goes through this one constructor.
+measure, moments, congruence checks) goes through one sweep,
+``_expansions``, which builds each cusp-rule point once and evaluates
+every expansion of the same context there.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .functions import (
     GnPoint,
     _congruent,
     _ring_from_tag,
+    _value_from_json,
+    _value_to_json,
     check_equivariance,
     evaluate,
     norm_rel_exact,
@@ -103,7 +107,7 @@ class QExpansion:
         for k, (beta, c) in sorted(self.terms.items()):
             terms.append({"beta": [[[int(e.u), int(e.v)] for e in row]
                                    for row in beta.entries],
-                          "coeff": _coeff_json(c)})
+                          "coeff": _value_to_json(c)})
         return {"cusp": self.cusp_label, "p": self.field.p, "n": self.n,
                 "weight": [self.weight.k, self.weight.nu],
                 "ring": self.ring.tag,
@@ -116,36 +120,22 @@ class QExpansion:
         terms = {}
         for t in data["terms"]:
             beta = HermitianMatrix.from_pairs(field, t["beta"])
-            terms[beta.key()] = (beta, _coeff_from_json(t["coeff"], field))
+            terms[beta.key()] = (beta, _value_from_json(t["coeff"], field))
         return cls(field, int(data["n"]),
                    Weight(*data.get("weight", [int(data["n"]), 0])),
                    data["cusp"], int(data["trace_bound"]), ring, terms)
 
 
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, PadicElt):
-        return {"val": c.val, "unit": c.unit, "prec": c.prec}
-    raise RingMismatch(f"cannot serialize {type(c).__name__}")
-
-
-def _coeff_from_json(c, field: FieldData):
-    if isinstance(c, str):
-        return Fraction(c)
-    if c["val"] is None:
-        return PadicElt.zero(field.p, c["prec"])
-    return PadicElt(field.p, c["val"], c["unit"], c["prec"])
+def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
+    """The point (a, relnorm(a)^-1 * beta) of the cusp-rule element a."""
+    na = norm_rel_exact(a, field)
+    y = tuple(tuple(e / na for e in row) for row in beta.entries)
+    return GnPoint.from_exact(field, a, y)
 
 
 def _sample_points(field: FieldData, cusp: CuspData, betas, count: int = 4):
-    pts = []
-    for beta in betas[:count]:
-        for a, _ in cusp.rule(beta)[:2]:
-            na = norm_rel_exact(a, field)
-            y = tuple(tuple(e / na for e in row) for row in beta.entries)
-            pts.append(GnPoint.from_exact(field, a, y))
-    return pts
+    return [_rule_point(field, a, beta)
+            for beta in betas[:count] for a, _ in cusp.rule(beta)[:2]]
 
 
 def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
@@ -153,46 +143,81 @@ def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
                     precision: int | None = None,
                     validate: bool = True) -> QExpansion:
     """Expansion of weight (k, nu) attached to an equivariant coefficient function."""
+    return _expansions([(f, w)], cusp, trace_bound, field, precision,
+                       validate)[0]
+
+
+def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
+                precision: int | None = None,
+                validate: bool = True) -> list[QExpansion]:
+    """The expansions of several (f, w) jobs over one context, in one sweep.
+
+    The indices are enumerated once; at each index the cusp rule runs once
+    and each of its points is built once, then every job evaluates its
+    function there.  A job's terms are summed in cusp-rule order whatever
+    the other jobs are, so each expansion equals the one computed alone.
+    """
     n = cusp.n
-    if w.k < n:
-        raise ValueError(f"weight {w.k} below the rank {n}")
+    for _, w in jobs:
+        if w.k < n:
+            raise ValueError(f"weight {w.k} below the rank {n}")
     betas = enumerate_positive(field, n, trace_bound)
     if validate:
-        report = check_equivariance(f, w, _sample_points(field, cusp, betas),
-                                    j=precision)
-        if not report.passed:
-            raise EquivarianceViolation("coefficient function fails unit "
-                                        f"equivariance at {report.witness_text()}")
-    ring = f.ring
-    terms = {}
+        pts = _sample_points(field, cusp, betas)
+        for f, w in jobs:
+            report = check_equivariance(f, w, pts, j=precision)
+            if not report.passed:
+                raise EquivarianceViolation(
+                    "coefficient function fails unit equivariance at "
+                    f"{report.witness_text()}")
+    coefficient = [_qq_coefficient if f.ring.tag == "qq" else _ring_coefficient
+                   for f, _ in jobs]
+    terms = [{} for _ in jobs]
     for beta in betas:
-        c = ring.zero()
-        detb = beta.det()
-        for a, mult in cusp.rule(beta):
-            na = norm_rel_exact(a, field)
-            y = tuple(tuple(e / na for e in row) for row in beta.entries)
-            pt = GnPoint.from_exact(field, a, y)
-            fval = evaluate(f, pt, precision)
-            if ring.is_zero(fval):
-                continue
-            if ring.tag == "qq":
-                # b = det(beta)/a is rational exactly when a is
-                if not a.is_rational:
-                    raise RingMismatch(
-                        "rational coefficients need rational norm arguments")
-                # b^k / det(beta)^n
-                dn, dd = detb.numerator, detb.denominator
-                factor = Fraction((dn * a.d) ** w.k * dd ** n,
-                                  (dd * a.a) ** w.k * dn ** n)
-            else:
-                bc = CMElt.embed(field.K(detb) * a.inverse(), field)
-                num = norm_weight(bc, w)
-                den = PadicElt.from_rational(Fraction(detb), p=field.p,
-                                             prec=field.precision) ** n
-                factor = num / den
-            c = c + ring.coerce(mult) * fval * ring.coerce(factor)
-        terms[beta.key()] = (beta, c)
-    return QExpansion(field, n, w, cusp.label, trace_bound, ring, terms)
+        key, detb = beta.key(), beta.det()
+        points = [(a, mult, _rule_point(field, a, beta))
+                  for a, mult in cusp.rule(beta)]
+        for (f, w), coeff, out in zip(jobs, coefficient, terms):
+            out[key] = (beta, coeff(f, w, n, detb, points, field, precision))
+    return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
+            for (f, w), t in zip(jobs, terms)]
+
+
+def _qq_coefficient(f, w, n, detb, points, field, precision) -> Fraction:
+    """The rational coefficient, summed as one integer fraction."""
+    dn, dd = detb.numerator, detb.denominator
+    num, den = 0, 1
+    for a, mult, pt in points:
+        fval = evaluate(f, pt, precision)
+        if f.ring.is_zero(fval):
+            continue
+        # b = det(beta)/a is rational exactly when a is
+        if not a.is_rational:
+            raise RingMismatch(
+                "rational coefficients need rational norm arguments")
+        # mult * fval * b^k / det(beta)^n
+        tn = mult * fval.numerator * (dn * a.d) ** w.k * dd ** n
+        td = fval.denominator * (dd * a.a) ** w.k * dn ** n
+        g = math.gcd(den, td)
+        num, den = num * (td // g) + tn * (den // g), den // g * td
+    return Fraction(num, den)
+
+
+def _ring_coefficient(f, w, n, detb, points, field, precision):
+    """The coefficient in the function's (p-adic) ring, term by term."""
+    ring = f.ring
+    c = ring.zero()
+    for a, mult, pt in points:
+        fval = evaluate(f, pt, precision)
+        if ring.is_zero(fval):
+            continue
+        bc = CMElt.embed(field.K(detb) * a.inverse(), field)
+        num = norm_weight(bc, w)
+        den = PadicElt.from_rational(Fraction(detb), p=field.p,
+                                     prec=field.precision) ** n
+        factor = num / den
+        c = c + ring.coerce(mult) * fval * ring.coerce(factor)
+    return c
 
 
 # -- cusp change ---------------------------------------------------------------
@@ -223,24 +248,27 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
 
     The new coefficient at beta is the prefactor times the old coefficient
     at lam^-1 * conj(h)^-T * beta * h^-1; equivalently the old coefficient
-    at gamma moves to lam * conj(h)^T * gamma * h.
+    at gamma moves to lam * conj(h)^T * gamma * h.  The image indices need
+    not be every index up to any trace, so the result keeps the source's
+    trace bound: its terms are the images of the source indices of trace
+    at most that bound.  A singular h or lam = 0 is rejected, because it
+    would merge distinct indices.
     """
+    if mat_det(h).is_zero or lam == 0:
+        raise LatticeMismatch("the Levi element (h, lam) is singular")
     chi_data = chi_data or ChiData()
     pre = q.ring.coerce(chi_data.prefactor(h, lam))
     terms = {}
-    bound = 0
     for _, (gamma, c) in q.terms.items():
         beta = gl_conjugate_inverse(gamma, h, lam)
         if not beta.is_integral():
             raise LatticeMismatch(
                 "transformed index leaves the representable lattice")
-        tr = beta.trace()
-        if tr.denominator != 1:
+        if beta.trace().denominator != 1:
             raise LatticeMismatch("transformed index has fractional trace")
-        bound = max(bound, int(tr))
         terms[beta.key()] = (beta, pre * c)
     return QExpansion(q.field, q.n, q.weight,
-                      f"{q.cusp_label}*levi", bound, q.ring, terms)
+                      f"{q.cusp_label}*levi", q.trace_bound, q.ring, terms)
 
 
 def congruent_mod(q1: QExpansion, q2: QExpansion, j: int, **kw):

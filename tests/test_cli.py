@@ -133,3 +133,34 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_command([])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def rank_one_input(tmp_path, capsys):
+    code, out, _ = run(capsys, "qexp", "--mode", "symplectic", "--p", "5",
+                       "--ring", "qq", "--cusp", "divisor", "--bound", "6",
+                       "--k", "4", "--function", "x^4*ydet^-3")
+    assert code == 0
+    path = tmp_path / "q.json"
+    path.write_text(out)
+    return str(path)
+
+
+@pytest.mark.parametrize("h, lam", [("[[[0,0]]]", "1"), ("[[[1,0]]]", "0")])
+def test_transform_cusp_with_a_singular_levi_element_is_usage_error(
+        capsys, rank_one_input, h, lam):
+    code, out, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                         "--p", "5", "--input", rank_one_input, "--h", h,
+                         "--lam", lam)
+    assert code == 2 and out == ""
+    assert "singular" in err
+
+
+def test_transform_cusp_keeps_the_source_bound(capsys, rank_one_input):
+    code, out, _ = run(capsys, "transform-cusp", "--mode", "symplectic",
+                       "--p", "5", "--input", rank_one_input,
+                       "--h", "[[[1,0]]]", "--lam", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["trace_bound"] == 6
+    assert [t["beta"][0][0][0] for t in data["terms"]] == [2, 4, 6, 8, 10, 12]

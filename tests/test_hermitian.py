@@ -59,6 +59,13 @@ def test_pinned_counts():
     assert len(enumerate_positive(GAUSS, 2, 3)) == 11
 
 
+def test_enumeration_is_a_shared_tuple():
+    ms = enumerate_positive(GAUSS, 2, 4)
+    assert isinstance(ms, tuple)
+    assert enumerate_positive(FieldData(p=5, k_disc=-4), 2, 4) is ms
+    assert enumerate_positive(GAUSS, 2, 3) is not ms
+
+
 def test_rank1_enumeration():
     got = [m.entries[0][0].u for m in enumerate_positive(GAUSS, 1, 6)]
     assert got == [1, 2, 3, 4, 5, 6]

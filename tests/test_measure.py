@@ -21,7 +21,8 @@ from eismeasure.measure import (
     moment_detd,
     moment_zeta,
 )
-from eismeasure.rings import QQ
+from eismeasure.padic import PadicElt, _vp
+from eismeasure.rings import QQ, PadicRing
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
@@ -91,3 +92,34 @@ def test_kummer_witness_on_forced_failure():
     # weights congruent mod (p-1) only, checked at modulus p^2: must fail
     rep = kummer_check(SYMPL, 4, 8, 0, 40, modulus_exponent=2)
     assert not rep.passed and rep.witness is not None
+    wit = rep.witness
+    assert set(wit) == {"trace", "coeff_k", "coeff_k2", "valuation"}
+    assert wit["trace"] % 5 != 0
+    ctx = MeasureContext.rank_one(SYMPL, 40)
+    for key, e in (("coeff_k", 3), ("coeff_k2", 7)):
+        q = integrate(MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=e), ctx)
+        assert wit[key] == str(q.coeff_by_trace(wit["trace"]))
+    diff = Fraction(wit["coeff_k"]) - Fraction(wit["coeff_k2"])
+    assert wit["valuation"] == _vp(diff, 5) < rep.modulus_exponent
+    # the first failing trace prime to p
+    for m in range(1, wit["trace"]):
+        if m % 5:
+            assert kummer_check(SYMPL, 4, 8, 0, m, modulus_exponent=2).passed
+
+
+@pytest.mark.parametrize("k", [2, 4, 7])
+def test_rational_and_padic_integrals_agree_to_the_reported_precision(k):
+    """The same symplectic monomial integral over qq and over Z_p agrees
+    modulo p^(abs_prec) of each p-adic coefficient."""
+    field = FieldData(p=5, mode="symplectic", precision=6)
+    ctx = MeasureContext.rank_one(field, 60)
+    exact = integrate(MonomialFunction(field, 1, QQ, Fraction(1),
+                                       e_xs=k - 1), ctx)
+    padic = integrate(MonomialFunction(field, 1, PadicRing(5, 6), Fraction(1),
+                                       e_xs=k - 1), ctx)
+    assert exact.terms.keys() == padic.terms.keys()
+    for key, (_, c) in exact.terms.items():
+        z = padic.terms[key][1]
+        j = z.abs_prec
+        assert j >= 1
+        assert PadicElt.from_rational(c, p=5, prec=j).lift(j) == z.lift(j)

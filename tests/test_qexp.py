@@ -5,19 +5,37 @@ from fractions import Fraction
 
 import pytest
 
-from eismeasure.errors import EquivarianceViolation, LatticeMismatch, RingMismatch
+from eismeasure.diffops import det_polynomial
+from eismeasure.errors import (
+    EquivarianceViolation,
+    LatticeMismatch,
+    RingMismatch,
+    ShapeMismatch,
+)
 from eismeasure.fields import FieldData, Weight
-from eismeasure.functions import MonomialFunction, random_lc_function, symmetrize
+from eismeasure.functions import (
+    LCFunction,
+    MonomialFunction,
+    ProductFunction,
+    random_lc_function,
+    symmetrize,
+    weight_twist,
+)
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
+from eismeasure.measure import _zeta_multiplier
+from eismeasure.padic import PadicElt
 from eismeasure.qexp import (
     ChiData,
     QExpansion,
+    _expansions,
+    _rule_point,
     cusp_transform,
     eisenstein_qexp,
     leading_constant,
     normalization_constant,
 )
-from eismeasure.rings import QQ
+from eismeasure.rings import QQ, PadicRing
+from qexp_oracle import oracle_qexp
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
@@ -137,3 +155,201 @@ def test_normalization_constant_bookkeeping():
         normalization_constant(GAUSS, 2, 6, 1, {"bad": [2, 1]})
     with pytest.raises(ValueError):
         normalization_constant(GAUSS, 2, 6, 1, {"bad": [1, Fraction(1, 2)]})
+
+
+# -- the shared sweep against the per-function oracle ---------------------------
+
+ZP5 = PadicRing(5, 24)
+
+
+def _rational_jobs(field, cusp, bound):
+    """qq jobs, n = 1, with mixed weights."""
+    mono = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=4, e_det=-3)
+    scaled = MonomialFunction(field, 1, QQ, Fraction(3, 7), e_xs=2, e_det=-1)
+    table = LCFunction(field, 1, QQ, 2, rule=lambda xk, yk: Fraction(
+        3 * xk[0] + yk[0], 7), y_invertible=True)
+    prod = ProductFunction(field, 1, QQ, mono,
+                           lambda pt, ring: Fraction(pt.x.a, pt.x.d) + 1)
+    return [(mono, Weight(4, 0)), (scaled, Weight(2, 0)),
+            (table, Weight(1, 0)), (prod, Weight(3, 0))]
+
+
+def _table_at_points(field, n, cusp, bound, w, seed):
+    """A symmetrized level-2 table with unit values at the sweep's points
+    (a random sparse table is zero at almost all of them)."""
+    rng = random.Random(seed)
+    values = {}
+    for beta in enumerate_positive(field, n, bound):
+        for a, _ in cusp.rule(beta):
+            pt = _rule_point(field, a, beta)
+            if pt.y_is_invertible:
+                values[(pt.x_key(2), pt.y_key(2))] = PadicElt(
+                    5, 0, rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 11, 12]), 2)
+    table = LCFunction(field, n, PadicRing(5, 2), 2, values=values,
+                       y_invertible=True)
+    return symmetrize(table, w)
+
+
+def _padic_rank_one_jobs(field, cusp, bound):
+    """zp jobs, n = 1, with mixed weights."""
+    w = Weight(5, 1)
+    table = _table_at_points(field, 1, cusp, bound, w, 11)
+    mono = MonomialFunction(field, 1, ZP5, Fraction(2), e_xs=3, e_det=-2)
+    rule = LCFunction(field, 1, ZP5, 2, rule=lambda xk, yk: PadicElt.from_int(
+        (7 * xk[0] + 3 * yk[0]) % 25, 5, 2))
+    prod = ProductFunction(field, 1, ZP5, rule,
+                           lambda pt, ring: pt.x_cm().xs + ring.one())
+    return [(mono, Weight(3, 0)), (table, w), (rule, Weight(1, 0)),
+            (prod, Weight(2, 0)), (weight_twist(table, w), Weight(1, 0))]
+
+
+def _padic_rank_two_jobs(field, cusp, bound):
+    """zp jobs, n = 2, including the moment's product integrand and a
+    weight twist."""
+    w = Weight(3, 1)
+    table = _table_at_points(field, 2, cusp, bound, w, 12)
+    mono = MonomialFunction(field, 2, ZP5, Fraction(1), e_xs=2, e_xb=1,
+                            e_det=-1)
+    prod = ProductFunction(field, 2, table.ring, table,
+                           _zeta_multiplier(det_polynomial(2, 2)),
+                           y_invertible=True)
+    return [(table, w), (weight_twist(table, w), Weight(2, 0)),
+            (mono, Weight(4, 0)), (prod, Weight(2, 0))]
+
+
+def _rational_rank_two_jobs(field, cusp, bound):
+    mono = MonomialFunction(field, 2, QQ, Fraction(5, 3), e_det=-1)
+    prod = ProductFunction(field, 2, QQ, mono,
+                           _zeta_multiplier(det_polynomial(2, 2)),
+                           y_invertible=True)
+    return [(mono, Weight(2, 0)), (prod, Weight(3, 0))]
+
+
+#: case -> (job builder, field, cusp, trace bound, precision)
+SWEEPS = {
+    "qq-divisor-n1": (_rational_jobs, SYMPL, CuspData.divisor_rule(SYMPL),
+                      40, None),
+    "zp-divisor-n1": (_padic_rank_one_jobs, SYMPL,
+                      CuspData.divisor_rule(SYMPL), 30, None),
+    "zp-divisor-n1-truncated": (_padic_rank_one_jobs, SYMPL,
+                                CuspData.divisor_rule(SYMPL), 30, 3),
+    "zp-single-n1": (_padic_rank_one_jobs, GAUSS,
+                     CuspData.single_term(GAUSS, 1), 12, None),
+    "zp-single-n2": (_padic_rank_two_jobs, GAUSS,
+                     CuspData.single_term(GAUSS, 2), 4, None),
+    "qq-single-n2": (_rational_rank_two_jobs, GAUSS,
+                     CuspData.single_term(GAUSS, 2), 4, None),
+}
+
+
+def assert_same_expansion(got: QExpansion, want: QExpansion):
+    assert (got.field, got.n, got.weight, got.cusp_label, got.trace_bound,
+            got.ring) == (want.field, want.n, want.weight, want.cusp_label,
+                          want.trace_bound, want.ring)
+    assert list(got.terms) == list(want.terms)
+    for key, (beta, c) in want.terms.items():
+        got_beta, got_c = got.terms[key]
+        assert got_beta == beta
+        assert type(got_c) is type(c)
+        if isinstance(c, PadicElt):
+            assert (got_c.val, got_c.unit, got_c.prec) == (c.val, c.unit, c.prec)
+        else:
+            assert got_c == c
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_matches_the_per_function_oracle(case):
+    make_jobs, field, cusp, bound, precision = SWEEPS[case]
+    jobs = make_jobs(field, cusp, bound)
+    got = _expansions(jobs, cusp, bound, field, precision, validate=False)
+    assert len(got) == len(jobs)
+    for (f, w), q in zip(jobs, got):
+        want = oracle_qexp(f, w, cusp, bound, field, precision, validate=False)
+        assert_same_expansion(q, want)
+        assert_same_expansion(
+            eisenstein_qexp(f, w, cusp, bound, field, precision,
+                            validate=False), want)
+        assert any(not f.ring.is_zero(c) for _, c in q.terms.values())
+
+
+def test_sweep_validates_every_job():
+    rng = random.Random(2)
+    w = Weight(3, 1)
+    bad = random_lc_function(GAUSS, 1, 1, rng, entries=20)
+    good = symmetrize(bad, w)
+    cusp = CuspData.single_term(GAUSS, 1)
+    got = _expansions([(good, w), (good, w)], cusp, 8, GAUSS)
+    assert_same_expansion(got[1], oracle_qexp(good, w, cusp, 8, GAUSS))
+    for jobs in ([(good, w), (bad, w)], [(bad, w), (good, w)]):
+        with pytest.raises(EquivarianceViolation):
+            _expansions(jobs, cusp, 8, GAUSS)
+    with pytest.raises(ValueError):
+        _expansions([(good, w), (good, Weight(0, 0))], cusp, 8, GAUSS)
+
+
+def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
+    """A second job over the same context adds evaluations, not cusp-rule
+    calls or split residues."""
+    counts = {"rule": 0, "residue": 0}
+    residue = FieldData.sigma_residue
+
+    def counting_residue(self, a, j):
+        counts["residue"] += 1
+        return residue(self, a, j)
+
+    monkeypatch.setattr(FieldData, "sigma_residue", counting_residue)
+    divisor = CuspData.divisor_rule(SYMPL)
+
+    def counting_rule(beta):
+        counts["rule"] += 1
+        return divisor.rule(beta)
+
+    cusp = CuspData(divisor.label, 1, counting_rule)
+    jobs = _rational_jobs(SYMPL, cusp, 60)[:2]
+    seen = []
+    for sweep in (jobs[:1], jobs):
+        counts.update(rule=0, residue=0)
+        _expansions(sweep, cusp, 60, SYMPL, validate=False)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["rule"] == 60
+    # one residue for x and one for the 1x1 y per cusp-rule point
+    points = sum(len(divisor.rule(b)) for b in enumerate_positive(SYMPL, 1, 60))
+    assert seen[0]["residue"] == 2 * points
+
+
+# -- cusp change: singular Levi elements and the reported bound --------------
+
+
+@pytest.mark.parametrize("h, lam", [
+    (((SYMPL.K(0),),), Fraction(1)),
+    (((SYMPL.K(1),),), Fraction(0)),
+])
+def test_cusp_transform_rejects_singular_levi_elements(h, lam):
+    q = rank_one_qexp(4, bound=6)
+    with pytest.raises(LatticeMismatch):
+        cusp_transform(q, h, lam)
+
+
+def test_cusp_transform_rejects_a_singular_rank_two_h():
+    rng = random.Random(8)
+    f = random_lc_function(GAUSS, 2, 2, rng, entries=8)
+    q = eisenstein_qexp(f, Weight(2, 0), CuspData.single_term(GAUSS, 2), 4,
+                        GAUSS, validate=False)
+    h = ((GAUSS.K(1), GAUSS.K(0, 1)), (GAUSS.K(0, -1), GAUSS.K(1)))
+    with pytest.raises(LatticeMismatch):
+        cusp_transform(q, h, Fraction(1))
+
+
+def test_cusp_transform_keeps_the_source_bound():
+    q = rank_one_qexp(4, bound=6)
+    scaled = cusp_transform(q, ((SYMPL.K(1),),), Fraction(2))
+    # only the even traces 2..12 are present: no claim of completeness to 12
+    assert scaled.trace_bound == 6
+    assert sorted(int(b.trace()) for b, _ in scaled.terms.values()) == [
+        2, 4, 6, 8, 10, 12]
+    full = rank_one_qexp(4, bound=12)
+    with pytest.raises(ShapeMismatch):
+        scaled.congruent_mod(full, 1)
+    with pytest.raises(ShapeMismatch):
+        scaled + full
