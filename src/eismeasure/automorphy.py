@@ -14,6 +14,15 @@ order of a pass-by-pass loop, verifies each chunk with the kernels, and folds
 the residuals pass by pass in scalar Python arithmetic.  Stacked ``det``,
 ``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits as calls on single
 matrices, so a seed gives the same residuals as the pass-by-pass loop.
+
+The draws call ``rng.getrandbits`` and ``rng.random`` directly and follow
+CPython's ``random`` algorithms bit for bit: ``randrange``, ``randint`` and
+``choice`` are rejection sampling on ``getrandbits``, and ``uniform(a, b)`` is
+``a + (b - a) * random()``.  So they use the same Mersenne Twister words, and
+give the same words and points, as the ``randrange``, ``randint``, ``choice``
+and ``uniform`` calls the self-test was defined with.  A test in
+``tests/test_automorphy.py`` compares the generator's state with those calls'
+pass by pass, so a ``random`` module that draws differently fails it.
 """
 
 from __future__ import annotations
@@ -27,9 +36,9 @@ from .errors import NearSingularAutomorphyFactor
 TOL_COND = 1e8
 
 #: Most passes that ``selftest`` draws and verifies together.  A chunk is cut
-#: at its first rejected pass and the rest is drawn again, so after a
-#: rejection the next chunk is half as long, and after a clean one twice as
-#: long again, up to CHUNK.
+#: at its first pass rejected before drawing g, and the passes after it are
+#: drawn again, so after such a pass the next chunk is half as long, and
+#: after a chunk without one twice as long again, up to CHUNK.
 CHUNK = 64
 
 
@@ -50,65 +59,97 @@ class GroupElement:
 
 
 # -- generators and words ------------------------------------------------------
-# A generator is drawn as raw data (kind, block, nu): kind 0 is a Levi element
-# with an invertible block h and factor lam = nu, kind 1 a translation with a
-# Hermitian block b, kind 2 the Weyl involution (block None).  A word is a
-# list of generators, multiplied left to right.
+# A drawn generator is a row of 2 + 2n^2 small integers: its kind (0 a Levi
+# element, 1 a translation, 2 the Weyl involution), the index of its
+# similitude factor in _LAMS (1, the factor 1.0, unless it is a Levi
+# element), and 2 plus the real and imaginary parts of its n-by-n block b,
+# entry by entry in row-major order (b = 0 for the Weyl involution).  A Levi
+# element has the block h = b, a translation the Hermitian block
+# (b + conj(b)^T) / 2.  A word is a run of consecutive rows, multiplied left
+# to right.
 
-def _generators(n: int, gens) -> np.ndarray:
-    """The stack of generator matrices for raw generator data."""
-    m = np.zeros((len(gens), 2 * n, 2 * n), dtype=complex)
-    levi = [i for i, g in enumerate(gens) if g[0] == 0]
-    if levi:
-        h = np.array([gens[i][1] for i in levi], dtype=complex)
-        lam = np.array([gens[i][2] for i in levi])
+_LAMS = np.array([0.5, 1.0, 2.0])
+
+
+def _generators(n: int, kinds: np.ndarray, blocks: np.ndarray,
+                lams: np.ndarray) -> np.ndarray:
+    """The stack of generator matrices for kinds, blocks and factors lam."""
+    m = np.zeros((len(kinds), 2 * n, 2 * n), dtype=complex)
+    levi = np.flatnonzero(kinds == 0)
+    if levi.size:
+        h = blocks[levi]
         # block diag(conj(h)^-T, lam * h)
         m[levi, :n, :n] = _t(np.linalg.inv(np.conj(h)))
-        m[levi, n:, n:] = lam[:, None, None] * h
-    trans = [i for i, g in enumerate(gens) if g[0] == 1]
-    if trans:
-        b = np.array([gens[i][1] for i in trans], dtype=complex)
+        m[levi, n:, n:] = lams[levi][:, None, None] * h
+    trans = np.flatnonzero(kinds == 1)
+    if trans.size:
+        b = blocks[trans]
         if not np.allclose(b, np.conj(_t(b))):
             raise ValueError("translation block must be Hermitian")
         m[trans] = np.eye(2 * n)
         m[trans, :n, n:] = b
-    weyl = [i for i, g in enumerate(gens) if g[0] == 2]
-    if weyl:
+    weyl = np.flatnonzero(kinds == 2)
+    if weyl.size:
         m[weyl, :n, n:] = -np.eye(n)
         m[weyl, n:, :n] = np.eye(n)
     return m
 
 
-def _words(n: int, words):
-    """Matrices (a stack) and similitude factors (floats) of the words."""
-    mats = _generators(n, [g for w in words for g in w])
-    lengths = np.array([len(w) for w in words])
+def _words(n: int, data: list, lengths: list):
+    """Matrices (a stack) and similitude factors (floats) of words.
+
+    ``data`` holds the generator rows of all the words, flat and in order,
+    and ``lengths`` the number of generators in each word.
+    """
+    rows = np.frombuffer(bytes(data), dtype=np.uint8).reshape(-1, 2 + 2 * n * n)
+    kinds = rows[:, 0]
+    parts = rows[:, 2:].astype(int) - 2
+    re = parts[:, 0::2].reshape(-1, n, n)
+    im = parts[:, 1::2].reshape(-1, n, n)
+    trans = (kinds == 1)[:, None, None]
+    blocks = np.empty(re.shape, dtype=complex)
+    # the Hermitian part of a translation block is exact in halves
+    blocks.real = np.where(trans, (re + _t(re)) / 2, re)
+    blocks.imag = np.where(trans, (im - _t(im)) / 2, im)
+    lams = _LAMS[rows[:, 1]]
+    mats = _generators(n, kinds, blocks, lams)
+    lengths = np.array(lengths)
     starts = np.cumsum(lengths) - lengths
-    out = mats[starts]
+    # multiplied left to right, the longest words first, so that the words
+    # still growing at each step lead the stack
+    order = np.argsort(-lengths, kind="stable")
+    first = starts[order]
+    prod = mats[first]
     for step in range(1, int(lengths.max())):
-        rows = np.flatnonzero(lengths > step)
-        out[rows] = out[rows] @ mats[starts[rows] + step]
-    nus = []
-    for w in words:
-        nu = w[0][2]
-        for g in w[1:]:
-            nu = nu * g[2]
-        nus.append(nu)
-    return out, nus
+        c = np.count_nonzero(lengths > step)
+        prod[:c] = prod[:c] @ mats[first[:c] + step]
+    out = np.empty_like(prod)
+    out[order] = prod
+    # the factors are powers of two, so their products are exact in any order
+    return out, np.multiply.reduceat(lams, starts).tolist()
+
+
+def _element(n: int, kind: int, block, lam) -> GroupElement:
+    """One generator as a group element."""
+    blocks = np.zeros((1, n, n), dtype=complex)
+    if block is not None:
+        blocks[0] = block
+    return GroupElement(
+        _generators(n, np.array([kind]), blocks, np.array([lam]))[0], lam)
 
 
 def levi_element(h: np.ndarray, lam: float) -> GroupElement:
     """Block diag(conj(h)^-T, lam * h); similitude factor lam."""
-    return GroupElement(_generators(h.shape[0], [(0, h, lam)])[0], lam)
+    return _element(h.shape[0], 0, h, lam)
 
 
 def translation_element(b: np.ndarray) -> GroupElement:
     """Upper unipotent with Hermitian block b."""
-    return GroupElement(_generators(b.shape[0], [(1, b, 1.0)])[0], 1.0)
+    return _element(b.shape[0], 1, b, 1.0)
 
 
 def weyl_element(n: int) -> GroupElement:
-    return GroupElement(_generators(n, [(2, None, 1.0)])[0], 1.0)
+    return _element(n, 2, None, 1.0)
 
 
 # -- points -----------------------------------------------------------------------
@@ -134,7 +175,7 @@ class DomainPoint:
     z: np.ndarray
 
     def __post_init__(self):
-        if np.any(_outside(self.z)):
+        if _outside(self.z).any():
             raise ValueError("point is not in the tube domain")
 
 
@@ -304,70 +345,157 @@ def cocycle_check(alpha: GroupElement, beta: GroupElement,
 
 
 # -- random samples -----------------------------------------------------------------
+# The calls the draws stand for are rng.randrange(3) (the kind),
+# rng.randint(-2, 2) (each part of an entry), rng.choice([0.5, 1.0, 2.0])
+# (lam), rng.randrange(8) (the extra generators of a word) and
+# rng.uniform(a, b).  A draw below m takes r = getrandbits(m.bit_length())
+# again while r >= m, each getrandbits(k) with k <= 32 using one 32-bit word;
+# random() uses two.  The draws count the words they use, so that the stream
+# can be put back where the pass-by-pass loop leaves it.
 
-def _gaussian_block(n: int, rng) -> list:
-    return [[complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
-            for _ in range(n)]
+def _randints(bits, count: int, out: list) -> int:
+    """Append count draws of randint(-2, 2), each plus 2, to out; return the
+    words used."""
+    used = count
+    for _ in range(count):
+        r = bits(3)
+        while r >= 5:
+            r, used = bits(3), used + 1
+        out.append(r)
+    return used
 
 
-def _draw_generator(n: int, rng) -> tuple:
-    kind = rng.randrange(3)
+def _det_nonzero(e: list, n: int) -> bool:
+    """Is det h != 0 for the Gaussian-integer block h with parts e?
+
+    e holds the real and imaginary parts of the entries in row-major order.
+    det h is a Gaussian integer, of modulus 0 or at least 1, so for entries
+    in [-2, 2] this is the decision abs(np.linalg.det(h)) > 0.5.
+    """
+    if n == 1:
+        return e[0] != 0 or e[1] != 0
+    if n == 2:
+        a, b, c, d, f, g, p, q = e
+        # (a + bi)(p + qi) - (c + di)(f + gi)
+        return a * p - b * q != c * f - d * g or a * q + b * p != c * g + d * f
+    # Bareiss elimination over the Gaussian integers, entries as (re, im)
+    a = [[(e[2 * (i * n + j)], e[2 * (i * n + j) + 1]) for j in range(n)]
+         for i in range(n)]
+    pr, pi = 1, 0
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
+        if pivot is None:
+            return False
+        a[k], a[pivot] = a[pivot], a[k]
+        kr, ki = a[k][k]
+        norm = pr * pr + pi * pi
+        for i in range(k + 1, n):
+            ir, ii = a[i][k]
+            for j in range(k + 1, n):
+                xr, xi = a[i][j]
+                yr, yi = a[k][j]
+                # (a_ij a_kk - a_ik a_kj) / previous pivot, exact in Z[i]
+                nr = xr * kr - xi * ki - (ir * yr - ii * yi)
+                ni = xr * ki + xi * kr - (ir * yi + ii * yr)
+                a[i][j] = ((nr * pr + ni * pi) // norm,
+                           (ni * pr - nr * pi) // norm)
+        pr, pi = kr, ki
+    return a[-1][-1] != (0, 0)
+
+
+def _draw_generator(n: int, bits, data: list) -> int:
+    """Append one generator's row to data; return the words used."""
+    kind, used = bits(2), 1  # randrange(3)
+    while kind == 3:
+        kind, used = bits(2), used + 1
+    if kind == 2:
+        data += [2, 1] + [2] * (2 * n * n)
+        return used
+    while True:
+        e = []
+        used += _randints(bits, 2 * n * n, e)
+        # a Levi block is drawn again until it is invertible
+        if kind == 1 or _det_nonzero([r - 2 for r in e], n):
+            break
+    lam = 1
     if kind == 0:
-        while True:
-            h = _gaussian_block(n, rng)
-            if abs(np.linalg.det(h)) > 0.5:
-                break
-        return kind, h, rng.choice([0.5, 1.0, 2.0])
-    if kind == 1:
-        b = _gaussian_block(n, rng)
-        return kind, [[(b[i][j] + b[j][i].conjugate()) / 2 for j in range(n)]
-                      for i in range(n)], 1.0
-    return kind, None, 1.0
+        lam, used = bits(2), used + 1  # choice over the three factors
+        while lam == 3:
+            lam, used = bits(2), used + 1
+    data += [kind, lam]
+    data += e
+    return used
 
 
-def _draw_word(n: int, rng, max_len: int = 8) -> list:
-    word = [_draw_generator(n, rng)]
-    for _ in range(rng.randrange(max_len)):
-        word.append(_draw_generator(n, rng))
-    return word
+def _draw_word(n: int, rng, data: list, lengths: list, max_len: int = 8) -> int:
+    """Append one word's rows to data and its length to lengths; return the
+    words used."""
+    bits = rng.getrandbits
+    used = _draw_generator(n, bits, data)
+    k = max_len.bit_length()
+    extra, used = bits(k), used + 1  # randrange(max_len)
+    while extra >= max_len:
+        extra, used = bits(k), used + 1
+    for _ in range(extra):
+        used += _draw_generator(n, bits, data)
+    lengths.append(extra + 1)
+    return used
 
 
 def random_word(n: int, rng, max_len: int = 8) -> GroupElement:
-    mats, nus = _words(n, [_draw_word(n, rng, max_len)])
+    if max_len < 1:
+        raise ValueError(f"a word needs max_len >= 1, got {max_len}")
+    data, lengths = [], []
+    _draw_word(n, rng, data, lengths, max_len)
+    mats, nus = _words(n, data, lengths)
     return GroupElement(mats[0], nus[0])
 
 
 def random_point(n: int, rng) -> DomainPoint:
-    x = np.array([[complex(rng.uniform(-1, 1), 0) for _ in range(n)]
-                  for _ in range(n)])
-    x = (x + x.T) / 2
-    y = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in range(n)])
-    y = (y + y.T) / 2 + np.eye(n) * rng.uniform(1.0, 2.0)
-    return DomainPoint(x + 1j * y)
+    """z = x + iy with x = (u + u^T) / 2 and y = (v + v^T) / 2 + t I, for u,
+    v and t uniform in [-1, 1], [-0.3, 0.3] and [1, 2]."""
+    rand = rng.random
+    # rng.uniform(a, b) is a + (b - a) * rng.random()
+    u = [-1 + (1 - -1) * rand() for _ in range(n * n)]
+    v = [-0.3 + (0.3 - -0.3) * rand() for _ in range(n * n)]
+    t = 1.0 + (2.0 - 1.0) * rand()
+    z = [complex((u[i * n + j] + u[j * n + i]) / 2,
+                 (v[i * n + j] + v[j * n + i]) / 2 + (t if i == j else 0.0))
+         for i in range(n) for j in range(n)]
+    return DomainPoint(np.array(z).reshape(n, n))
 
 
 # -- the self-test ------------------------------------------------------------------
 
-def _draw_pass(n: int, rng, with_g: bool = True):
-    """One pass's draws in stream order: alpha, beta, the point, then g."""
-    alpha, beta = _draw_word(n, rng), _draw_word(n, rng)
+def _draw_pass(n: int, rng, data: list, lengths: list):
+    """One pass's draws in stream order: alpha, beta, the point, then g.
+
+    The three words go to data and lengths.  Returns the point, the words
+    used before g and the words used by g.
+    """
+    used = (_draw_word(n, rng, data, lengths)
+            + _draw_word(n, rng, data, lengths))
     pt = random_point(n, rng)
-    return alpha, beta, pt, (_draw_word(n, rng) if with_g else None)
+    used += 2 * (2 * n * n + 1)  # 2n^2 + 1 floats of two words each
+    return pt, used, _draw_word(n, rng, data, lengths)
 
 
-def _verify(n: int, passes, base: DomainPoint, k: int, nu: int, s: float,
-            worst: dict):
+def _verify(n: int, data: list, lengths: list, points: list,
+            base: DomainPoint, k: int, nu: int, s: float, worst: dict):
     """Fold the passes' residuals into ``worst`` in pass order.
 
-    Stops at the first rejected pass.  Returns the number of passes verified
-    before it (all of them if none is rejected) and whether the rejected pass
-    drew g: a pass rejected at the section stage still counts its cocycle
-    residual.
+    Pass i has the point points[i] and the words 3i, 3i + 1 and 3i + 2 of
+    data and lengths: alpha, beta and g.  Returns the number of passes that
+    count, and the number of passes before the first one rejected at the
+    cocycle stage (all of them if none is): that pass did not draw g, so the
+    passes after it are not the loop's.  A pass rejected at the section
+    stage drew g as the loop does; it still counts its cocycle residual, and
+    the passes after it are verified too.
     """
-    alpha, nu_a = _words(n, [p[0] for p in passes])
-    beta, _ = _words(n, [p[1] for p in passes])
-    g, nu_g = _words(n, [p[3] for p in passes])
-    cocycle = _Cocycle(alpha, nu_a, beta, np.array([p[2].z for p in passes]))
+    mats, nus = _words(n, data, lengths)
+    alpha, beta, g = mats[0::3], mats[1::3], mats[2::3]
+    nu_a, nu_g = nus[0::3], nus[2::3]
+    cocycle = _Cocycle(alpha, nu_a, beta, np.array([p.z for p in points]))
     gz, cond_gz = _act(g, base.z)
     cond_gz, gz_outside = cond_gz.tolist(), _outside(gz).tolist()
     delta_gz = delta(gz)
@@ -375,15 +503,16 @@ def _verify(n: int, passes, base: DomainPoint, k: int, nu: int, s: float,
     alpha_f = _Section(alpha, nu_a, gz)
     g_f = _Section(g, nu_g, base.z)
     delta_base = delta(base.z)
-    for i in range(len(passes)):
+    counted = 0
+    for i in range(len(points)):
         try:
             res = max(cocycle.residuals(i))
         except NearSingularAutomorphyFactor:
-            return i, False
+            return counted, i
         worst["cocycle"] = max(worst["cocycle"], res)
         # section factorization against the base point
         if nu_g[i] <= 0:
-            return i, True
+            continue
         try:
             _check_action(cond_gz[i], gz_outside[i])
             lhs = lhs_f.value(i, delta_base, k, nu, s)
@@ -391,10 +520,11 @@ def _verify(n: int, passes, base: DomainPoint, k: int, nu: int, s: float,
                    * g_f.value(i, delta_base, k, nu, s)
                    * delta_gz[i] ** (k / 2 - s))
         except NearSingularAutomorphyFactor:
-            return i, True
+            continue
         scale = max(1.0, abs(lhs), abs(rhs))
         worst["section"] = max(worst["section"], abs(lhs - rhs) / scale)
-    return len(passes), False
+        counted += 1
+    return counted, len(points)
 
 
 def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
@@ -415,26 +545,30 @@ def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
     done, size = 0, CHUNK
     while done < cases:
         state = rng.getstate()
-        passes, pending = [], None
+        data, lengths, points, used, pending = [], [], [], [], None
         for _ in range(min(size, cases - done)):
             try:
-                passes.append(_draw_pass(n, rng))
+                pt, before_g, by_g = _draw_pass(n, rng, data, lengths)
             except ValueError as exc:
                 # a point off the domain (random_point can draw one from
                 # n = 16 or so): raised once the passes before it are
                 # verified, unless one of them is rejected and redrawn
+                del lengths[3 * len(points):]
+                del data[sum(lengths) * (2 + 2 * n * n):]
                 pending = exc
                 break
-        verified, g_drawn = (_verify(n, passes, base, k, nu, s, worst)
-                             if passes else (0, False))
-        done += verified
-        if verified < len(passes):
+            points.append(pt)
+            used.append((before_g, by_g))
+        counted, stop = (_verify(n, data, lengths, points, base, k, nu, s,
+                                 worst) if points else (0, 0))
+        done += counted
+        if stop < len(points):
             size = max(1, size // 2)
-            # put the stream where the rejected pass left it
+            # the loop goes on from the rejected pass's point: back to the
+            # chunk's start, then on by the words used until then
             rng.setstate(state)
-            for _ in range(verified):
-                _draw_pass(n, rng)
-            _draw_pass(n, rng, with_g=g_drawn)
+            rng.getrandbits(32 * (sum(a + b for a, b in used[:stop])
+                                  + used[stop][0]))
         elif pending is not None:
             raise pending
         else:

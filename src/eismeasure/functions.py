@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -74,6 +73,24 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 
 
 # -- points -------------------------------------------------------------------
+
+
+class _lazy:
+    """An attribute computed on first access and then stored on the
+    instance, as ``functools.cached_property`` does, but without its lock
+    (which Python 3.11 takes on every first access)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -145,12 +162,12 @@ class GnPoint:
         y2 = tuple(tuple(v * ni for v in row) for row in self.y_padic)
         return GnPoint(self.field, self.n, x_padic=self.x_cm() * ec, y_padic=y2)
 
-    @cached_property
+    @_lazy
     def x_is_unit(self) -> bool:
         xk = self.x_key(1)
         return xk[0] % self.field.p != 0 and xk[1] % self.field.p != 0
 
-    @cached_property
+    @_lazy
     def y_is_invertible(self) -> bool:
         return y_det_key(self.y_key(1), self.n, self.field.p) % self.field.p != 0
 

@@ -113,10 +113,12 @@ def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
                 verify: bool = True) -> QExpansion:
     """The determinant-power moment, labeled with the shifted weight.
 
-    Computed as the det^d polynomial moment; the result carries weight
-    (n + 2d, -d).  With verify=True the product-integrand route is checked
-    against coefficientwise multiplication by det(beta)^d.
+    Computed as the det^d polynomial moment for d >= 0; the result carries
+    weight (n + 2d, -d).  With verify=True the product-integrand route is
+    checked against coefficientwise multiplication by det(beta)^d.
     """
+    if d < 0:
+        raise ValueError(f"the determinant power must be >= 0, got {d}")
     from .diffops import det_polynomial
     n = ctx.n
     mult = det_polynomial(n, n)

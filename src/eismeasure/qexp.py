@@ -57,8 +57,15 @@ class QExpansion:
     terms: dict  # beta key -> (HermitianMatrix, coefficient)
 
     def coeff(self, beta: HermitianMatrix):
+        """The coefficient at beta; 0 at an index within the trace bound
+        that has no term.  An index above the bound was never computed."""
         entry = self.terms.get(beta.key())
-        return entry[1] if entry is not None else self.ring.zero()
+        if entry is not None:
+            return entry[1]
+        if beta.trace() > self.trace_bound:
+            raise ShapeMismatch(f"index of trace {beta.trace()} is above the "
+                                f"trace bound {self.trace_bound}")
+        return self.ring.zero()
 
     def coeff_by_trace(self, m: int):
         """Rank-one convenience accessor: the coefficient at the 1x1 index m."""

@@ -229,3 +229,71 @@ def test_single_sample_functions_match_the_oracle():
             assert (report.residual, report.details) == (ref_report.residual,
                                                          ref_report.details)
             assert section_infty(a, pt, 4, 1, 3.0) == ref_section
+
+
+# -- the draws against random.Random's own calls ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_draws_leave_the_stream_where_random_random_does(n):
+    # the oracle draws with rng.randrange, randint, choice and uniform; after
+    # every pass the direct draws must leave the generator in the same state,
+    # so a random module that draws differently fails here instead of
+    # silently changing the residuals
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            start = rng.getstate()
+            data, lengths = [], []
+            pt, before_g, by_g = automorphy._draw_pass(n, rng, data, lengths)
+            words = [oracle.random_word(n, ref), oracle.random_word(n, ref)]
+            ref_pt = oracle.random_point(n, ref)
+            after_point = ref.getstate()
+            words.append(oracle.random_word(n, ref))
+            assert rng.getstate() == ref.getstate(), seed
+            assert pt.z.tobytes() == ref_pt.z.tobytes()
+            mats, nus = automorphy._words(n, data, lengths)
+            assert [m.tobytes() for m in mats] == [
+                w.matrix.tobytes() for w in words]
+            assert nus == [w.nu for w in words]
+            # the counted words put the stream where the loop leaves it
+            rng.setstate(start)
+            rng.getrandbits(32 * before_g)
+            assert rng.getstate() == after_point
+            rng.getrandbits(32 * by_g)
+            assert rng.getstate() == ref.getstate()
+
+
+def _blocks(parts: np.ndarray, n: int) -> np.ndarray:
+    """The complex n-by-n blocks whose real and imaginary parts are the rows."""
+    return parts.astype(float).view(complex).reshape(-1, n, n)
+
+
+def test_exact_determinant_decision_matches_lapack():
+    # every 1x1 and 2x2 block with parts in [-2, 2], as the draws make them
+    for n in (1, 2):
+        parts = np.stack(np.meshgrid(*[np.arange(-2, 3)] * (2 * n * n),
+                                     indexing="ij"), -1).reshape(-1, 2 * n * n)
+        lapack = (np.abs(np.linalg.det(_blocks(parts, n))) > 0.5).tolist()
+        exact = [automorphy._det_nonzero(e, n) for e in parts.tolist()]
+        assert len(exact) == 5 ** (2 * n * n)
+        assert exact == lapack
+        assert 0 < exact.count(False) < len(exact)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bareiss_decision_matches_lapack_on_a_sample(n):
+    rng = np.random.default_rng(n)
+    blocks = rng.integers(-2, 3, size=(2000, n, n, 2))
+    # a zero first entry (a pivot search), a zero column, a repeated row,
+    # and a row that is (1 + i) times another
+    blocks[:400, 0, 0] = 0
+    blocks[400:600, :, 1] = 0
+    blocks[600:800, 1] = blocks[600:800, 0]
+    re, im = blocks[800:1000, 0, :, 0], blocks[800:1000, 0, :, 1]
+    blocks[800:1000, 2, :, 0], blocks[800:1000, 2, :, 1] = re - im, re + im
+    parts = blocks.reshape(len(blocks), -1)
+    lapack = (np.abs(np.linalg.det(_blocks(parts, n))) > 0.5).tolist()
+    exact = [automorphy._det_nonzero(e, n) for e in parts.tolist()]
+    assert exact == lapack
+    assert exact.count(False) >= 600

@@ -62,6 +62,16 @@ def test_moment_command(capsys):
     assert data["weight"] == [3, -1]
 
 
+def test_moment_with_a_negative_det_power_is_usage_error(capsys):
+    # it used to print the det^1 moment labelled weight (n - 2, 1)
+    code, out, err = run(capsys, "moment", "--mode", "symplectic", "--p", "5",
+                         "--n", "1", "--ring", "qq", "--cusp", "divisor",
+                         "--bound", "3", "--function", "x^3",
+                         "--det-power", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "determinant power" in err
+
+
 def test_qexp_with_monomial_expression(capsys):
     code, out, _ = run(capsys, "qexp", "--mode", "symplectic", "--p", "5",
                        "--n", "1", "--ring", "qq", "--cusp", "divisor",

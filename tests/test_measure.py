@@ -58,6 +58,14 @@ def test_det_moment_multiplies_coefficients():
             assert q.terms[key][1] == c * beta.det() ** d
 
 
+@pytest.mark.parametrize("d", [-1, -3])
+def test_moment_detd_rejects_a_negative_power(d):
+    ctx = MeasureContext.rank_one(SYMPL, 3)
+    h = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=3)
+    with pytest.raises(ValueError, match="determinant power"):
+        moment_detd(h, d, ctx)
+
+
 def test_moment_routes_cross_check_runs():
     rng = random.Random(14)
     h = symmetrize(random_lc_function(GAUSS, 2, 1, rng, entries=6),

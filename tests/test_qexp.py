@@ -56,6 +56,31 @@ def test_rank_one_divisor_sums():
     assert q.coeff_by_trace(10) == 0
 
 
+def test_lookup_above_the_trace_bound_raises():
+    # the bound-13 expansion has 2198 at trace 13; the bound-12 one never
+    # computed it, and used to read it as 0
+    q = rank_one_qexp(4, bound=12)
+    assert rank_one_qexp(4, bound=13).coeff_by_trace(13) == 2198
+    assert q.coeff_by_trace(12) != 0
+    for m in (13, 60):
+        with pytest.raises(ShapeMismatch, match="above the trace bound 12"):
+            q.coeff_by_trace(m)
+    with pytest.raises(ShapeMismatch):
+        q.coeff(HermitianMatrix.from_pairs(SYMPL, [[(13, 0)]]))
+    # rank two: a zero coefficient inside the bound still reads as 0
+    cusp = CuspData.single_term(GAUSS, 2)
+    f = MonomialFunction(GAUSS, 2, QQ, Fraction(1))
+    q2 = eisenstein_qexp(f, Weight(2, 0), cusp, 3, GAUSS, validate=False)
+    inside = HermitianMatrix.from_pairs(GAUSS, [[(1, 0), (0, 0)],
+                                                [(0, 0), (2, 0)]])
+    assert q2.coeff(inside) == q2.terms[inside.key()][1]
+    outside = HermitianMatrix.from_pairs(GAUSS, [[(2, 0), (0, 0)],
+                                                 [(0, 0), (2, 0)]])
+    assert outside.key() not in q2.terms
+    with pytest.raises(ShapeMismatch):
+        q2.coeff(outside)
+
+
 def test_weight_below_rank_rejected():
     f = MonomialFunction(GAUSS, 2, QQ, Fraction(1))
     with pytest.raises(ValueError):
