@@ -45,21 +45,19 @@ def parse_function(expr: str, field: FieldData, n: int, ring):
                             e_det=int(m.group("ed") or 0))
 
 
+def _fraction(text: str) -> Fraction:
+    """An argparse type: a rational number with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
 def _field_from_args(args) -> FieldData:
     if getattr(args, "config", None):
         return FieldData.from_config(args.config)
     return FieldData(p=args.p, k_disc=args.k_disc, mode=args.mode,
                      precision=args.precision)
-
-
-def _ring_from_args(args, field: FieldData):
-    return QQ if args.ring == "qq" else PadicRing(field.p, field.precision)
-
-
-def _cusp_from_args(args, field: FieldData) -> CuspData:
-    if args.cusp == "divisor":
-        return CuspData.divisor_rule(field)
-    return CuspData.single_term(field, args.n)
 
 
 def _emit(data: dict, out: str | None):
@@ -71,18 +69,21 @@ def _emit(data: dict, out: str | None):
         print(text)
 
 
-def _add_field_opts(sp, with_cusp=True):
+def _add_field_opts(sp):
     sp.add_argument("--config", help="JSON field config file")
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--k-disc", type=int, default=-4, dest="k_disc")
     sp.add_argument("--mode", choices=["unitary", "symplectic"], default="unitary")
     sp.add_argument("--precision", type=int, default=24)
+
+
+def _add_expansion_opts(sp):
+    _add_field_opts(sp)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--ring", choices=["qq", "zp"], default="zp")
     sp.add_argument("--bound", type=int, default=6)
     sp.add_argument("--out")
-    if with_cusp:
-        sp.add_argument("--cusp", choices=["single", "divisor"], default="single")
+    sp.add_argument("--cusp", choices=["single", "divisor"], default="single")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,17 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("qexp", help="expansion from a coefficient function")
-    _add_field_opts(sp)
+    _add_expansion_opts(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--nu", type=int, default=0)
     sp.add_argument("--function", required=True)
 
     sp = sub.add_parser("integrate", help="integrate a unit-invariant function")
-    _add_field_opts(sp)
+    _add_expansion_opts(sp)
     sp.add_argument("--function", required=True)
 
     sp = sub.add_parser("moment", help="determinant-power moment")
-    _add_field_opts(sp)
+    _add_expansion_opts(sp)
     sp.add_argument("--function", required=True)
     sp.add_argument("--det-power", type=int, default=1, dest="det_power")
 
@@ -116,24 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True, dest="infile")
     sp.add_argument("--h", required=True,
                     help="JSON matrix of [u, v] basis pairs")
-    sp.add_argument("--lam", default="1")
-    sp.add_argument("--scalar", default="1")
+    sp.add_argument("--lam", type=_fraction, default="1")
+    sp.add_argument("--scalar", type=_fraction, default="1")
     sp.add_argument("--lam-power", type=int, default=0, dest="lam_power")
     sp.add_argument("--deth-power", type=int, default=0, dest="deth_power")
-    sp.add_argument("--config", help="JSON field config file")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--k-disc", type=int, default=-4, dest="k_disc")
-    sp.add_argument("--mode", choices=["unitary", "symplectic"], default="unitary")
-    sp.add_argument("--precision", type=int, default=24)
+    _add_field_opts(sp)
     sp.add_argument("--out")
 
     sp = sub.add_parser("decompose", help="x-group character components")
     sp.add_argument("--table", required=True)
-    sp.add_argument("--config", help="JSON field config file")
-    sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--k-disc", type=int, default=-4, dest="k_disc")
-    sp.add_argument("--mode", choices=["unitary", "symplectic"], default="unitary")
-    sp.add_argument("--precision", type=int, default=24)
+    _add_field_opts(sp)
     sp.add_argument("--out")
 
     sp = sub.add_parser("automorphy-selftest", help="numeric factor identities")
@@ -165,29 +158,20 @@ def run_command(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
-    if cmd == "qexp":
+    if cmd in ("qexp", "integrate", "moment"):
         field = _field_from_args(args)
-        ring = _ring_from_args(args, field)
-        cusp = _cusp_from_args(args, field)
-        f = parse_function(args.function, field, args.n, ring)
-        q = eisenstein_qexp(f, Weight(args.k, args.nu), cusp, args.bound, field)
-        _emit(q.to_json(), args.out)
-        return 0
-    if cmd == "integrate":
-        field = _field_from_args(args)
-        ring = _ring_from_args(args, field)
-        cusp = _cusp_from_args(args, field)
-        h = parse_function(args.function, field, args.n, ring)
-        ctx = MeasureContext(field, cusp, args.bound)
-        _emit(integrate(h, ctx).to_json(), args.out)
-        return 0
-    if cmd == "moment":
-        field = _field_from_args(args)
-        ring = _ring_from_args(args, field)
-        cusp = _cusp_from_args(args, field)
-        h = parse_function(args.function, field, args.n, ring)
-        ctx = MeasureContext(field, cusp, args.bound)
-        q = moment_detd(h, args.det_power, ctx, verify=True)
+        ring = QQ if args.ring == "qq" else PadicRing(field.p, field.precision)
+        cusp = (CuspData.divisor_rule(field) if args.cusp == "divisor"
+                else CuspData.single_term(field, args.n))
+        g = parse_function(args.function, field, args.n, ring)
+        if cmd == "qexp":
+            q = eisenstein_qexp(g, Weight(args.k, args.nu), cusp, args.bound,
+                                field)
+        elif cmd == "integrate":
+            q = integrate(g, MeasureContext(field, cusp, args.bound))
+        else:
+            q = moment_detd(g, args.det_power,
+                            MeasureContext(field, cusp, args.bound), verify=True)
         _emit(q.to_json(), args.out)
         return 0
     if cmd == "kummer":
@@ -203,8 +187,8 @@ def _dispatch(args) -> int:
             q = QExpansion.from_json(json.load(fh), field)
         hm = tuple(tuple(field.K(Fraction(u), Fraction(v)) for (u, v) in row)
                    for row in json.loads(args.h))
-        chi = ChiData(Fraction(args.scalar), args.lam_power, args.deth_power)
-        q2 = cusp_transform(q, hm, Fraction(args.lam), chi)
+        chi = ChiData(args.scalar, args.lam_power, args.deth_power)
+        q2 = cusp_transform(q, hm, args.lam, chi)
         _emit(q2.to_json(), args.out)
         return 0
     if cmd == "decompose":

@@ -326,7 +326,7 @@ class FieldData:
         if den % self.p == 0:
             raise DenominatorDivisibleByP(f"{den} is divisible by {self.p}")
         pj = self.p ** j
-        return num * pow(den, -1, pj) % pj
+        return num % pj if den == 1 else num * pow(den, -1, pj) % pj
 
 
 def _at_root(a: KNum, r: int) -> tuple[int, int]:
@@ -358,11 +358,6 @@ class CMElt:
     def embed(cls, a: KNum, field: FieldData, prec: int | None = None) -> "CMElt":
         """Split embedding of an exact p-integral element."""
         return cls(field, field.sigma_padic(a, prec), field.sigma_bar_padic(a, prec))
-
-    @classmethod
-    def from_pair(cls, a, b, field: FieldData, prec: int | None = None) -> "CMElt":
-        """Embed the element a + b*w given by its integer-basis coordinates."""
-        return cls.embed(field.K(a, b), field, prec)
 
     def __mul__(self, o: "CMElt") -> "CMElt":
         return CMElt(self.field, self.xs * o.xs, self.xb * o.xb)

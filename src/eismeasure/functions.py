@@ -28,7 +28,7 @@ from .errors import (
     SupportNotInvertible,
     UnsupportedSize,
 )
-from .fields import CMElt, FieldData, KNum, Weight, norm_weight
+from .fields import CMElt, FieldData, KNum, Weight
 from .hermitian import Matrix, mat_det
 from .padic import PadicElt, _vp
 from .rings import QQ, CyclotomicRing, PadicRing
@@ -164,8 +164,11 @@ class GnPoint:
 
     @_lazy
     def x_is_unit(self) -> bool:
-        xk = self.x_key(1)
-        return xk[0] % self.field.p != 0 and xk[1] % self.field.p != 0
+        x, p = self.x, self.field.p
+        # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
+        xk = ([x.a + x.b * r for r in self.field.split_roots]
+              if x is not None and x.d % p else self.x_key(1))
+        return xk[0] % p != 0 and xk[1] % p != 0
 
     @_lazy
     def y_is_invertible(self) -> bool:
@@ -185,6 +188,11 @@ class GnFunction:
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         raise NotImplementedError
+
+    def rational_pair(self, pt: GnPoint, j: int | None = None) -> tuple[int, int]:
+        """A rational value at pt as an integer (numerator, denominator) pair."""
+        v = self.evaluate(pt, j)
+        return v.numerator, v.denominator
 
     def __add__(self, other: "GnFunction") -> "LinearCombination":
         return LinearCombination(self.field, self.n, self.ring,
@@ -292,27 +300,12 @@ class MonomialFunction(GnFunction):
             object.__setattr__(self, "e_xb", 0)
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
+        if self.ring.tag == "qq":
+            return Fraction(*self.rational_pair(pt, j))
         if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
-        if self.ring.tag == "qq":
-            x = pt.x if pt.x is not None else None
-            if x is None or not x.is_rational:
-                raise RingMismatch("rational-ring monomials need a rational point")
-            d = pt.det_y_exact()
-            if not d.is_rational:
-                raise RingMismatch("determinant is not rational")
-            if d.a == 0:
-                return Fraction(0) if self.e_det >= 0 else self.ring.zero()
-            # coef * x^e * det^e_det on the integer fields (x, det rational)
-            coef = Fraction(self.coef)
-            num, den = coef.numerator, coef.denominator
-            for z, e in ((x, self.e_xs + self.e_xb), (d, self.e_det)):
-                top, bottom = (z.a, z.d) if e >= 0 else (z.d, z.a)
-                num *= top ** abs(e)
-                den *= bottom ** abs(e)
-            return Fraction(num, den)
         if self.ring.tag == "zp":
             xc = pt.x_cm(self.field.precision)
             d = pt.det_y_padic(self.field.precision)
@@ -325,6 +318,28 @@ class MonomialFunction(GnFunction):
                 out = out * d ** self.e_det
             return out
         raise RingMismatch("monomials live over the rational or p-adic ring")
+
+    def rational_pair(self, pt: GnPoint, j: int | None = None) -> tuple[int, int]:
+        """The value from the integer fields of x and det(y), unreduced."""
+        if not pt.x_is_unit:
+            raise NotAUnit("x coordinate must be a unit")
+        if self.y_invertible and not pt.y_is_invertible:
+            return 0, 1
+        x = pt.x
+        if x is None or not x.is_rational:
+            raise RingMismatch("rational-ring monomials need a rational point")
+        d = pt.det_y_exact()
+        if not d.is_rational:
+            raise RingMismatch("determinant is not rational")
+        if d.a == 0:
+            return 0, 1
+        coef = self.coef
+        num, den = coef.numerator, coef.denominator
+        for z, e in ((x, self.e_xs + self.e_xb), (d, self.e_det)):
+            top, bottom = (z.a, z.d) if e >= 0 else (z.d, z.a)
+            num *= top ** abs(e)
+            den *= bottom ** abs(e)
+        return num, den
 
     def truncate(self, j: int) -> LCFunction:
         """The level-j locally constant shadow of the monomial."""
@@ -864,7 +879,8 @@ def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharac
         out = chi[0](xk[0]) * chi[1](xk[1])
         out = out * ring.coerce(PadicElt(p, 0, pow(xk[0], n, pj), level))
         for ch, c in zip(spec.characters, cum):
-            minor = _minor_mod(m, c, pj)
+            minor = y_det_key([m[a][b] for a in range(c) for b in range(c)],
+                              c, pj)
             v = ch(minor)
             if ring.is_zero(v):
                 return ring.zero()
@@ -872,14 +888,6 @@ def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharac
         return out
 
     return LCFunction(field, n, ring, level, rule=rule)
-
-
-def _minor_mod(m, c: int, pj: int) -> int:
-    if c == 1:
-        return m[0][0] % pj
-    if c == 2:
-        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % pj
-    raise UnsupportedSize("minors for n <= 2 only")
 
 
 # -- random tables (test and CLI support) --------------------------------------

@@ -6,7 +6,9 @@ cusp rule: multiplicity times the coefficient function at the point
 times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
 ``_expansions``, which builds each cusp-rule point once and evaluates
-every expansion of the same context there.
+every expansion of the same context there.  Over the rationals a
+coefficient is summed from the functions' integer (num, den) values and
+becomes one ``Fraction``; other rings sum term by term.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import singledispatch
 
 from .errors import (
     EquivarianceViolation,
@@ -42,6 +45,7 @@ from .hermitian import (
     mat_det,
 )
 from .padic import PadicElt
+from .rings import RationalRing
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +167,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     and each of its points is built once, then every job evaluates its
     function there.  A job's terms are summed in cusp-rule order whatever
     the other jobs are, so each expansion equals the one computed alone.
+    The ring's type picks the accumulator (``_ring_coefficient`` is
+    dispatched on it): the rational ring sums the unreduced (num, den)
+    pairs of ``rational_pair``, any other ring sums term by term.
     """
     n = cusp.n
     for _, w in jobs:
@@ -177,42 +184,22 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 raise EquivarianceViolation(
                     "coefficient function fails unit equivariance at "
                     f"{report.witness_text()}")
-    coefficient = [_qq_coefficient if f.ring.tag == "qq" else _ring_coefficient
-                   for f, _ in jobs]
+    coefficient = [_ring_coefficient.dispatch(type(f.ring)) for f, _ in jobs]
     terms = [{} for _ in jobs]
     for beta in betas:
         key, detb = beta.key(), beta.det()
         points = [(a, mult, _rule_point(field, a, beta))
                   for a, mult in cusp.rule(beta)]
         for (f, w), coeff, out in zip(jobs, coefficient, terms):
-            out[key] = (beta, coeff(f, w, n, detb, points, field, precision))
+            out[key] = (beta, coeff(f.ring, f, w, n, detb, points, field,
+                                    precision))
     return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
             for (f, w), t in zip(jobs, terms)]
 
 
-def _qq_coefficient(f, w, n, detb, points, field, precision) -> Fraction:
-    """The rational coefficient, summed as one integer fraction."""
-    dn, dd = detb.numerator, detb.denominator
-    num, den = 0, 1
-    for a, mult, pt in points:
-        fval = evaluate(f, pt, precision)
-        if f.ring.is_zero(fval):
-            continue
-        # b = det(beta)/a is rational exactly when a is
-        if not a.is_rational:
-            raise RingMismatch(
-                "rational coefficients need rational norm arguments")
-        # mult * fval * b^k / det(beta)^n
-        tn = mult * fval.numerator * (dn * a.d) ** w.k * dd ** n
-        td = fval.denominator * (dd * a.a) ** w.k * dn ** n
-        g = math.gcd(den, td)
-        num, den = num * (td // g) + tn * (den // g), den // g * td
-    return Fraction(num, den)
-
-
-def _ring_coefficient(f, w, n, detb, points, field, precision):
+@singledispatch
+def _ring_coefficient(ring, f, w, n, detb, points, field, precision):
     """The coefficient in the function's (p-adic) ring, term by term."""
-    ring = f.ring
     c = ring.zero()
     for a, mult, pt in points:
         fval = evaluate(f, pt, precision)
@@ -225,6 +212,30 @@ def _ring_coefficient(f, w, n, detb, points, field, precision):
         factor = num / den
         c = c + ring.coerce(mult) * fval * ring.coerce(factor)
     return c
+
+
+@_ring_coefficient.register
+def _qq_coefficient(ring: RationalRing, f, w, n, detb, points, field,
+                    precision) -> Fraction:
+    """The rational coefficient, summed as one integer fraction from the
+    function's unreduced (num, den) values."""
+    dn, dd = detb.numerator, detb.denominator
+    num, den = 0, 1
+    pair = f.rational_pair
+    for a, mult, pt in points:
+        fn, fd = pair(pt, precision)
+        if fn == 0:
+            continue
+        # b = det(beta)/a is rational exactly when a is
+        if not a.is_rational:
+            raise RingMismatch(
+                "rational coefficients need rational norm arguments")
+        # mult * f(pt) * b^k / det(beta)^n
+        tn = mult * fn * (dn * a.d) ** w.k * dd ** n
+        td = fd * (dd * a.a) ** w.k * dn ** n
+        g = math.gcd(den, td)
+        num, den = num * (td // g) + tn * (den // g), den // g * td
+    return Fraction(num, den)
 
 
 # -- cusp change ---------------------------------------------------------------

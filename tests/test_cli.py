@@ -174,3 +174,16 @@ def test_transform_cusp_keeps_the_source_bound(capsys, rank_one_input):
     data = json.loads(out)
     assert data["trace_bound"] == 6
     assert [t["beta"][0][0][0] for t in data["terms"]] == [2, 4, 6, 8, 10, 12]
+
+
+@pytest.mark.parametrize("option", ["--lam", "--scalar"])
+def test_transform_cusp_with_a_zero_denominator_is_usage_error(
+        capsys, rank_one_input, option):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["transform-cusp", "--mode", "symplectic", "--p", "5",
+                     "--input", rank_one_input, "--h", "[[[1,0]]]",
+                     option, "1/0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument {option}: not a rational number: '1/0'" in out.err

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from eismeasure.errors import GroupOrderNotInvertible, LevelMismatch
+from eismeasure.errors import (
+    DenominatorDivisibleByP,
+    GroupOrderNotInvertible,
+    LevelMismatch,
+)
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
     ContinuousFunction,
@@ -197,3 +201,53 @@ def test_table_json_roundtrip():
     f = random_lc_function(GAUSS, 2, 2, rng, entries=7)
     g = LCFunction.from_json(f.to_json(), GAUSS)
     assert g.level == f.level and g.values == f.values
+
+
+@pytest.mark.parametrize("coef, e_xs, e_det", [
+    (Fraction(-5, 3), 2, -1), (Fraction(7, 4), -3, 2), (3, 0, 0),
+    (Fraction(-1, 6), 1, -4)])
+def test_rational_monomial_values(coef, e_xs, e_det):
+    """The value is coef * x^e * det(y)^e_det in Fraction arithmetic, and the
+    pair is that value unreduced."""
+    f = MonomialFunction(SYMPL, 1, QQ, coef, e_xs=e_xs, e_det=e_det)
+    for x, y in ((SYMPL.K(-2), Fraction(3, 4)), (SYMPL.K(Fraction(3, 7)),
+                                                  Fraction(-6)),
+                 (SYMPL.K(Fraction(-1, 8)), Fraction(9, 2))):
+        pt = GnPoint.from_exact(SYMPL, x, ((SYMPL.K(y),),))
+        want = Fraction(coef) * x.u ** e_xs * y ** e_det
+        got = f.evaluate(pt)
+        assert type(got) is Fraction and got == want
+        num, den = f.rational_pair(pt)
+        assert Fraction(num, den) == want
+
+
+def _old_x_is_unit(pt):
+    """The unit test as the split residues mod p give it."""
+    xk = pt.x_key(1)
+    return xk[0] % pt.field.p != 0 and xk[1] % pt.field.p != 0
+
+
+@pytest.mark.parametrize("field", [GAUSS, SYMPL, FieldData(p=7, k_disc=-3)])
+def test_unit_test_on_exact_points_matches_the_residues(field):
+    """Every x = (a + b*w)/d with small a, b and d, including denominators
+    divisible by p, gets the residues' answer or their exception."""
+    y = ((field.K(1),),)
+    outcomes = set()
+    for a in range(-8, 9):
+        for b in range(-8, 9) if field.mode == "unitary" else (0,):
+            for d in (1, 2, 3, field.p, 2 * field.p, field.p ** 2):
+                if a == b == 0:
+                    continue
+                x = field.K(Fraction(a, d), Fraction(b, d))
+                try:
+                    want = _old_x_is_unit(GnPoint.from_exact(field, x, y))
+                except DenominatorDivisibleByP:
+                    want = DenominatorDivisibleByP
+                pt = GnPoint.from_exact(field, x, y)
+                if want is DenominatorDivisibleByP:
+                    with pytest.raises(DenominatorDivisibleByP):
+                        pt.x_is_unit
+                else:
+                    assert pt.x_is_unit is want
+                outcomes.add(want)
+    assert outcomes == {True, False, DenominatorDivisibleByP}

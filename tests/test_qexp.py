@@ -15,14 +15,17 @@ from eismeasure.errors import (
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
     LCFunction,
+    LinearCombination,
     MonomialFunction,
     ProductFunction,
+    h_to_f,
     random_lc_function,
     symmetrize,
     weight_twist,
 )
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
-from eismeasure.measure import _zeta_multiplier
+from eismeasure import measure
+from eismeasure.measure import _zeta_multiplier, kummer_check
 from eismeasure.padic import PadicElt
 from eismeasure.qexp import (
     ChiData,
@@ -338,10 +341,56 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["rule"] == 60
-    # one residue for x and one for the 1x1 y per cusp-rule point
+    # one residue for the 1x1 y per cusp-rule point; the unit test on an
+    # exact x with a denominator prime to p takes no residue
     points = sum(len(divisor.rule(b)) for b in enumerate_positive(SYMPL, 1, 60))
-    assert seen[0]["residue"] == 2 * points
+    assert seen[0]["residue"] == points
 
+
+
+def _kummer_jobs():
+    """The Kummer check's jobs h_to_f(x^(k-1)) at weight 1 for k in 2..12
+    and k + 20, a monomial with a negative non-integral coefficient, and a
+    rational linear combination (which has no pair evaluation of its own)."""
+    def moment(k, coef=Fraction(1)):
+        return h_to_f(MonomialFunction(SYMPL, 1, QQ, coef, e_xs=k - 1))
+
+    fs = [moment(k + s) for k in range(2, 13) for s in (0, 20)]
+    fs.append(moment(7, Fraction(-5, 3)))
+    fs.append(LinearCombination(SYMPL, 1, QQ, (
+        (Fraction(2, 3), moment(4)), (Fraction(-1, 7), moment(6)),
+        (-1, moment(5, Fraction(-3, 2))))))
+    return [(f, Weight(1, 0)) for f in fs]
+
+
+def test_pair_sweep_matches_the_oracle_on_kummer_jobs():
+    cusp = CuspData.divisor_rule(SYMPL)
+    jobs = _kummer_jobs()
+    got = _expansions(jobs, cusp, 200, SYMPL, validate=False)
+    nonzero = 0
+    for (f, w), q in zip(jobs, got):
+        want = oracle_qexp(f, w, cusp, 200, SYMPL, validate=False)
+        assert_same_expansion(q, want)
+        assert all(type(c) is Fraction for _, c in q.terms.values())
+        nonzero += sum(1 for _, c in want.terms.values() if c != 0)
+    # each moment is nonzero at the 160 traces prime to p (at the others
+    # every y = m/d is a non-unit); only the combination could cancel
+    assert nonzero >= 23 * 160
+
+
+def test_kummer_failure_matches_the_oracle(monkeypatch):
+    """A forced failure reports the same witness on the pair sweep as on
+    expansions built by the oracle."""
+    got = kummer_check(SYMPL, 4, 24, 1, 200, modulus_exponent=5)
+    monkeypatch.setattr(measure, "_expansions", lambda jobs, cusp, bound,
+                        field, validate: [oracle_qexp(f, w, cusp, bound,
+                                                      field, validate=validate)
+                                          for f, w in jobs])
+    want = kummer_check(SYMPL, 4, 24, 1, 200, modulus_exponent=5)
+    assert not got.passed and got.witness is not None
+    assert got == want
+    assert {k: type(v) for k, v in got.witness.items()} == {
+        "trace": int, "coeff_k": str, "coeff_k2": str, "valuation": int}
 
 # -- cusp change: singular Levi elements and the reported bound --------------
 
