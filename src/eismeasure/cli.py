@@ -53,6 +53,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _pair_matrix(text: str) -> list:
+    """An argparse type: a JSON matrix of [u, v] pairs of rational numbers."""
+    return [[(_fraction(u), _fraction(v)) for u, v in row]
+            for row in json.loads(text)]
+
+
 def _field_from_args(args) -> FieldData:
     if getattr(args, "config", None):
         return FieldData.from_config(args.config)
@@ -115,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transform-cusp", help="re-index an expansion")
     sp.add_argument("--input", required=True, dest="infile")
-    sp.add_argument("--h", required=True,
+    sp.add_argument("--h", required=True, type=_pair_matrix,
                     help="JSON matrix of [u, v] basis pairs")
     sp.add_argument("--lam", type=_fraction, default="1")
     sp.add_argument("--scalar", type=_fraction, default="1")
@@ -185,8 +191,7 @@ def _dispatch(args) -> int:
         field = _field_from_args(args)
         with open(args.infile) as fh:
             q = QExpansion.from_json(json.load(fh), field)
-        hm = tuple(tuple(field.K(Fraction(u), Fraction(v)) for (u, v) in row)
-                   for row in json.loads(args.h))
+        hm = tuple(tuple(field.K(u, v) for u, v in row) for row in args.h)
         chi = ChiData(args.scalar, args.lam_power, args.deth_power)
         q2 = cusp_transform(q, hm, args.lam, chi)
         _emit(q2.to_json(), args.out)

@@ -93,12 +93,12 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GnPoint:
     """A point of the pair domain, exact and/or p-adic.
 
-    ``x_is_unit`` and ``y_is_invertible`` are computed once per point, so
-    every function evaluated at the same point shares them.
+    ``x_is_unit``, ``y_is_invertible`` and ``det_y_exact`` are computed once
+    per point, so every function evaluated at the same point shares them.
     """
 
     field: FieldData
@@ -107,6 +107,12 @@ class GnPoint:
     y: Matrix | None = None
     x_padic: CMElt | None = None
     y_padic: tuple[tuple[PadicElt, ...], ...] | None = None
+
+    def __init__(self, field, n, x=None, y=None, x_padic=None, y_padic=None):
+        # dict stores cost less than the frozen dataclass's __setattr__ calls
+        d = self.__dict__
+        d["field"], d["n"], d["x"], d["y"] = field, n, x, y
+        d["x_padic"], d["y_padic"] = x_padic, y_padic
 
     @classmethod
     def from_exact(cls, field: FieldData, x: KNum, y: Matrix) -> "GnPoint":
@@ -137,14 +143,10 @@ class GnPoint:
 
     def det_y_padic(self, prec: int | None = None) -> PadicElt:
         if self.y_padic is not None:
-            if self.n == 1:
-                return self.y_padic[0][0]
-            if self.n == 2:
-                m = self.y_padic
-                return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            raise UnsupportedSize("n <= 2 only")
-        return self.field.sigma_padic(mat_det(self.y), prec)
+            return mat_det(self.y_padic)
+        return self.field.sigma_padic(self.det_y_exact, prec)
 
+    @_lazy
     def det_y_exact(self) -> KNum:
         if self.y is None:
             raise RingMismatch("point has no exact part")
@@ -164,15 +166,20 @@ class GnPoint:
 
     @_lazy
     def x_is_unit(self) -> bool:
-        x, p = self.x, self.field.p
+        x, (r, rb), p = self.x, self.field.split_roots, self.field.p
         # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
-        xk = ([x.a + x.b * r for r in self.field.split_roots]
-              if x is not None and x.d % p else self.x_key(1))
+        xk = ((x.a + x.b * r, x.a + x.b * rb) if x is not None and x.d % p
+              else self.x_key(1))
         return xk[0] % p != 0 and xk[1] % p != 0
 
     @_lazy
     def y_is_invertible(self) -> bool:
-        return y_det_key(self.y_key(1), self.n, self.field.p) % self.field.p != 0
+        y, p = self.y, self.field.p
+        # no p in a denominator: det(y) mod p is the det of the residues
+        if y is not None and all(e.d % p for row in y for e in row):
+            d = self.det_y_exact
+            return (d.a + d.b * self.field.split_roots[0]) % p != 0
+        return y_det_key(self.y_key(1), self.n, p) % p != 0
 
 
 # -- function classes ---------------------------------------------------------
@@ -328,11 +335,9 @@ class MonomialFunction(GnFunction):
         x = pt.x
         if x is None or not x.is_rational:
             raise RingMismatch("rational-ring monomials need a rational point")
-        d = pt.det_y_exact()
+        d = pt.det_y_exact
         if not d.is_rational:
             raise RingMismatch("determinant is not rational")
-        if d.a == 0:
-            return 0, 1
         coef = self.coef
         num, den = coef.numerator, coef.denominator
         for z, e in ((x, self.e_xs + self.e_xb), (d, self.e_det)):
@@ -434,8 +439,9 @@ class ContinuousFunction(GnFunction):
 
 def _congruent(a, b, p: int, j: int) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        diff = a - b
-        return diff == 0 or _vp(diff, p) >= j
+        # a - b is num over the product of the denominators, unreduced
+        num = a.numerator * b.denominator - b.numerator * a.denominator
+        return num == 0 or _vp(num, p) - _vp(a.denominator * b.denominator, p) >= j
     return a.congruent_mod(b, j)
 
 
@@ -565,7 +571,7 @@ def _twist_value(pt: GnPoint, kp: int, nu: int, ring):
         x = pt.x
         if x is None or not x.is_rational:
             raise RingMismatch("rational twist needs a rational point")
-        d = pt.det_y_exact()
+        d = pt.det_y_exact
         u = norm_rel_exact(x, field) ** n * d.u / x.u
         return Fraction(u) ** kp  # rational u: the nu-part cancels
     xc = pt.x_cm()

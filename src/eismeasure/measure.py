@@ -20,6 +20,7 @@ from .functions import (
     GnPoint,
     MonomialFunction,
     ProductFunction,
+    _congruent,
     check_unit_invariance,
     h_to_f,
     norm_rel_exact,
@@ -168,14 +169,14 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     q1, q2 = _expansions([(h_to_f(h1), w), (h_to_f(h2), w)], ctx.cusp,
                          trace_bound, field, validate=False)
     j = m + 1 if modulus_exponent is None else modulus_exponent
-    ok, key = q1.congruent_mod(q2, j, skip_p_divisible_trace=True)
-    witness = None
-    if not ok:
-        beta, c1 = q1.terms[key]
-        c2 = q2.terms[key][1]
-        witness = {"trace": int(beta.trace()), "coeff_k": str(c1),
-                   "coeff_k2": str(c2), "valuation": _vp(c1 - c2, p)}
-    checked = sum(1 for _, (b, _c) in q1.terms.items()
-                  if int(b.trace()) % p != 0)
+    # one pass over the sorted rank-one indices, each read as its trace
+    checked, witness = 0, None
+    for key, (beta, c1) in sorted(q1.terms.items()):
+        trace, c2 = beta.entries[0][0].a, q2.terms[key][1]
+        if trace % p:
+            checked += 1
+            if witness is None and not _congruent(c1, c2, p, j):
+                witness = {"trace": trace, "coeff_k": str(c1),
+                           "coeff_k2": str(c2), "valuation": _vp(c1 - c2, p)}
     # a pass over zero coefficients is not a pass
-    return KummerReport(ok and checked > 0, checked, witness, j)
+    return KummerReport(witness is None and checked > 0, checked, witness, j)

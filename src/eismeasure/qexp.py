@@ -6,9 +6,9 @@ cusp rule: multiplicity times the coefficient function at the point
 times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
 ``_expansions``, which builds each cusp-rule point once and evaluates
-every expansion of the same context there.  Over the rationals a
-coefficient is summed from the functions' integer (num, den) values and
-becomes one ``Fraction``; other rings sum term by term.
+every expansion of the same context there.  A point is built from integers
+and decides its unit and invertibility tests once; a rational coefficient
+is summed from the functions' integer (num, den) values into one Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .fields import CMElt, FieldData, Weight, norm_weight
+from .fields import CMElt, FieldData, KNum, Weight, norm_weight
 from .functions import (
     GnFunction,
     GnPoint,
@@ -34,7 +34,6 @@ from .functions import (
     _value_to_json,
     check_equivariance,
     evaluate,
-    norm_rel_exact,
 )
 from .hermitian import (
     CuspData,
@@ -138,10 +137,13 @@ class QExpansion:
 
 
 def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
-    """The point (a, relnorm(a)^-1 * beta) of the cusp-rule element a."""
-    na = norm_rel_exact(a, field)
-    y = tuple(tuple(e / na for e in row) for row in beta.entries)
-    return GnPoint.from_exact(field, a, y)
+    """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced."""
+    nn, nd = ((a.a, a.d) if field.mode == "symplectic"
+              else (a._norm_num(), a.d * a.d))
+    y = beta.entries if nn == nd else tuple([tuple([
+        KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t) for e in row])
+        for row in beta.entries])
+    return GnPoint(field, len(y), a, y)
 
 
 def _sample_points(field: FieldData, cusp: CuspData, betas, count: int = 4):

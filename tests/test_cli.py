@@ -187,3 +187,21 @@ def test_transform_cusp_with_a_zero_denominator_is_usage_error(
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: argument {option}: not a rational number: '1/0'" in out.err
+
+
+@pytest.mark.parametrize("h, message", [
+    ('[[["1/0",0]]]', "not a rational number: '1/0'"),
+    ('[[[1,"1/0"]]]', "not a rational number: '1/0'"),
+    ("[[1]]", "invalid _pair_matrix value: '[[1]]'"),
+    ("5", "invalid _pair_matrix value: '5'")])
+def test_transform_cusp_with_a_bad_matrix_is_usage_error(
+        capsys, rank_one_input, h, message):
+    """A zero denominator in either coordinate, or a matrix that is not of
+    [u, v] pairs, exits 2 with an error line, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run_command(["transform-cusp", "--mode", "symplectic", "--p", "5",
+                     "--input", rank_one_input, "--h", h])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument --h: {message}" in out.err

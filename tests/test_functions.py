@@ -9,6 +9,7 @@ from eismeasure.errors import (
     DenominatorDivisibleByP,
     GroupOrderNotInvertible,
     LevelMismatch,
+    UnsupportedSize,
 )
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
@@ -18,6 +19,7 @@ from eismeasure.functions import (
     MonomialFunction,
     PartitionSpec,
     UnitCharacter,
+    _congruent,
     character_decompose,
     check_equivariance,
     f_to_h,
@@ -29,6 +31,7 @@ from eismeasure.functions import (
     weight_twist,
 )
 from eismeasure.hermitian import CuspData, enumerate_positive
+from eismeasure.padic import _vp
 from eismeasure.qexp import _sample_points
 from eismeasure.rings import QQ, PadicRing
 
@@ -219,6 +222,57 @@ def test_rational_monomial_values(coef, e_xs, e_det):
         assert type(got) is Fraction and got == want
         num, den = f.rational_pair(pt)
         assert Fraction(num, den) == want
+
+
+@pytest.mark.parametrize("e_det", [0, 1, 2])
+def test_rational_and_padic_monomials_agree_at_a_singular_y(e_det):
+    """Where det(y) = 0 the rational value is the p-adic one: coef * x^e
+    for e_det = 0 and zero for a positive power."""
+    cases = [(SYMPL, ((SYMPL.K(0),),)),
+             (SYMPL, ((SYMPL.K(1), SYMPL.K(1)), (SYMPL.K(1), SYMPL.K(1)))),
+             (GAUSS, ((GAUSS.K(2), GAUSS.K(1, 1)), (GAUSS.K(1, -1), GAUSS.K(1))))]
+    for field, y in cases:
+        n, zp = len(y), PadicRing(field.p, field.precision)
+        pt = GnPoint.from_exact(field, field.K(2), y)
+        assert pt.det_y_exact.is_zero
+        qq_val, zp_val = (
+            MonomialFunction(field, n, ring, Fraction(3), e_xs=2, e_xb=1,
+                             e_det=e_det).evaluate(pt)
+            for ring in (QQ, zp))
+        assert qq_val == (Fraction(24) if e_det == 0 else 0)
+        assert zp.eq(zp_val, zp.coerce(qq_val))
+
+
+def test_padic_points_take_the_determinant_of_their_entries():
+    """A p-adic point's det(y) is the embedding of the exact det(y), for
+    n = 1 and 2; a larger y has no determinant here."""
+    K = GAUSS.K
+    ys = [((K(3),),), ((K(2), K(1, 2)), (K(1, -2), K(Fraction(7, 3)))),
+          ((K(1), K(1)), (K(1), K(1)))]
+    for y in ys:
+        exact = GnPoint.from_exact(GAUSS, K(1), y)
+        padic = GnPoint.from_padic(GAUSS, exact.x_cm(), [
+            [GAUSS.sigma_padic(e) for e in row] for row in y])
+        assert padic.det_y_padic() == exact.det_y_padic()
+        assert exact.det_y_padic() == GAUSS.sigma_padic(exact.det_y_exact)
+    big = [[GAUSS.sigma_padic(K(1))] * 3] * 3
+    with pytest.raises(UnsupportedSize):
+        GnPoint.from_padic(GAUSS, exact.x_cm(), big).det_y_padic()
+
+
+def test_rational_congruence_matches_the_difference():
+    """The congruence of two Fractions mod p^j is read off their difference,
+    also when p divides a denominator."""
+    values = [Fraction(a, d) for a in range(-12, 13)
+              for d in (1, 2, 5, 10, 25, 125)]
+    outcomes = set()
+    for a in values:
+        for b in values[::7]:
+            for j in range(4):
+                want = a == b or _vp(a - b, 5) >= j
+                assert _congruent(a, b, 5, j) is want
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def _old_x_is_unit(pt):

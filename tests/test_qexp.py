@@ -1,5 +1,6 @@
 """Expansions: construction, congruences, cusp re-indexing, normalization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from eismeasure.diffops import det_polynomial
 from eismeasure.errors import (
+    DenominatorDivisibleByP,
     EquivarianceViolation,
     LatticeMismatch,
     RingMismatch,
@@ -14,14 +16,17 @@ from eismeasure.errors import (
 )
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
+    GnPoint,
     LCFunction,
     LinearCombination,
     MonomialFunction,
     ProductFunction,
     h_to_f,
+    norm_rel_exact,
     random_lc_function,
     symmetrize,
     weight_twist,
+    y_det_key,
 )
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
 from eismeasure import measure
@@ -317,15 +322,21 @@ def test_sweep_validates_every_job():
 
 def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     """A second job over the same context adds evaluations, not cusp-rule
-    calls or split residues."""
-    counts = {"rule": 0, "residue": 0}
+    calls, invertibility tests or split residues."""
+    counts = {"rule": 0, "residue": 0, "invertible": 0}
     residue = FieldData.sigma_residue
+    invertible = GnPoint.y_is_invertible.fn
 
     def counting_residue(self, a, j):
         counts["residue"] += 1
         return residue(self, a, j)
 
+    def counting_invertible(pt):
+        counts["invertible"] += 1
+        return invertible(pt)
+
     monkeypatch.setattr(FieldData, "sigma_residue", counting_residue)
+    monkeypatch.setattr(GnPoint.y_is_invertible, "fn", counting_invertible)
     divisor = CuspData.divisor_rule(SYMPL)
 
     def counting_rule(beta):
@@ -336,16 +347,93 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     jobs = _rational_jobs(SYMPL, cusp, 60)[:2]
     seen = []
     for sweep in (jobs[:1], jobs):
-        counts.update(rule=0, residue=0)
+        counts.update(rule=0, residue=0, invertible=0)
         _expansions(sweep, cusp, 60, SYMPL, validate=False)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["rule"] == 60
-    # one residue for the 1x1 y per cusp-rule point; the unit test on an
-    # exact x with a denominator prime to p takes no residue
+    # one invertibility test per cusp-rule point; x and the integral 1x1 y
+    # have denominators prime to p, so neither test takes a split residue
     points = sum(len(divisor.rule(b)) for b in enumerate_positive(SYMPL, 1, 60))
-    assert seen[0]["residue"] == points
+    assert seen[0]["invertible"] == points
+    assert seen[0]["residue"] == 0
 
+
+
+
+def _outcome(fn):
+    """The value of fn(), or the type of the exception it raises."""
+    try:
+        return fn()
+    except (ArithmeticError, DenominatorDivisibleByP) as exc:
+        return type(exc)
+
+
+def _old_rule_point(field, a, beta):
+    """The cusp-rule point as a KNum division by the Fraction norm of a."""
+    na = norm_rel_exact(a, field)
+    return GnPoint.from_exact(
+        field, a, tuple(tuple(e / na for e in row) for row in beta.entries))
+
+
+def _old_flags(pt):
+    """x_is_unit and y_is_invertible from the split residues mod p."""
+    p = pt.field.p
+    return (_outcome(lambda: all(k % p for k in pt.x_key(1))),
+            _outcome(lambda: y_det_key(pt.y_key(1), pt.n, p) % p != 0))
+
+
+def _flag_test_betas(field):
+    """Hermitian indices of rank one and two, singular ones included, with
+    1, 2, p, 2p and p^2 in the denominators of their entries."""
+    p, K = field.p, field.K
+    offs = ((0, 0), (1, 0), (1, 1), (2, -1), (p, 1), (3, p))
+    for d in (1, 2, p, 2 * p, p * p):
+        for m in (-3, 0, 1, 2, p, 7, 2 * p + 1):
+            yield HermitianMatrix(field, ((K(Fraction(m, d)),),))
+        for u, v in offs:
+            b = K(Fraction(u, d), Fraction(v, d) if field.mode == "unitary"
+                  else 0)
+            for c1, c2 in ((1, 1), (Fraction(1, d), 3), (2, Fraction(p, d))):
+                yield HermitianMatrix(field, ((K(c1), b), (b.conj(), K(c2))))
+
+
+@pytest.mark.parametrize("field", [GAUSS, SYMPL, FieldData(p=7, k_disc=-3),
+                                   FieldData(p=11, k_disc=-7)])
+def test_rule_points_and_their_flags_match_the_old_definitions(field):
+    """The integer-built point and its unit and invertibility tests equal
+    the point built by dividing by the Fraction norm with the flags read
+    from the split residues: value, or exception type."""
+    p = field.p
+    trace_12 = HermitianMatrix(field, ((field.K(12),),))
+    alphas = (list(field.unit_group)
+              + [a for a, _ in CuspData.divisor_rule(field).rule(trace_12)]
+              + [field.K(p), field.K(Fraction(1, p)), field.K(0)])
+    seen = set()
+    for beta in _flag_test_betas(field):
+        for a in alphas:
+            new = _outcome(lambda: _rule_point(field, a, beta))
+            old = _outcome(lambda: _old_rule_point(field, a, beta))
+            if isinstance(old, type):
+                assert new is old
+                seen.add(("point", old))
+                continue
+            assert (new.n, new.x, new.y) == (old.n, old.x, old.y)
+            flags = (_outcome(lambda: new.x_is_unit),
+                     _outcome(lambda: new.y_is_invertible))
+            assert flags == _old_flags(old)
+            seen.update(enumerate(flags))
+    # a y that is not Hermitian can have a determinant off the rationals
+    vs = range(-3, 4) if field.mode == "unitary" else (0,)
+    for u, v, d in itertools.product(range(-3, 4), vs, (1, 2, p)):
+        y = ((field.K(Fraction(u, d), Fraction(v, d)),),)
+        pt = GnPoint.from_exact(field, field.K(1), y)
+        flag = _outcome(lambda: pt.y_is_invertible)
+        assert flag == _old_flags(pt)[1]
+        seen.add((1, flag))
+    assert seen >= {("point", ZeroDivisionError), (0, True), (0, False),
+                    (0, DenominatorDivisibleByP), (1, True), (1, False),
+                    (1, DenominatorDivisibleByP)}
 
 
 def _kummer_jobs():
