@@ -359,8 +359,6 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     assert seen[0]["residue"] == 0
 
 
-
-
 def _outcome(fn):
     """The value of fn(), or the type of the exception it raises."""
     try:
