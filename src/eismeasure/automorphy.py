@@ -27,9 +27,12 @@ pass by pass, so a ``random`` module that draws differently fails it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-import numpy as np
+# tiny matrices need one OpenBLAS thread; idle ones busy-wait as numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 from .errors import NearSingularAutomorphyFactor
 

@@ -297,3 +297,25 @@ def test_bareiss_decision_matches_lapack_on_a_sample(n):
     exact = [automorphy._det_nonzero(e, n) for e in parts.tolist()]
     assert exact == lapack
     assert exact.count(False) >= 600
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_loading_the_module_defaults_blas_to_one_thread(given, expected):
+    import os
+    import subprocess
+    import sys
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = ("import os, eismeasure.automorphy; print("
+            "os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir('/proc/self/task')) "
+            "if os.path.isdir('/proc/self/task') else 1)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    # a user's value wins; without one, numpy starts no worker thread
+    assert out[0] == expected
+    if given is None:
+        assert out[1] == "1"
