@@ -18,7 +18,7 @@ from .functions import LCFunction, MonomialFunction, character_decompose
 from .hermitian import CuspData
 from .measure import MeasureContext, integrate, kummer_check, moment_detd
 from .qexp import ChiData, QExpansion, cusp_transform, eisenstein_qexp
-from .rings import QQ, PadicRing
+from .rings import RINGS, PadicRing, ring_from_tag
 
 _MONO_RE = re.compile(
     r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*?)?"
@@ -86,7 +86,7 @@ def _add_field_opts(sp):
 def _add_expansion_opts(sp):
     _add_field_opts(sp)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--ring", choices=["qq", "zp"], default="zp")
+    sp.add_argument("--ring", choices=sorted(RINGS), default=PadicRing.tag)
     sp.add_argument("--bound", type=int, default=6)
     sp.add_argument("--out")
     sp.add_argument("--cusp", choices=["single", "divisor"], default="single")
@@ -166,7 +166,7 @@ def _dispatch(args) -> int:
     cmd = args.command
     if cmd in ("qexp", "integrate", "moment"):
         field = _field_from_args(args)
-        ring = QQ if args.ring == "qq" else PadicRing(field.p, field.precision)
+        ring = ring_from_tag(args.ring, field)
         cusp = (CuspData.divisor_rule(field) if args.cusp == "divisor"
                 else CuspData.single_term(field, args.n))
         g = parse_function(args.function, field, args.n, ring)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import RingMismatch, SpanNotClosed
+from .errors import SpanNotClosed
 from .hermitian import HermitianMatrix
 
 Monomial = tuple[int, ...]  # exponents of the n*n matrix entries, row-major
@@ -307,20 +307,11 @@ def f_zeta(zeta: MatrixPolynomial, max_dim: int | None = None) -> MatrixPolynomi
     return out
 
 
-def eval_multiplier(mult: MatrixPolynomial, beta: HermitianMatrix, ring,
-                    prec: int | None = None):
-    """Evaluate a coefficient multiplier at a lattice matrix, in the ring."""
-    field = beta.field
-    if ring.tag == "qq":
-        v = mult.eval_knum(beta.entries)
-        if not v.is_rational:
-            raise RingMismatch("multiplier value is not rational at this index")
-        return Fraction(v.u)
-    if ring.tag == "zp":
-        prec = prec or field.precision
-        m = [[field.sigma_padic(e, prec) for e in row] for row in beta.entries]
-        return mult.eval_matrix(m, ring)
-    raise RingMismatch("multipliers evaluate over qq or zp")
+def eval_multiplier(mult: MatrixPolynomial, beta: HermitianMatrix, ring):
+    """Evaluate a coefficient multiplier at a lattice matrix, in the ring
+    (summed into its zero: a p-adic value keeps the ring's precision)."""
+    return ring.zero() + ring.from_knum(mult.eval_knum(beta.entries),
+                                        beta.field)
 
 
 def theta_apply(qexp, mult: MatrixPolynomial):

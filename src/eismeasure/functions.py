@@ -31,7 +31,7 @@ from .errors import (
 from .fields import CMElt, FieldData, KNum, Weight
 from .hermitian import Matrix, mat_det
 from .padic import PadicElt, _vp
-from .rings import QQ, CyclotomicRing, PadicRing
+from .rings import CyclotomicRing, PadicRing, RationalRing, ring_from_tag
 
 XKey = tuple[int, int]
 YKey = tuple[int, ...]
@@ -245,7 +245,7 @@ class LCFunction(GnFunction):
         entries = []
         for (xk, yk), v in sorted(self.values.items()):
             entries.append({"x_coset": list(xk), "y_coset": list(yk),
-                            "value": _value_to_json(v)})
+                            "value": self.ring.to_json(v)})
         return {"level": self.level, "n": self.n,
                 "support": "y_invertible" if self.y_invertible else "all",
                 "ring": self.ring.tag, "entries": entries}
@@ -253,37 +253,13 @@ class LCFunction(GnFunction):
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "LCFunction":
         level = int(data["level"])
-        ring = _ring_from_tag(data["ring"], field)
+        ring = ring_from_tag(data["ring"], field)
         values = {}
         for ent in data["entries"]:
             key = (tuple(ent["x_coset"]), tuple(ent["y_coset"]))
-            values[key] = _value_from_json(ent["value"], field)
+            values[key] = ring.from_json(ent["value"])
         return cls(field, int(data["n"]), ring, level, values=values,
                    y_invertible=data.get("support") == "y_invertible")
-
-
-def _value_to_json(v):
-    """A table value or coefficient as JSON: a Fraction string, or a p-adic
-    element's val, unit and prec (val null for zero)."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, PadicElt):
-        return {"val": v.val, "unit": v.unit, "prec": v.prec}
-    raise RingMismatch(f"cannot serialize {type(v).__name__}")
-
-
-def _value_from_json(v, field: FieldData):
-    if isinstance(v, str):
-        return Fraction(v)
-    return PadicElt(field.p, v["val"], v["unit"], v["prec"])
-
-
-def _ring_from_tag(tag: str, field: FieldData):
-    if tag == "qq":
-        return QQ
-    if tag == "zp":
-        return PadicRing(field.p, field.precision)
-    raise RingMismatch(f"unknown ring tag {tag!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,24 +283,22 @@ class MonomialFunction(GnFunction):
             object.__setattr__(self, "e_xb", 0)
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
-        if self.ring.tag == "qq":
+        if isinstance(self.ring, RationalRing):  # from the integer pair
             return Fraction(*self.rational_pair(pt, j))
         if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
-        if self.ring.tag == "zp":
-            xc = pt.x_cm(self.field.precision)
-            d = pt.det_y_padic(self.field.precision)
-            if self.e_det < 0 and not d.is_unit:
-                return self.ring.zero()
-            out = self.ring.coerce(self.coef) * xc.xs ** self.e_xs
-            if self.e_xb:
-                out = out * xc.xb ** self.e_xb
-            if self.e_det:
-                out = out * d ** self.e_det
-            return out
-        raise RingMismatch("monomials live over the rational or p-adic ring")
+        if not isinstance(self.ring, PadicRing):
+            raise RingMismatch("monomials live over the rational or p-adic ring")
+        xc = pt.x_cm(self.field.precision)
+        d = pt.det_y_padic(self.field.precision)
+        out = self.ring.coerce(self.coef) * xc.xs ** self.e_xs
+        if self.e_xb:
+            out = out * xc.xb ** self.e_xb
+        if self.e_det:
+            out = out * d ** self.e_det
+        return out
 
     def rational_pair(self, pt: GnPoint, j: int | None = None) -> tuple[int, int]:
         """The value from the integer fields of x and det(y), unreduced."""
@@ -567,13 +541,10 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
 
 def _twist_value(pt: GnPoint, kp: int, nu: int, ring):
     field, n = pt.field, pt.n
-    if ring.tag == "qq":
-        x = pt.x
-        if x is None or not x.is_rational:
-            raise RingMismatch("rational twist needs a rational point")
-        d = pt.det_y_exact
-        u = norm_rel_exact(x, field) ** n * d.u / x.u
-        return Fraction(u) ** kp  # rational u: the nu-part cancels
+    if isinstance(ring, RationalRing):
+        d = ring.from_knum(pt.det_y_exact, field)
+        u = norm_rel_exact(pt.x, field) ** n * d / ring.from_knum(pt.x, field)
+        return u ** kp  # rational u: the nu-part cancels
     xc = pt.x_cm()
     nr = xc.norm_relative()
     d = pt.det_y_padic()
@@ -633,22 +604,15 @@ def unit_weight_factor(e: KNum, w: Weight, field: FieldData) -> KNum:
     return e ** (w.k + 2 * w.nu) * field.K(e.norm()) ** (-w.nu)
 
 
-def _factor_in_ring(fac: KNum, ring, field: FieldData):
-    if ring.tag == "qq":
-        if not fac.is_rational:
-            return None
-        return Fraction(fac.u)
-    if ring.tag == "zp":
-        return field.sigma_padic(fac)
-    raise RingMismatch("equivariance checks support qq and zp rings")
-
-
 def check_equivariance(f: GnFunction, w: Weight, points,
                        j: int | None = None) -> EquivarianceReport:
     """Does f transform under integral units with the weight-(k, nu) norm?"""
     field = f.field
     for e in field.unit_group:
-        fac = _factor_in_ring(unit_weight_factor(e, w, field), f.ring, field)
+        try:
+            fac = f.ring.from_knum(unit_weight_factor(e, w, field), field)
+        except RingMismatch:  # irrational over Q: only zero transforms by it
+            fac = None
         for pt in points:
             lhs = f.evaluate(pt.unit_translate(e), j)
             rhs = f.evaluate(pt, j)
@@ -686,10 +650,8 @@ def symmetrize(f: LCFunction, w: Weight) -> LCFunction:
     inv_order = f.ring.scalar(Fraction(1, len(units)))
     out: dict = {}
     for e in units:
-        fac = _factor_in_ring(unit_weight_factor(e, w, field), f.ring, field)
-        if fac is None:
-            raise RingMismatch("unit factor does not live in the table ring")
-        fac_inv = f.ring.invert(f.ring.coerce(fac))
+        fac = f.ring.from_knum(unit_weight_factor(e, w, field), field)
+        fac_inv = f.ring.invert(fac)
         es = field.sigma_residue(e, f.level)
         eb = field.sigma_bar_residue(e, f.level)
         nrm = field.sigma_residue(field.K(norm_rel_exact(e, field)), f.level)

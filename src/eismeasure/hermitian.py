@@ -145,8 +145,8 @@ def enumerate_positive(field: FieldData, n: int,
     if n == 1:
         return tuple(HermitianMatrix.from_pairs(field, [[(m, 0)]])
                      for m in range(1, trace_bound + 1))
-    if n != 2:
-        raise UnsupportedSize(f"enumeration for n = {n} not supported")
+    if n != 2 or field.mode == "symplectic":
+        raise UnsupportedSize(f"no enumeration for n = {n} in {field.mode} mode")
     s, t = field.omega_s, field.omega_t
     disc = s * s + 4 * t  # negative
     out = []

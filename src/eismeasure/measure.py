@@ -71,18 +71,13 @@ def _zeta_multiplier(mult: MatrixPolynomial):
 
     def value(pt: GnPoint, ring):
         field = pt.field
-        if ring.tag == "qq":
+        if pt.y is not None:
             nx = norm_rel_exact(pt.x, field)
             m = [[e * nx for e in row] for row in pt.y]
-            v = mult.eval_knum(m)
-            if not v.is_rational:
-                raise ShapeMismatch("multiplier value is not rational")
-            return Fraction(v.u)
+            # in the ring's zero, as ``eval_multiplier`` sums it
+            return ring.zero() + ring.from_knum(mult.eval_knum(m), field)
         nx = pt.x_cm().norm_relative()
-        if pt.y_padic is not None:
-            m = [[e * nx for e in row] for row in pt.y_padic]
-        else:
-            m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
+        m = [[e * nx for e in row] for row in pt.y_padic]
         return mult.eval_matrix(m, ring)
 
     return value

@@ -29,9 +29,6 @@ from .functions import (
     GnFunction,
     GnPoint,
     _congruent,
-    _ring_from_tag,
-    _value_from_json,
-    _value_to_json,
     check_equivariance,
     evaluate,
 )
@@ -44,7 +41,7 @@ from .hermitian import (
     mat_det,
 )
 from .padic import PadicElt
-from .rings import RationalRing
+from .rings import RationalRing, ring_from_tag
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +114,7 @@ class QExpansion:
         for k, (beta, c) in sorted(self.terms.items()):
             terms.append({"beta": [[[int(e.u), int(e.v)] for e in row]
                                    for row in beta.entries],
-                          "coeff": _value_to_json(c)})
+                          "coeff": self.ring.to_json(c)})
         return {"cusp": self.cusp_label, "p": self.field.p, "n": self.n,
                 "weight": [self.weight.k, self.weight.nu],
                 "ring": self.ring.tag,
@@ -126,11 +123,11 @@ class QExpansion:
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "QExpansion":
-        ring = _ring_from_tag(data["ring"], field)
+        ring = ring_from_tag(data["ring"], field)
         terms = {}
         for t in data["terms"]:
             beta = HermitianMatrix.from_pairs(field, t["beta"])
-            terms[beta.key()] = (beta, _value_from_json(t["coeff"], field))
+            terms[beta.key()] = (beta, ring.from_json(t["coeff"]))
         return cls(field, int(data["n"]),
                    Weight(*data.get("weight", [int(data["n"]), 0])),
                    data["cusp"], int(data["trace_bound"]), ring, terms)
@@ -169,9 +166,10 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     and each of its points is built once, then every job evaluates its
     function there.  A job's terms are summed in cusp-rule order whatever
     the other jobs are, so each expansion equals the one computed alone.
-    The ring's type picks the accumulator (``_ring_coefficient`` is
-    dispatched on it): the rational ring sums the unreduced (num, den)
-    pairs of ``rational_pair``, any other ring sums term by term.
+    The accumulator is the sweep's one per-ring algorithm, dispatched on
+    the ring's type (``_ring_coefficient``): the rational ring sums the
+    unreduced (num, den) pairs of ``rational_pair``, any other ring sums
+    term by term; all else about a ring is the ring's own (``rings.py``).
     """
     n = cusp.n
     for _, w in jobs:

@@ -1,7 +1,8 @@
 """Coefficient rings: exact rationals, p-adic integers, cyclotomic rationals.
 
 Mixing rings is an error, never a coercion; plain integers and Fractions
-are accepted everywhere as scalars.
+are accepted everywhere as scalars.  A ring places exact field elements
+(``from_knum``) and owns its JSON values; ``RINGS`` maps the tags.
 """
 
 from __future__ import annotations
@@ -129,6 +130,12 @@ def _coerce(m: int, o):
 # -- ring objects ------------------------------------------------------------
 
 
+def _checked(ring, v, kind):
+    if not isinstance(v, kind):
+        raise RingMismatch(f"{v!r} is not a {ring.tag} value")
+    return v
+
+
 class RationalRing:
     tag = "qq"
 
@@ -156,6 +163,17 @@ class RationalRing:
 
     def eq(self, x, y) -> bool:
         return x == y
+
+    def from_knum(self, v, field) -> Fraction:
+        if not v.is_rational:
+            raise RingMismatch(f"{v} is not rational")
+        return Fraction(v.u)
+
+    def to_json(self, v) -> str:
+        return str(_checked(self, v, Fraction))
+
+    def from_json(self, data) -> Fraction:
+        return Fraction(_checked(self, data, str))
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,18 @@ class PadicRing:
 
     def eq(self, x, y) -> bool:
         return x == y
+
+    def from_knum(self, v, field) -> PadicElt:
+        return field.sigma_padic(v)  # at the field's precision
+
+    def to_json(self, v) -> dict:
+        v = _checked(self, v, PadicElt)  # val is null for zero
+        return {"val": v.val, "unit": v.unit, "prec": v.prec}
+
+    def from_json(self, data) -> PadicElt:
+        if not isinstance(data, dict) or data.keys() != {"val", "unit", "prec"}:
+            raise RingMismatch(f"{data!r} is not a {self.tag} value")
+        return PadicElt(self.p, data["val"], data["unit"], data["prec"])
 
 
 @dataclass(frozen=True)
@@ -226,3 +256,12 @@ class CyclotomicRing:
 
 
 QQ = RationalRing()
+# the serializable rings by tag, each built from a FieldData
+RINGS = {RationalRing.tag: lambda field: QQ,
+         PadicRing.tag: lambda field: PadicRing(field.p, field.precision)}
+
+
+def ring_from_tag(tag: str, field):
+    if tag not in RINGS:
+        raise RingMismatch(f"unknown ring tag {tag!r}")
+    return RINGS[tag](field)

@@ -1,0 +1,63 @@
+"""Reference ring routes: the per-ring branches that ``from_knum`` replaced.
+
+Before the ring protocol, a multiplier was evaluated over Z_p by embedding
+each matrix entry and summing the polynomial's terms in the ring
+(``eval_matrix``), and a unit factor was placed in a ring by a branch on its
+tag.  These copies keep those routes, so the single exact route can be
+checked against them coefficient by coefficient, precision included.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from eismeasure.diffops import MatrixPolynomial
+from eismeasure.errors import RingMismatch, ShapeMismatch
+from eismeasure.fields import FieldData
+from eismeasure.functions import GnPoint, norm_rel_exact
+from eismeasure.rings import PadicRing, RationalRing
+
+
+def oracle_eval_multiplier(mult: MatrixPolynomial, beta, ring):
+    field = beta.field
+    if isinstance(ring, RationalRing):
+        v = mult.eval_knum(beta.entries)
+        if not v.is_rational:
+            raise RingMismatch("multiplier value is not rational at this index")
+        return Fraction(v.u)
+    m = [[field.sigma_padic(e) for e in row] for row in beta.entries]
+    return mult.eval_matrix(m, ring)
+
+
+def oracle_theta_apply(qexp, mult: MatrixPolynomial):
+    return qexp.replace_terms({
+        key: (beta, c * oracle_eval_multiplier(mult, beta, qexp.ring))
+        for key, (beta, c) in qexp.terms.items()})
+
+
+def oracle_zeta_multiplier(mult: MatrixPolynomial):
+    def value(pt: GnPoint, ring):
+        field = pt.field
+        if isinstance(ring, RationalRing):
+            nx = norm_rel_exact(pt.x, field)
+            v = mult.eval_knum([[e * nx for e in row] for row in pt.y])
+            if not v.is_rational:
+                raise ShapeMismatch("multiplier value is not rational")
+            return Fraction(v.u)
+        nx = pt.x_cm().norm_relative()
+        if pt.y_padic is not None:
+            m = [[e * nx for e in row] for row in pt.y_padic]
+        else:
+            m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
+        return mult.eval_matrix(m, ring)
+
+    return value
+
+
+def oracle_factor_in_ring(fac, ring, field: FieldData):
+    """The factor in the ring, or None for an irrational one over Q."""
+    if isinstance(ring, RationalRing):
+        return Fraction(fac.u) if fac.is_rational else None
+    if isinstance(ring, PadicRing):
+        return field.sigma_padic(fac)
+    raise RingMismatch("equivariance checks support qq and zp rings")

@@ -205,3 +205,68 @@ def test_transform_cusp_with_a_bad_matrix_is_usage_error(
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: argument --h: {message}" in out.err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("qexp", ["--k", "4"]), ("integrate", []), ("moment", [])])
+@pytest.mark.parametrize("ring", ["qq", "zp"])
+def test_symplectic_rank_two_is_usage_error(capsys, command, extra, ring):
+    code, out, err = run(capsys, command, "--mode", "symplectic", "--p", "5",
+                         "--n", "2", "--ring", ring, "--bound", "4",
+                         "--function", "const1", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no enumeration for n = 2 in symplectic mode")
+
+
+def _relabel(path, tmp_path, tag):
+    data = json.loads(open(path).read())
+    data["ring"] = tag
+    out = tmp_path / f"as_{tag}.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.fixture
+def padic_input(tmp_path, capsys):
+    code, out, _ = run(capsys, "qexp", "--mode", "symplectic", "--p", "5",
+                       "--ring", "zp", "--cusp", "divisor", "--bound", "6",
+                       "--k", "4", "--function", "x^4*ydet^-3")
+    assert code == 0
+    path = tmp_path / "qz.json"
+    path.write_text(out)
+    return str(path)
+
+
+@pytest.mark.parametrize("source, tag, message", [
+    ("rank_one_input", "zp", "'1' is not a zp value"),
+    ("padic_input", "qq", "{'prec': 24, 'unit': 1, 'val': 0} is not a qq value")])
+def test_transform_cusp_with_values_that_do_not_match_the_ring_is_usage_error(
+        request, tmp_path, capsys, source, tag, message):
+    """The ring tag decides how each coefficient is read, so a file whose
+    values belong to the other ring is refused when it is loaded."""
+    path = _relabel(request.getfixturevalue(source), tmp_path, tag)
+    code, out, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                         "--p", "5", "--input", path, "--h", "[[[1,0]]]",
+                         "--lam", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_decompose_with_values_that_do_not_match_the_ring_is_usage_error(
+        tmp_path, capsys):
+    import random
+
+    from eismeasure.fields import FieldData
+    from eismeasure.functions import random_lc_function
+
+    fld = FieldData(p=5, k_disc=-4)
+    data = random_lc_function(fld, 1, 1, random.Random(1), entries=4).to_json()
+    assert data["ring"] == "zp"
+    data["ring"] = "qq"
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(data))
+    code, out, err = run(capsys, "decompose", "--table", str(table),
+                         "--p", "5", "--k-disc", "-4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: {'val': 0, 'unit': ")
+    assert err.endswith("} is not a qq value\n")

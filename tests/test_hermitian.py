@@ -8,7 +8,7 @@ enumerator shows up as a set difference.
 import pytest
 from fractions import Fraction
 
-from eismeasure.errors import LatticeMismatch
+from eismeasure.errors import LatticeMismatch, UnsupportedSize
 from eismeasure.fields import FieldData
 from eismeasure.hermitian import (
     CuspData,
@@ -130,3 +130,12 @@ def test_divisor_rule_matches_trial_division_in_order():
         want = [d for d in range(1, m + 1) if m % d == 0 and d % 5 != 0]
         assert [a.u for a, _ in rule(beta)] == want
         assert all(mult == 1 for _, mult in rule(beta))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 6])
+def test_symplectic_rank_two_enumeration_is_unsupported(bound):
+    """Symplectic mode has no imaginary part, so its rank-two forms are not
+    the Hermitian lattice scanned here: the enumeration refuses at any bound
+    instead of dividing by the zero discriminant."""
+    with pytest.raises(UnsupportedSize, match="symplectic"):
+        enumerate_positive(FieldData(p=5, mode="symplectic"), 2, bound)

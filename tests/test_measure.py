@@ -8,21 +8,36 @@ import pytest
 from eismeasure.errors import (
     EquivarianceViolation,
     HypothesisViolation,
+    RingMismatch,
     ShapeMismatch,
 )
 from eismeasure.diffops import MatrixPolynomial, det_polynomial, f_zeta, theta_apply
 from eismeasure.fields import FieldData, Weight
-from eismeasure.functions import MonomialFunction, random_lc_function, symmetrize
-from eismeasure.hermitian import CuspData
+from eismeasure.functions import (
+    MonomialFunction,
+    ProductFunction,
+    h_to_f,
+    random_lc_function,
+    symmetrize,
+    unit_weight_factor,
+)
+from eismeasure.hermitian import CuspData, enumerate_positive
 from eismeasure.measure import (
     MeasureContext,
+    _zeta_multiplier,
     integrate,
     kummer_check,
     moment_detd,
     moment_zeta,
 )
 from eismeasure.padic import PadicElt, _vp
+from eismeasure.qexp import _rule_point, eisenstein_qexp
 from eismeasure.rings import QQ, PadicRing
+from ring_oracle import (
+    oracle_factor_in_ring,
+    oracle_theta_apply,
+    oracle_zeta_multiplier,
+)
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
@@ -131,3 +146,86 @@ def test_rational_and_padic_integrals_agree_to_the_reported_precision(k):
         j = z.abs_prec
         assert j >= 1
         assert PadicElt.from_rational(c, p=5, prec=j).lift(j) == z.lift(j)
+
+
+def _padic_record(c):
+    return (c.val, c.unit, c.prec)
+
+
+# (field, rank, cusp, bound, integrand exponents (e_xs, e_xb, e_det))
+ORACLE_CASES = [
+    (SYMPL, 1, "divisor", 12, [(3, 0, 0), (5, 0, 1)]),
+    (GAUSS, 1, "divisor", 12, [(2, 2, 0), (1, 1, 1), (3, 3, 0)]),
+    (GAUSS, 2, "single", 5, [(2, 2, 0), (4, 4, 1)]),
+]
+
+
+@pytest.mark.parametrize("field, n, cusp_kind, bound, exponents", ORACLE_CASES)
+@pytest.mark.parametrize("prec", [6, 24])
+def test_exact_multiplier_route_matches_the_ring_route(field, n, cusp_kind,
+                                                       bound, exponents, prec):
+    """Exact points evaluate a multiplier exactly and place the value in the
+    ring (``from_knum``); ``tests/ring_oracle.py`` keeps the old p-adic route,
+    which embedded every entry and summed the terms in the ring.  Both routes
+    must give each coefficient of ``moment_detd`` and of ``theta_apply`` the
+    same valuation, unit and precision, over a ring coarser than the field
+    (precision 6 against 24) and one as fine."""
+    ring = PadicRing(field.p, prec)
+    cusp = (CuspData.divisor_rule(field) if cusp_kind == "divisor"
+            else CuspData.single_term(field, n))
+    ctx = MeasureContext(field, cusp, bound)
+    points = [_rule_point(field, a, beta)
+              for beta in enumerate_positive(field, n, bound)
+              for a, _ in cusp.rule(beta)]
+    compared = 0
+    for exps in exponents:
+        h = MonomialFunction(field, n, ring, Fraction(3), *exps)
+        base = integrate(h, ctx, validate=False)
+        for d in (1, 2):
+            mult = det_polynomial(n, n)
+            for _ in range(d - 1):
+                mult = mult * det_polynomial(n, n)
+            got = moment_detd(h, d, ctx, verify=True)
+            f2 = ProductFunction(field, n, ring, h_to_f(h),
+                                 oracle_zeta_multiplier(mult), y_invertible=True)
+            want = eisenstein_qexp(f2, Weight(n, 0), cusp, bound, field,
+                                   validate=False)
+            assert got.terms.keys() == want.terms.keys()
+            for key, (_, c) in got.terms.items():
+                assert _padic_record(c) == _padic_record(want.terms[key][1])
+                compared += not c.is_zero
+            # the integrand's multiplier, point by point
+            for pt in points:
+                assert (_padic_record(_zeta_multiplier(mult)(pt, ring))
+                        == _padic_record(oracle_zeta_multiplier(mult)(pt, ring)))
+            got_t, want_t = theta_apply(base, mult), oracle_theta_apply(base, mult)
+            for key, (_, c) in got_t.terms.items():
+                assert _padic_record(c) == _padic_record(want_t.terms[key][1])
+                compared += not c.is_zero
+    assert compared >= 80
+
+
+@pytest.mark.parametrize("field", [SYMPL, GAUSS, FieldData(p=7, k_disc=-3)])
+def test_unit_factors_in_each_ring_match_the_tag_branches(field):
+    """``from_knum`` places each unit's weight factor where the old per-tag
+    branch did: the same p-adic element, and over Q the same rational or,
+    for an irrational factor, a ``RingMismatch`` where it gave None."""
+    irrational = 0
+    for ring in (QQ, PadicRing(field.p, 6), PadicRing(field.p, field.precision)):
+        for w in (Weight(1, 0), Weight(2, 0), Weight(3, 1), Weight(4, -1)):
+            for e in field.unit_group:
+                fac = unit_weight_factor(e, w, field)
+                want = oracle_factor_in_ring(fac, ring, field)
+                if want is None:
+                    irrational += 1
+                    with pytest.raises(RingMismatch):
+                        ring.from_knum(fac, field)
+                    continue
+                got = ring.from_knum(fac, field)
+                assert type(got) is type(want)
+                if isinstance(want, PadicElt):
+                    assert _padic_record(got) == _padic_record(want)
+                else:
+                    assert got == want
+    # units of order 4 or 6 give irrational factors at odd weight
+    assert (irrational > 0) == (field.mode == "unitary")

@@ -1,12 +1,27 @@
 """Coefficient rings: rationals, capped p-adics, cyclotomic integers."""
 
+import ast
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import eismeasure
+from eismeasure.cli import build_parser
 from eismeasure.errors import RingMismatch
-from eismeasure.rings import QQ, CycloElt, CyclotomicRing, PadicRing
+from eismeasure.fields import FieldData
+from eismeasure.rings import (
+    QQ,
+    RINGS,
+    CycloElt,
+    CyclotomicRing,
+    PadicRing,
+    ring_from_tag,
+)
+
+GAUSS = FieldData(p=5, k_disc=-4, precision=8)
 
 
 def test_no_mixing():
@@ -59,3 +74,65 @@ def test_padic_ring_wraps_elements():
     y = zp.invert(x)
     assert zp.eq(x * y, zp.one())
     assert zp.is_zero(zp.zero())
+
+
+def test_from_knum_places_exact_elements():
+    assert QQ.from_knum(GAUSS.K(Fraction(3, 2)), GAUSS) == Fraction(3, 2)
+    with pytest.raises(RingMismatch):
+        QQ.from_knum(GAUSS.K(1, 1), GAUSS)
+    zp = ring_from_tag("zp", GAUSS)
+    v = GAUSS.K(2, 1)
+    assert zp.from_knum(v, GAUSS).lift() == GAUSS.sigma_padic(v).lift()
+
+
+def test_from_json_refuses_values_of_the_other_ring():
+    zp = ring_from_tag("zp", GAUSS)
+    with pytest.raises(RingMismatch):
+        QQ.from_json(zp.to_json(zp.scalar(3)))
+    with pytest.raises(RingMismatch):
+        zp.from_json(QQ.to_json(Fraction(3)))
+    with pytest.raises(RingMismatch):
+        zp.from_json({"val": 0, "unit": 3})
+    with pytest.raises(RingMismatch):
+        QQ.to_json(zp.scalar(3))
+    with pytest.raises(RingMismatch):
+        zp.to_json(Fraction(3))
+
+
+def _literals_and_tag_comparisons(path: Path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and node.value in RINGS:
+            yield f"{path.name}:{node.lineno}: ring tag literal {node.value!r}"
+        if isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if isinstance(side, ast.Attribute) and side.attr == "tag":
+                    yield f"{path.name}:{node.lineno}: comparison with .tag"
+
+
+def test_ring_decisions_live_in_the_rings_module():
+    """The registry is the one list of serializable rings: the CLI offers
+    exactly its tags, each of its rings writes and reads zero, a unit and a
+    non-unit unchanged, and no other module names a tag or compares one."""
+    assert sorted(RINGS) == ["qq", "zp"]
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    offered = {name: next(a.choices for a in sp._actions if a.dest == "ring")
+               for name, sp in sub.choices.items()
+               if any(a.dest == "ring" for a in sp._actions)}
+    assert set(offered) == {"qexp", "integrate", "moment"}
+    assert all(list(c) == sorted(RINGS) for c in offered.values())
+
+    for tag in RINGS:
+        ring = ring_from_tag(tag, GAUSS)
+        assert ring.tag == tag
+        for v in (ring.zero(), ring.scalar(Fraction(7, 3)),
+                  ring.scalar(Fraction(10, 3))):
+            back = ring.from_json(json.loads(json.dumps(ring.to_json(v))))
+            assert type(back) is type(v) and ring.eq(back, v)
+            # repr carries the valuation, unit and absolute precision
+            assert repr(back) == repr(v)
+
+    package = Path(eismeasure.__file__).parent
+    found = [hit for path in sorted(package.glob("*.py"))
+             if path.name != "rings.py"
+             for hit in _literals_and_tag_comparisons(path)]
+    assert found == []
