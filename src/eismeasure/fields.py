@@ -12,7 +12,9 @@ with one shared denominator.
 A split odd prime p gives an isomorphism of the p-completed ring of
 integers with Z_p x Z_p; the two projections are realised by the two
 Hensel-lifted roots of x^2 - s*x - t.  The residue of an element mod p^j
-under a root r is computed directly as (a + b*r) * d^-1 mod p^j.
+under a root r is computed directly as (a + b*r) * d^-1 mod p^j.  The
+roots are known mod p^precision, and an irrational element's embedding
+claims no more digits than that gives.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .errors import DenominatorDivisibleByP, FieldDataError
-from .padic import DEFAULT_PRECISION, PadicElt
+from .errors import (
+    DenominatorDivisibleByP,
+    FieldDataError,
+    PrecisionUnavailable,
+)
+from .padic import DEFAULT_PRECISION, PadicElt, _vp
 
 # discriminant -> (s, t) with w^2 = s*w + t
 _OMEGA_PARAMS = {-4: (0, -1), -3: (1, -1), -7: (1, -2)}
@@ -305,14 +311,24 @@ class FieldData:
     # (a + b*w)/d goes to the rational (a + b*r)/d, which must be p-integral.
     def sigma_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
         """First-root embedding of an exact element as a p-adic integer."""
-        num, den = _at_root(a, self.split_roots[0])
-        return PadicElt.from_rational(num, den, p=self.p,
-                                      prec=prec or self.precision)
+        return self._embed(a, self.split_roots[0], prec)
 
     def sigma_bar_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
-        num, den = _at_root(a, self.split_roots[1])
-        return PadicElt.from_rational(num, den, p=self.p,
-                                      prec=prec or self.precision)
+        return self._embed(a, self.split_roots[1], prec)
+
+    def _embed(self, a: KNum, r: int, prec: int | None) -> PadicElt:
+        num, den = _at_root(a, r)
+        x = PadicElt.from_rational(num, den, p=self.p,
+                                   prec=prec or self.precision)
+        if a.b == 0:  # rational: exact
+            return x
+        return x.with_abs_prec(self._known_digits(a))
+
+    def _known_digits(self, a: KNum) -> int:
+        """The absolute precision of an irrational element's embedding: the
+        root is off by a multiple of p^precision, so (a + b*r)/d is off by
+        one of p^(precision + v(b) - v(d))."""
+        return self.precision + _vp(a.b, self.p) - _vp(a.d, self.p)
 
     def sigma_residue(self, a: KNum, j: int) -> int:
         """First-root embedding reduced mod p^j (p-integral input required)."""
@@ -322,9 +338,15 @@ class FieldData:
         return self._residue(a, self.split_roots[1], j)
 
     def _residue(self, a: KNum, r: int, j: int) -> int:
-        num, den = _at_root(a, r)
-        if den % self.p == 0:
-            raise DenominatorDivisibleByP(f"{den} is divisible by {self.p}")
+        if a.d == 1:
+            num, den = a.a + a.b * r, 1
+        else:
+            num, den = _at_root(a, r)
+            if den % self.p == 0:
+                raise DenominatorDivisibleByP(f"{den} is divisible by {self.p}")
+        if j > self.precision and a.b and j > self._known_digits(a):
+            raise PrecisionUnavailable(
+                f"{a} is known mod p^{self._known_digits(a)}, asked mod p^{j}")
         pj = self.p ** j
         return num % pj if den == 1 else num * pow(den, -1, pj) % pj
 

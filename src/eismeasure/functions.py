@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .fields import CMElt, FieldData, KNum, Weight
-from .hermitian import Matrix, mat_det
+from .hermitian import Matrix, _lazy, mat_det
 from .padic import PadicElt, _vp
 from .rings import CyclotomicRing, PadicRing, RationalRing, ring_from_tag
 
@@ -75,30 +75,13 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 # -- points -------------------------------------------------------------------
 
 
-class _lazy:
-    """An attribute computed on first access and then stored on the
-    instance, as ``functools.cached_property`` does, but without its lock
-    (which Python 3.11 takes on every first access)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True, init=False)
 class GnPoint:
     """A point of the pair domain, exact and/or p-adic.
 
     ``x_is_unit``, ``y_is_invertible`` and ``det_y_exact`` are computed once
-    per point, so every function evaluated at the same point shares them.
+    per point, so every function evaluated at the same point shares them; a
+    det(y) that is already known can be given to the constructor instead.
     """
 
     field: FieldData
@@ -108,11 +91,14 @@ class GnPoint:
     x_padic: CMElt | None = None
     y_padic: tuple[tuple[PadicElt, ...], ...] | None = None
 
-    def __init__(self, field, n, x=None, y=None, x_padic=None, y_padic=None):
+    def __init__(self, field, n, x=None, y=None, x_padic=None, y_padic=None,
+                 *, det_y_exact=None):
         # dict stores cost less than the frozen dataclass's __setattr__ calls
         d = self.__dict__
         d["field"], d["n"], d["x"], d["y"] = field, n, x, y
         d["x_padic"], d["y_padic"] = x_padic, y_padic
+        if det_y_exact is not None:
+            d["det_y_exact"] = det_y_exact
 
     @classmethod
     def from_exact(cls, field: FieldData, x: KNum, y: Matrix) -> "GnPoint":
@@ -235,7 +221,8 @@ class LCFunction(GnFunction):
             return self.ring.zero()
         key = (pt.x_key(self.level), pt.y_key(self.level))
         if self.values is not None:
-            return self.values.get(key, self.ring.zero())
+            v = self.values.get(key)
+            return self.ring.zero() if v is None else v
         return self.rule(*key)
 
     # -- serialization ----------------------------------------------------
@@ -281,6 +268,14 @@ class MonomialFunction(GnFunction):
         if self.field.mode == "symplectic" and self.e_xb != 0:
             object.__setattr__(self, "e_xs", self.e_xs + self.e_xb)
             object.__setattr__(self, "e_xb", 0)
+        # what rational_pair reads at every point: the coefficient's
+        # numerator and denominator (None unless rational), and the exponents
+        # of a rational x, where xs = xb = x, and of det(y)
+        c = self.coef
+        object.__setattr__(self, "_pair_consts", (
+            (c.numerator, c.denominator)
+            if isinstance(c, (int, Fraction)) else None,
+            self.e_xs + self.e_xb, self.e_det))
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         if isinstance(self.ring, RationalRing):  # from the integer pair
@@ -312,13 +307,18 @@ class MonomialFunction(GnFunction):
         d = pt.det_y_exact
         if not d.is_rational:
             raise RingMismatch("determinant is not rational")
-        coef = self.coef
-        num, den = coef.numerator, coef.denominator
-        for z, e in ((x, self.e_xs + self.e_xb), (d, self.e_det)):
-            top, bottom = (z.a, z.d) if e >= 0 else (z.d, z.a)
-            num *= top ** abs(e)
-            den *= bottom ** abs(e)
-        return num, den
+        coef, ex, ed = self._pair_consts
+        if coef is None:
+            raise RingMismatch("rational-ring monomials need a rational "
+                               "coefficient")
+        num, den = coef
+        if ex >= 0:
+            num, den = num * x.a ** ex, den * x.d ** ex
+        else:
+            num, den = num * x.d ** -ex, den * x.a ** -ex
+        if ed >= 0:
+            return num * d.a ** ed, den * d.d ** ed
+        return num * d.d ** -ed, den * d.a ** -ed
 
     def truncate(self, j: int) -> LCFunction:
         """The level-j locally constant shadow of the monomial."""
@@ -353,6 +353,8 @@ class ProductFunction(GnFunction):
     y_invertible: bool = False
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
+        if self.y_invertible and not pt.y_is_invertible:
+            return self.ring.zero()
         v = self.base.evaluate(pt, j)
         if self.ring.is_zero(v):
             return v
@@ -536,7 +538,10 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
     def mult(pt: GnPoint, ring):
         return _twist_value(pt, kp, nu, ring)
 
-    return ProductFunction(field, n, f.ring, f, mult, y_invertible=True)
+    # the monomial twist's support: det(y) enters with the power kp, and
+    # the nu-part needs its inverse
+    return ProductFunction(field, n, f.ring, f, mult,
+                           y_invertible=f.y_invertible or kp < 0 or nu != 0)
 
 
 def _twist_value(pt: GnPoint, kp: int, nu: int, ring):

@@ -56,6 +56,24 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+class _lazy:
+    """An attribute computed on first access and then stored on the
+    instance, as ``functools.cached_property`` does, but without its lock
+    (which Python 3.11 takes on every first access)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _coord_key(c: int, d: int):
     """The coordinate c/d as an int when integral, else as its Fraction string."""
     if c % d == 0:
@@ -65,7 +83,11 @@ def _coord_key(c: int, d: int):
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """A Hermitian matrix with exact entries and rational diagonal."""
+    """A Hermitian matrix with exact entries and rational diagonal.
+
+    The exact determinant and the key are computed on first use and stored,
+    so every sweep over a memoised enumeration reads them.
+    """
 
     field: FieldData
     entries: Matrix
@@ -90,8 +112,13 @@ class HermitianMatrix:
         rows = tuple(tuple(field.K(u, v) for (u, v) in row) for row in pairs)
         return cls(field, rows)
 
+    @_lazy
+    def det_exact(self) -> KNum:
+        """The determinant as a (rational) field element."""
+        return mat_det(self.entries)
+
     def det(self) -> Fraction:
-        d = mat_det(self.entries)
+        d = self.det_exact
         assert d.is_rational
         return Fraction(d.a, d.d)
 
@@ -115,6 +142,10 @@ class HermitianMatrix:
 
         Integral coordinates appear as ints, the others as Fraction strings.
         """
+        return self._key
+
+    @_lazy
+    def _key(self) -> tuple:
         return tuple((e.a, e.b) if e.d == 1
                      else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
                      for row in self.entries for e in row)
@@ -211,7 +242,11 @@ class CuspData:
         p = field.p
 
         def rule(beta: HermitianMatrix):
-            m = int(beta.trace())
+            t = beta.entries[0][0]  # the trace, read as an integer
+            if beta.n != 1 or t.d != 1:
+                raise LatticeMismatch(
+                    f"{beta!r} is not a rank-one index of integral trace")
+            m = t.a
             small, large = [], []
             for d in range(1, math.isqrt(m) + 1):
                 if m % d == 0:

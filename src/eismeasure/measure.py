@@ -94,7 +94,7 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial, ctx: MeasureContext,
     f = h_to_f(h)
     # on the coefficient side the multiplier argument y^-1 turns back into y
     f2 = ProductFunction(f.field, f.n, f.ring, f, _zeta_multiplier(mult),
-                         y_invertible=True)
+                         y_invertible=f.y_invertible)
     w = Weight(ctx.n, 0)
     # the second job is integrate(h, ctx, validate=False)
     jobs = [(f2, w), (f, w)] if verify else [(f2, w)]

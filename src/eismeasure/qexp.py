@@ -134,12 +134,16 @@ class QExpansion:
 
 
 def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
-    """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced."""
+    """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced.
+
+    At norm 1 the point's y is beta, and so is its determinant."""
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
-    y = beta.entries if nn == nd else tuple([tuple([
-        KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t) for e in row])
-        for row in beta.entries])
+    if nn == nd:
+        return GnPoint(field, beta.n, a, beta.entries,
+                       det_y_exact=beta.det_exact)
+    y = tuple([tuple([KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t)
+                      for e in row]) for row in beta.entries])
     return GnPoint(field, len(y), a, y)
 
 
@@ -187,7 +191,7 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     coefficient = [_ring_coefficient.dispatch(type(f.ring)) for f, _ in jobs]
     terms = [{} for _ in jobs]
     for beta in betas:
-        key, detb = beta.key(), beta.det()
+        key, detb = beta.key(), beta.det_exact
         points = [(a, mult, _rule_point(field, a, beta))
                   for a, mult in cusp.rule(beta)]
         for (f, w), coeff, out in zip(jobs, coefficient, terms):
@@ -205,9 +209,9 @@ def _ring_coefficient(ring, f, w, n, detb, points, field, precision):
         fval = evaluate(f, pt, precision)
         if ring.is_zero(fval):
             continue
-        bc = CMElt.embed(field.K(detb) * a.inverse(), field)
+        bc = CMElt.embed(detb * a.inverse(), field)
         num = norm_weight(bc, w)
-        den = PadicElt.from_rational(Fraction(detb), p=field.p,
+        den = PadicElt.from_rational(detb.a, detb.d, p=field.p,
                                      prec=field.precision) ** n
         factor = num / den
         c = c + ring.coerce(mult) * fval * ring.coerce(factor)
@@ -219,7 +223,7 @@ def _qq_coefficient(ring: RationalRing, f, w, n, detb, points, field,
                     precision) -> Fraction:
     """The rational coefficient, summed as one integer fraction from the
     function's unreduced (num, den) values."""
-    dn, dd = detb.numerator, detb.denominator
+    dn, dd = detb.a, detb.d  # det(beta) is rational
     num, den = 0, 1
     pair = f.rational_pair
     for a, mult, pt in points:

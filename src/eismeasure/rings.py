@@ -182,11 +182,15 @@ class PadicRing:
     prec: int
     tag = "zp"
 
+    def __post_init__(self):
+        # one zero per ring: a PadicElt is immutable, so it can be shared
+        object.__setattr__(self, "_zero", PadicElt.zero(self.p, self.prec))
+
     def one(self):
         return PadicElt.one(self.p, self.prec)
 
     def zero(self):
-        return PadicElt.zero(self.p, self.prec)
+        return self._zero
 
     def scalar(self, c):
         return PadicElt.from_rational(Fraction(c), p=self.p, prec=self.prec)

@@ -1,13 +1,19 @@
 """Imaginary quadratic arithmetic and split-prime embeddings."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eismeasure.errors import DenominatorDivisibleByP, FieldDataError
+from eismeasure.errors import (
+    DenominatorDivisibleByP,
+    FieldDataError,
+    PrecisionUnavailable,
+)
 from eismeasure.fields import CMElt, FieldData, KNum, Weight, norm_weight
+from eismeasure.padic import PadicElt, _vp
 from knum_oracle import OracleKNum
 
 GAUSS = FieldData(p=5, k_disc=-4)
@@ -241,6 +247,44 @@ def test_residues_match_the_padic_embedding(fld, u, v, j):
         via = embedding_outcome(lambda a, j: padic(a, prec=max(j, 1)).lift(j),
                                 x, j)
         assert direct == via
+
+
+def test_embeddings_claim_only_the_digits_of_the_root():
+    """At precision 3 the split root is known mod 5^3, so an irrational
+    element's embedding is known mod 5^(3 + v(b) - v(d)): there it agrees
+    with the precision-12 embedding, and it claims no more.  A rational
+    element's embedding stays exact."""
+    lo = FieldData(p=5, k_disc=-4, precision=3)
+    hi = FieldData(p=5, k_disc=-4, precision=12)
+    x = lo.sigma_padic(lo.K(2, -1))  # read 5*114 + O(5^4) before
+    assert (x.val, x.unit, x.prec) == (1, 14, 2)
+    assert lo.sigma_padic(lo.K(11, 2)).is_zero
+    capped = 0
+    for u, v, d in itertools.product(range(-12, 13), range(-12, 13),
+                                     (1, 2, 5, 25)):
+        a = lo.K(Fraction(u, d), Fraction(v, d))
+        for name in ("sigma_padic", "sigma_bar_padic"):
+            got = embedding_outcome(getattr(lo, name), a)
+            want = embedding_outcome(getattr(hi, name), hi.K(a.u, a.v))
+            if got[0] == "raised":
+                assert got == want == ("raised", DenominatorDivisibleByP)
+                continue
+            got, want = got[1], want[1]
+            if a.is_rational:
+                exact = PadicElt.from_rational(a.u, p=5, prec=3)
+                assert ((got.val, got.unit, got.prec)
+                        == (exact.val, exact.unit, exact.prec))
+                continue
+            # three digits from the valuation on, as far as the root goes
+            known = 3 + _vp(a.b, 5) - _vp(a.d, 5)
+            assert want.val is not None and known <= want.abs_prec
+            assert got.abs_prec == min(known, want.val + 3)
+            assert got.congruent_mod(want, got.abs_prec)
+            capped += known < want.val + 3
+    assert capped > 100
+    with pytest.raises(PrecisionUnavailable):
+        lo.sigma_residue(lo.K(2, -1), 4)
+    assert lo.sigma_residue(lo.K(2, -1), 3) == x.lift(3)
 
 
 def test_residue_with_p_in_the_denominator():

@@ -18,6 +18,7 @@ from eismeasure.functions import (
     LCFunction,
     MonomialFunction,
     PartitionSpec,
+    ProductFunction,
     UnitCharacter,
     _congruent,
     character_decompose,
@@ -241,6 +242,26 @@ def test_rational_and_padic_monomials_agree_at_a_singular_y(e_det):
             for ring in (QQ, zp))
         assert qq_val == (Fraction(24) if e_det == 0 else 0)
         assert zp.eq(zp_val, zp.coerce(qq_val))
+
+
+@pytest.mark.parametrize("ring", [QQ, PadicRing(5, 24)])
+def test_weight_twist_of_a_product_has_the_monomial_twist_s_support(ring):
+    """A twisted product honours its y-support as the twisted monomial does:
+    with nu != 0 both read 0 at the singular y = (5), and with nu = 0 and a
+    non-negative power of det(y) both read the same value there."""
+    one = MonomialFunction(SYMPL, 1, ring, Fraction(1))
+    prod = ProductFunction(SYMPL, 1, ring, one, lambda pt, r: r.one())
+    singular, unit = ((SYMPL.K(5),),), ((SYMPL.K(3),),)
+    for w in (Weight(3, 1), Weight(3, 0), Weight(1, 1)):
+        for y in (singular, unit):
+            pt = GnPoint.from_exact(SYMPL, SYMPL.K(1), y)
+            got = weight_twist(prod, w).evaluate(pt)
+            want = weight_twist(one, w).evaluate(pt)
+            assert ring.eq(got, want)
+            if y is singular and w.nu != 0:
+                assert ring.is_zero(got)
+            else:  # 5^2 at the singular y for Weight(3, 0)
+                assert not ring.is_zero(got)
 
 
 def test_padic_points_take_the_determinant_of_their_entries():

@@ -132,6 +132,15 @@ def test_divisor_rule_matches_trial_division_in_order():
         assert all(mult == 1 for _, mult in rule(beta))
 
 
+def test_divisor_rule_rejects_an_index_of_non_integral_trace():
+    """The rule reads the trace as an integer; 5/2 is not truncated to 2."""
+    fs = FieldData(p=5, mode="symplectic")
+    rule = CuspData.divisor_rule(fs).rule
+    with pytest.raises(LatticeMismatch, match="integral trace"):
+        rule(HermitianMatrix(fs, ((fs.K(Fraction(5, 2)),),)))
+    assert [a.u for a, _ in rule(HermitianMatrix(fs, ((fs.K(2),),)))] == [1, 2]
+
+
 @pytest.mark.parametrize("bound", [1, 2, 6])
 def test_symplectic_rank_two_enumeration_is_unsupported(bound):
     """Symplectic mode has no imaginary part, so its rank-two forms are not

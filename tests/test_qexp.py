@@ -29,7 +29,7 @@ from eismeasure.functions import (
     y_det_key,
 )
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
-from eismeasure import measure
+from eismeasure import functions, hermitian, measure
 from eismeasure.measure import _zeta_multiplier, kummer_check
 from eismeasure.padic import PadicElt
 from eismeasure.qexp import (
@@ -357,6 +357,70 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     points = sum(len(divisor.rule(b)) for b in enumerate_positive(SYMPL, 1, 60))
     assert seen[0]["invertible"] == points
     assert seen[0]["residue"] == 0
+
+
+#: The weights of the weight-shift benchmark, as in acceptance 04.
+WS_WEIGHTS = tuple((k, nu) for k in range(2, 7) for nu in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("n, bound, floor", [(1, 20, 16), (2, 6, 170)])
+def test_weight_shift_on_the_sweep_points_matches_the_oracle(n, bound, floor):
+    """Acceptance 04's identity direct == shifted on tables that are nonzero
+    at the sweep's points, so the p-adic coefficient path is compared: both
+    expansions equal the per-function oracle in (val, unit, prec)."""
+    cusp = CuspData.single_term(GAUSS, n)
+    for i, (k, nu) in enumerate(WS_WEIGHTS):
+        w = Weight(k, nu)
+        f = _table_at_points(GAUSS, n, cusp, bound, w, 100 + i)
+        twisted, base = weight_twist(f, w), Weight(n, 0)
+        direct = eisenstein_qexp(f, w, cusp, bound, GAUSS)
+        shifted = eisenstein_qexp(twisted, base, cusp, bound, GAUSS)
+        assert direct == shifted, (n, k, nu)
+        assert_same_expansion(
+            direct, oracle_qexp(f, w, cusp, bound, GAUSS, validate=False))
+        assert_same_expansion(shifted, oracle_qexp(
+            twisted, base, cusp, bound, GAUSS, validate=False))
+        nonzero = sum(not c.is_zero for _, c in direct.terms.values())
+        assert nonzero >= floor, (n, k, nu, nonzero)
+
+
+@pytest.mark.parametrize("case", ["zp-single-n2", "qq-divisor-n1"])
+def test_a_second_sweep_reuses_each_index_s_determinant_and_key(
+        case, monkeypatch):
+    """The memoised enumeration's matrices keep det(beta) and their key: a
+    second sweep over them takes no determinant of a beta and builds no key."""
+    if case == "zp-single-n2":
+        field, cusp, bound = GAUSS, CuspData.single_term(GAUSS, 2), 4
+        jobs = [(MonomialFunction(GAUSS, 2, ZP5, Fraction(1), e_xs=2, e_xb=1,
+                                  e_det=-1), Weight(4, 0))]
+    else:
+        field, cusp, bound = SYMPL, CuspData.divisor_rule(SYMPL), 40
+        jobs = _rational_jobs(SYMPL, cusp, bound)
+    counts = {"det": 0, "key": 0}
+    betas = set()
+
+    def counting_mat_det(a, det=hermitian.mat_det):
+        counts["det"] += id(a) in betas
+        return det(a)
+
+    def counting_key(beta, key=HermitianMatrix._key.fn):
+        counts["key"] += 1
+        return key(beta)
+
+    for module in (hermitian, functions):
+        monkeypatch.setattr(module, "mat_det", counting_mat_det)
+    monkeypatch.setattr(HermitianMatrix._key, "fn", counting_key)
+    enumerate_positive.cache_clear()
+    betas.update(id(b.entries) for b in enumerate_positive(field, cusp.n,
+                                                           bound))
+    seen = []
+    for _ in range(2):
+        _expansions(jobs, cusp, bound, field, validate=False)
+        seen.append(dict(counts))
+        counts.update(det=0, key=0)
+    # the enumeration sorts by key, and the first sweep takes each det once
+    assert seen == [{"det": len(betas), "key": len(betas)},
+                    {"det": 0, "key": 0}]
 
 
 def _outcome(fn):
