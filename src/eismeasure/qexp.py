@@ -136,7 +136,7 @@ class QExpansion:
 def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
     """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced.
 
-    At norm 1 the point's y is beta, and so is its determinant."""
+    At norm 1 y is beta itself, and the point takes beta's stored det."""
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
     if nn == nd:
