@@ -322,7 +322,10 @@ class FieldData:
                                    prec=prec or self.precision)
         if a.b == 0:  # rational: exact
             return x
-        return x.with_abs_prec(self._known_digits(a))
+        known = self._known_digits(a)
+        if known < 1:
+            raise PrecisionUnavailable(f"{a} is known mod p^{known}")
+        return x.with_abs_prec(known)
 
     def _known_digits(self, a: KNum) -> int:
         """The absolute precision of an irrational element's embedding: the
@@ -344,7 +347,9 @@ class FieldData:
             num, den = _at_root(a, r)
             if den % self.p == 0:
                 raise DenominatorDivisibleByP(f"{den} is divisible by {self.p}")
-        if j > self.precision and a.b and j > self._known_digits(a):
+        # known >= precision unless p divides d, so only then is the cap read
+        if (a.b and (j > self.precision or a.d % self.p == 0)
+                and j > self._known_digits(a)):
             raise PrecisionUnavailable(
                 f"{a} is known mod p^{self._known_digits(a)}, asked mod p^{j}")
         pj = self.p ** j

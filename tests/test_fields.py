@@ -285,6 +285,17 @@ def test_embeddings_claim_only_the_digits_of_the_root():
     with pytest.raises(PrecisionUnavailable):
         lo.sigma_residue(lo.K(2, -1), 4)
     assert lo.sigma_residue(lo.K(2, -1), 3) == x.lift(3)
+    # p in the denominator lowers the cap below the field precision
+    y = GAUSS.K(Fraction(1, 5), Fraction(2, 5))
+    assert GAUSS.sigma_padic(y, prec=24).abs_prec == 23
+    assert GAUSS.sigma_residue(y, 23) == GAUSS.sigma_padic(y, prec=24).lift(23)
+    with pytest.raises(PrecisionUnavailable):
+        GAUSS.sigma_residue(y, 24)
+    with pytest.raises(PrecisionUnavailable):
+        GAUSS.sigma_padic(y, prec=24).lift(24)
+    # at precision 1 that element's embedding is known to no digit
+    with pytest.raises(PrecisionUnavailable, match="known mod p\\^0"):
+        FieldData(p=5, k_disc=-4, precision=1).sigma_padic(y)
 
 
 def test_residue_with_p_in_the_denominator():
