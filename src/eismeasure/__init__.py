@@ -59,7 +59,6 @@ from .qexp import (
     ChiData,
     NormalizationConstant,
     QExpansion,
-    congruent_mod,
     cusp_transform,
     eisenstein_qexp,
     leading_constant,

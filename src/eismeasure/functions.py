@@ -11,7 +11,11 @@ over the completed base ring.  Functions come in several flavours:
                        the obvious combinators.
 
 The bridge between the integrand side (unit-invariant H) and the
-coefficient side (equivariant F) is the pair ``h_to_f`` / ``f_to_h``.
+coefficient side (equivariant F) is the pair ``h_to_f`` / ``f_to_h``.  The
+bridge and the weight twist ``weight_twist`` share one weight factor, a norm
+of u = x^-1 * relnorm(x)^n * det y written once as exponents of
+(xs, xb, det y): monomials add it to their exponents, tables scale each
+coset's value by it, and any other function is multiplied by its value.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .errors import (
     NotAUnit,
     RingMismatch,
     SupportNotInvertible,
-    UnsupportedSize,
 )
 from .fields import CMElt, FieldData, KNum, Weight
 from .hermitian import Matrix, _lazy, mat_det
@@ -48,11 +51,7 @@ def norm_rel_exact(a: KNum, field: FieldData) -> Fraction:
 
 
 def y_det_key(yk: YKey, n: int, pj: int) -> int:
-    if n == 1:
-        return yk[0] % pj
-    if n == 2:
-        return (yk[0] * yk[3] - yk[1] * yk[2]) % pj
-    raise UnsupportedSize("coset determinant needs n <= 2")
+    return mat_det([yk[i * n:(i + 1) * n] for i in range(n)]) % pj
 
 
 def y_inverse_key(yk: YKey, n: int, p: int, pj: int) -> YKey:
@@ -331,8 +330,7 @@ class MonomialFunction(GnFunction):
             if d % me.field.p == 0:
                 if me.e_det < 0 or me.y_invertible:
                     return ring.zero()
-            e = (pow(xk[0], me.e_xs, pj) * pow(xk[1], me.e_xb, pj)
-                 * pow(d, me.e_det, pj)) % pj
+            e = _coset_power(xk, d, (me.e_xs, me.e_xb, me.e_det), pj)
             return ring.coerce(me.coef) * ring.coerce(
                 PadicElt(me.field.p, 0, e, j) if e % me.field.p else
                 PadicElt.from_int(e, me.field.p, j).with_abs_prec(j))
@@ -429,19 +427,63 @@ def evaluate(f: GnFunction, pt: GnPoint, j: int | None = None):
     return v
 
 
-# -- the integrand/coefficient bridge ----------------------------------------
+# -- the weight factor: the bridge and the weight twist ----------------------
 
 
-def _bridge_exponents(n: int, mode: str, forward: bool) -> tuple[int, int, int]:
-    """Monomial exponent shift for h_to_f (forward) or f_to_h."""
-    if mode == "symplectic":
-        dxs, dxb, dd = n * (n - 1), 0, n
-    else:
-        dxs, dxb, dd = n * (n - 1), n * n, n
-    if forward:
-        return -dxs, -dxb, -dd
-    # the det divisor enters with the same sign in both directions
-    return dxs, dxb, -dd
+def _weight_exponents(n: int, mode: str, kp: int, nu: int) -> tuple[int, int, int]:
+    """Exponents of (xs, xb, det y) in the weight-(kp, nu) norm of
+    u = x^-1 * relnorm(x)^n * det y, that is us^(kp + nu) * ub^(-nu)."""
+    if mode == "symplectic":  # us = ub = u
+        return (n - 1) * kp, 0, kp
+    return ((n - 1) * (kp + nu) - n * nu, n * (kp + nu) - (n - 1) * nu, kp)
+
+
+def _coset_power(xk: XKey, d: int, e: tuple[int, int, int], pj: int) -> int:
+    """xs^e0 * xb^e1 * d^e2 mod p^j on the residues of x and det y."""
+    return pow(xk[0], e[0], pj) * pow(xk[1], e[1], pj) * pow(d, e[2], pj) % pj
+
+
+def _weight_value(pt: GnPoint, e: tuple[int, int, int], ring):
+    """xs^e0 * xb^e1 * det(y)^e2 at pt, with no ring coefficient."""
+    field = pt.field
+    if isinstance(ring, RationalRing):  # rational x: xs = xb = x
+        d = ring.from_knum(pt.det_y_exact, field)
+        return ring.from_knum(pt.x, field) ** (e[0] + e[1]) * d ** e[2]
+    xc, d = pt.x_cm(), pt.det_y_padic()
+    return xc.xs ** e[0] * xc.xb ** e[1] * d ** e[2]
+
+
+def _scale_table(g: LCFunction, e: tuple[int, int, int],
+                 invert_y: bool) -> LCFunction:
+    """The table g(x, y^-1) (or g(x, y)) times xs^e0 * xb^e1 * det(y)^e2,
+    the factor read at the moved coset."""
+    field, n, p, j = g.field, g.n, g.field.p, g.level
+    pj = p ** j
+    if not isinstance(g.ring, PadicRing):
+        raise RingMismatch("the weight factor on a table needs p-adic "
+                           "coefficients")
+
+    def move(yk: YKey) -> YKey:
+        return y_inverse_key(yk, n, p, pj) if invert_y else yk
+
+    def factor(xk: XKey, yk: YKey) -> PadicElt:
+        d = y_det_key(yk, n, pj)
+        if d % p == 0:
+            raise SupportNotInvertible("the weight factor needs invertible "
+                                       "y cosets")
+        return PadicElt(p, 0, _coset_power(xk, d, e, pj), j)
+
+    if g.values is not None:
+        out = {}
+        for (xk, yk), v in g.values.items():
+            yk2 = move(yk)
+            out[(xk, yk2)] = v * factor(xk, yk2)
+        return LCFunction(field, n, g.ring, j, values=out, y_invertible=True)
+
+    def rule(xk: XKey, yk: YKey):
+        return g.rule(xk, move(yk)) * factor(xk, yk)
+
+    return LCFunction(field, n, g.ring, j, rule=rule, y_invertible=True)
 
 
 def h_to_f(h: GnFunction) -> GnFunction:
@@ -459,10 +501,13 @@ def f_to_h(f: GnFunction) -> GnFunction:
 
 def _bridge(g: GnFunction, forward: bool) -> GnFunction:
     field, n = g.field, g.n
+    e = _weight_exponents(n, field.mode, -n, 0)
+    if not forward:  # x enters inverted; the det divisor keeps its sign
+        e = (-e[0], -e[1], e[2])
     if isinstance(g, MonomialFunction):
-        dxs, dxb, dd = _bridge_exponents(n, field.mode, forward)
-        return MonomialFunction(field, n, g.ring, g.coef,
-                                g.e_xs + dxs, g.e_xb + dxb, -g.e_det + dd)
+        return MonomialFunction(field, n, g.ring, g.coef, g.e_xs + e[0],
+                                g.e_xb + e[1], -g.e_det + e[2],
+                                y_invertible=True)
     if isinstance(g, LinearCombination):
         return LinearCombination(field, n, g.ring,
                                  tuple((c, _bridge(f, forward)) for c, f in g.terms))
@@ -471,45 +516,8 @@ def _bridge(g: GnFunction, forward: bool) -> GnFunction:
                                   lambda j: _bridge(g.oracle(j), forward),
                                   y_invertible=True)
     if isinstance(g, LCFunction):
-        return _bridge_table(g, forward)
+        return _scale_table(g, e, invert_y=True)
     raise RingMismatch(f"no bridge for {type(g).__name__}")
-
-
-def _bridge_factor_key(xk: XKey, yk: YKey, field: FieldData, n: int,
-                       pj: int, forward: bool) -> int:
-    """The inverted norm factor as a unit residue mod p^j."""
-    d = y_det_key(yk, n, pj)
-    nx = x_norm_key(xk, field, pj)
-    if forward:
-        u = pow(xk[0], -1, pj) * pow(nx, n, pj) * d % pj
-    else:
-        u = xk[0] * pow(nx, -n, pj) * d % pj
-    return pow(u, -n, pj)
-
-
-def _bridge_table(g: LCFunction, forward: bool) -> LCFunction:
-    field, n, p = g.field, g.n, g.field.p
-    pj = p ** g.level
-    if not isinstance(g.ring, PadicRing):
-        raise RingMismatch("the table bridge needs p-adic coefficients")
-    if g.values is not None:
-        out = {}
-        for (xk, yk), v in g.values.items():
-            yk2 = y_inverse_key(yk, n, p, pj)
-            fac = _bridge_factor_key(xk, yk2, field, n, pj, forward)
-            out[(xk, yk2)] = v * PadicElt(p, 0, fac, g.level)
-        return LCFunction(field, n, g.ring, g.level, values=out,
-                          y_invertible=True)
-
-    def rule(xk: XKey, yk: YKey):
-        yk2 = y_inverse_key(yk, n, p, pj)
-        fac = _bridge_factor_key(xk, yk, field, n, pj, forward)
-        return g.rule(xk, yk2) * PadicElt(p, 0, fac, g.level)
-
-    return LCFunction(field, n, g.ring, g.level, rule=rule, y_invertible=True)
-
-
-# -- weight twist --------------------------------------------------------------
 
 
 def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
@@ -519,71 +527,20 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
     """
     field, n = f.field, f.n
     kp, nu = w.k - n, w.nu
+    e = _weight_exponents(n, field.mode, kp, nu)
+    # det(y) enters with the power kp, and the nu-part needs its inverse
+    y_inv = f.y_invertible or kp < 0 or nu != 0
     if isinstance(f, MonomialFunction):
-        if field.mode == "symplectic":
-            dxs, dxb, dd = (n - 1) * kp, 0, kp
-        else:
-            dxs = (n - 1) * (kp + nu) + n * (-nu)
-            dxb = n * (kp + nu) - (n - 1) * nu
-            dd = kp
-        return MonomialFunction(field, n, f.ring, f.coef,
-                                f.e_xs + dxs, f.e_xb + dxb, f.e_det + dd,
-                                y_invertible=f.y_invertible or dd < 0 or nu != 0)
+        return MonomialFunction(field, n, f.ring, f.coef, f.e_xs + e[0],
+                                f.e_xb + e[1], f.e_det + e[2], y_invertible=y_inv)
     if isinstance(f, LinearCombination):
         return LinearCombination(field, n, f.ring,
                                  tuple((c, weight_twist(g, w)) for c, g in f.terms))
     if isinstance(f, LCFunction):
-        return _twist_table(f, kp, nu)
-
-    def mult(pt: GnPoint, ring):
-        return _twist_value(pt, kp, nu, ring)
-
-    # the monomial twist's support: det(y) enters with the power kp, and
-    # the nu-part needs its inverse
-    return ProductFunction(field, n, f.ring, f, mult,
-                           y_invertible=f.y_invertible or kp < 0 or nu != 0)
-
-
-def _twist_value(pt: GnPoint, kp: int, nu: int, ring):
-    field, n = pt.field, pt.n
-    if isinstance(ring, RationalRing):
-        d = ring.from_knum(pt.det_y_exact, field)
-        u = norm_rel_exact(pt.x, field) ** n * d / ring.from_knum(pt.x, field)
-        return u ** kp  # rational u: the nu-part cancels
-    xc = pt.x_cm()
-    nr = xc.norm_relative()
-    d = pt.det_y_padic()
-    us = xc.xs.invert() * nr ** n * d
-    ub = xc.xb.invert() * nr ** n * d
-    return us ** (kp + nu) * ub ** (-nu)
-
-
-def _twist_table(f: LCFunction, kp: int, nu: int) -> LCFunction:
-    field, n, p = f.field, f.n, f.field.p
-    pj = p ** f.level
-    if not isinstance(f.ring, PadicRing):
-        raise RingMismatch("the table twist needs p-adic coefficients")
-
-    def factor(xk: XKey, yk: YKey) -> int:
-        d = y_det_key(yk, n, pj)
-        if d % p == 0:
-            raise SupportNotInvertible("twist needs invertible y cosets")
-        nx = x_norm_key(xk, field, pj)
-        us = pow(xk[0], -1, pj) * pow(nx, n, pj) * d % pj
-        ub = pow(xk[1], -1, pj) * pow(nx, n, pj) * d % pj
-        return pow(us, kp + nu, pj) * pow(ub, -nu, pj) % pj
-
-    if f.values is not None:
-        out = {}
-        for (xk, yk), v in f.values.items():
-            out[(xk, yk)] = v * PadicElt(p, 0, factor(xk, yk), f.level)
-        return LCFunction(field, n, f.ring, f.level, values=out,
-                          y_invertible=True)
-
-    def rule(xk, yk):
-        return f.rule(xk, yk) * PadicElt(p, 0, factor(xk, yk), f.level)
-
-    return LCFunction(field, n, f.ring, f.level, rule=rule, y_invertible=True)
+        return _scale_table(f, e, invert_y=False)
+    return ProductFunction(field, n, f.ring, f,
+                           lambda pt, ring: _weight_value(pt, e, ring),
+                           y_invertible=y_inv)
 
 
 # -- unit equivariance ---------------------------------------------------------
@@ -852,9 +809,7 @@ def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharac
         out = chi[0](xk[0]) * chi[1](xk[1])
         out = out * ring.coerce(PadicElt(p, 0, pow(xk[0], n, pj), level))
         for ch, c in zip(spec.characters, cum):
-            minor = y_det_key([m[a][b] for a in range(c) for b in range(c)],
-                              c, pj)
-            v = ch(minor)
+            v = ch(mat_det([row[:c] for row in m[:c]]))
             if ring.is_zero(v):
                 return ring.zero()
             out = out * v

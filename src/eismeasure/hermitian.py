@@ -117,11 +117,6 @@ class HermitianMatrix:
         """The determinant as a (rational) field element."""
         return mat_det(self.entries)
 
-    def det(self) -> Fraction:
-        d = self.det_exact
-        assert d.is_rational
-        return Fraction(d.a, d.d)
-
     def trace(self) -> Fraction:
         t = sum((self.entries[i][i] for i in range(1, self.n)),
                 self.entries[0][0])

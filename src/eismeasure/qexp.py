@@ -293,10 +293,6 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
                       f"{q.cusp_label}*levi", q.trace_bound, q.ring, terms)
 
 
-def congruent_mod(q1: QExpansion, q2: QExpansion, j: int, **kw):
-    return q1.congruent_mod(q2, j, **kw)
-
-
 # -- normalization bookkeeping ---------------------------------------------------
 
 

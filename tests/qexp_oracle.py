@@ -53,7 +53,7 @@ def oracle_qexp(f: GnFunction, w: Weight, cusp: CuspData, trace_bound: int,
     terms = {}
     for beta in betas:
         c = ring.zero()
-        detb = beta.det()
+        detb = beta.det_exact.u
         for a, mult in cusp.rule(beta):
             na = norm_rel_exact(a, field)
             y = tuple(tuple(e / na for e in row) for row in beta.entries)

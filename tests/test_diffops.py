@@ -105,7 +105,7 @@ def test_theta_apply_multiplies_by_multiplier_at_index():
     d = det_polynomial(1, 1)
     q2 = theta_apply(q, d)
     for key, (beta, c) in q.terms.items():
-        assert q2.terms[key][1] == c * beta.det()
+        assert q2.terms[key][1] == c * beta.det_exact.u
 
 
 def test_eval_multiplier_rational():
@@ -114,4 +114,4 @@ def test_eval_multiplier_rational():
     from eismeasure.hermitian import enumerate_positive
     for m in enumerate_positive(GAUSS, 2, 3):
         v = eval_multiplier(d, m, QQ)
-        assert v == m.det()
+        assert v == m.det_exact.u
