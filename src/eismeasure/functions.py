@@ -78,9 +78,11 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 class GnPoint:
     """A point of the pair domain, exact and/or p-adic.
 
-    ``x_is_unit``, ``y_is_invertible`` and ``det_y_exact`` are computed once
-    per point, so every function evaluated at the same point shares them; a
-    det(y) that is already known can be given to the constructor instead.
+    ``x_is_unit``, ``y_is_invertible``, ``det_y_exact``, the coset key of
+    each level and the translate by each unit are computed once per point,
+    so every function evaluated there shares them; a known det(y) can be
+    given to the constructor.  A cusp-rule point at norm one is stored on
+    its index (``qexp._rule_point``) and lives as long as the enumeration.
     """
 
     field: FieldData
@@ -119,6 +121,15 @@ class GnPoint:
         return (self.field.sigma_residue(self.x, j),
                 self.field.sigma_bar_residue(self.x, j))
 
+    def coset_key(self, j: int) -> tuple[XKey, YKey]:
+        """(x_key(j), y_key(j)), stored per level; a key that raises is not."""
+        key = self._coset_keys.get(j)
+        if key is None:
+            key = self._coset_keys[j] = (self.x_key(j), self.y_key(j))
+        return key
+
+    _coset_keys = _lazy(lambda self: {})  # level -> coset key
+
     # -- y accessors -------------------------------------------------------
     def y_key(self, j: int) -> YKey:
         if self.y_padic is not None:
@@ -138,7 +149,15 @@ class GnPoint:
         return mat_det(self.y)
 
     def unit_translate(self, e: KNum) -> "GnPoint":
-        """The translated point (e*x, relative-norm(e)^-1 * y)."""
+        """The translated point (e*x, relative-norm(e)^-1 * y), stored per e."""
+        moved = self._translates.get(e)
+        if moved is None:
+            moved = self._translates[e] = self._translate(e)
+        return moved
+
+    _translates = _lazy(lambda self: {})  # unit -> translated point
+
+    def _translate(self, e: KNum) -> "GnPoint":
         ne = norm_rel_exact(e, self.field)
         if self.x is not None:
             y2 = tuple(tuple(v / ne for v in row) for row in self.y)
@@ -218,7 +237,7 @@ class LCFunction(GnFunction):
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
-        key = (pt.x_key(self.level), pt.y_key(self.level))
+        key = pt.coset_key(self.level)
         if self.values is not None:
             v = self.values.get(key)
             return self.ring.zero() if v is None else v

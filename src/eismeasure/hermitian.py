@@ -86,7 +86,8 @@ class HermitianMatrix:
     """A Hermitian matrix with exact entries and rational diagonal.
 
     The exact determinant and the key are computed on first use and stored,
-    so every sweep over a memoised enumeration reads them.
+    so every sweep over a memoised enumeration reads them; so are the
+    cusp-rule points whose y is the matrix itself (``_points``).
     """
 
     field: FieldData
@@ -116,6 +117,8 @@ class HermitianMatrix:
     def det_exact(self) -> KNum:
         """The determinant as a (rational) field element."""
         return mat_det(self.entries)
+
+    _points = _lazy(lambda self: {})  # a -> the cusp-rule point (a, self)
 
     def trace(self) -> Fraction:
         t = sum((self.entries[i][i] for i in range(1, self.n)),

@@ -7,7 +7,9 @@ times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
 ``_expansions``, which builds each cusp-rule point once and evaluates
 every expansion of the same context there.  A point is built from integers
-and decides its unit and invertibility tests once; a rational coefficient
+and decides its unit and invertibility tests, coset keys and unit
+translates once; a point at norm one is stored on its memoised index, so
+later sweeps over the enumeration reuse it.  A rational coefficient
 is summed from the functions' integer (num, den) values into one Fraction.
 """
 
@@ -136,12 +138,16 @@ class QExpansion:
 def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
     """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced.
 
-    At norm 1 y is beta itself, and the point takes beta's stored det."""
+    At norm 1 y is beta itself: the point takes beta's stored det and is
+    stored on beta, so every later sweep over the enumeration reads it."""
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
     if nn == nd:
-        return GnPoint(field, beta.n, a, beta.entries,
-                       det_y_exact=beta.det_exact)
+        pt = beta._points.get(a)
+        if pt is None:
+            pt = beta._points[a] = GnPoint(field, beta.n, a, beta.entries,
+                                           det_y_exact=beta.det_exact)
+        return pt
     y = tuple([tuple([KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t)
                       for e in row]) for row in beta.entries])
     return GnPoint(field, len(y), a, y)

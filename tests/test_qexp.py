@@ -1,5 +1,6 @@
 """Expansions: construction, congruences, cusp re-indexing, normalization."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -321,42 +322,75 @@ def test_sweep_validates_every_job():
 
 
 def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
-    """A second job over the same context adds evaluations, not cusp-rule
-    calls, invertibility tests or split residues."""
-    counts = {"rule": 0, "residue": 0, "invertible": 0}
-    residue = FieldData.sigma_residue
-    invertible = GnPoint.y_is_invertible.fn
+    """The cusp rule runs once per index per sweep.  A point whose y is the
+    index itself is built once per enumeration: a second sweep, and a sweep
+    of a new function over the same context, make no invertibility test and
+    take no split residue there.  Each divisor-rule point at d > 1 is built
+    again, and tested once, in every sweep."""
+    counts = collections.Counter()
+    norm_one = set()  # ids of the enumerated indices' entries
+    inside = []  # is the point whose key is being read at norm one?
 
-    def counting_residue(self, a, j):
-        counts["residue"] += 1
-        return residue(self, a, j)
+    def counting(name, fn):
+        def wrapped(pt, *args):
+            at_one = id(pt.y) in norm_one
+            counts[name, at_one] += 1
+            inside.append(at_one)
+            try:
+                return fn(pt, *args)
+            finally:
+                inside.pop()
+        return wrapped
 
-    def counting_invertible(pt):
-        counts["invertible"] += 1
-        return invertible(pt)
+    def counting_residue(self, a, r, j, residue=FieldData._residue):
+        counts["residue", inside[-1] if inside else None] += 1
+        return residue(self, a, r, j)
 
-    monkeypatch.setattr(FieldData, "sigma_residue", counting_residue)
-    monkeypatch.setattr(GnPoint.y_is_invertible, "fn", counting_invertible)
+    monkeypatch.setattr(FieldData, "_residue", counting_residue)
+    for name in ("x_key", "y_key"):
+        monkeypatch.setattr(GnPoint, name, counting(name, getattr(GnPoint, name)))
+    monkeypatch.setattr(GnPoint.y_is_invertible, "fn", counting(
+        "invertible", GnPoint.y_is_invertible.fn))
+
+    def table(field, n, ring, c):
+        return LCFunction(field, n, ring, 2, y_invertible=True, rule=lambda
+                          xk, yk: ring.coerce(Fraction(c * xk[0] + yk[0], 7)))
+
     divisor = CuspData.divisor_rule(SYMPL)
+    mono = _rational_jobs(SYMPL, divisor, 60)[0]
+    contexts = [  # field, cusp, bound, jobs, a new function's job
+        (SYMPL, divisor, 60, [(table(SYMPL, 1, QQ, 3), Weight(1, 0)), mono],
+         [(table(SYMPL, 1, QQ, 2), Weight(2, 0))]),
+        (GAUSS, CuspData.single_term(GAUSS, 2), 4,
+         [(table(GAUSS, 2, ZP5, 3), Weight(2, 0))],
+         [(table(GAUSS, 2, ZP5, 4), Weight(3, 0))]),
+    ]
+    enumerate_positive.cache_clear()  # no earlier test warms the points
+    for field, plain, bound, jobs, new in contexts:
+        def counting_rule(beta, rule=plain.rule):
+            counts["rule"] += 1
+            return rule(beta)
 
-    def counting_rule(beta):
-        counts["rule"] += 1
-        return divisor.rule(beta)
-
-    cusp = CuspData(divisor.label, 1, counting_rule)
-    jobs = _rational_jobs(SYMPL, cusp, 60)[:2]
-    seen = []
-    for sweep in (jobs[:1], jobs):
-        counts.update(rule=0, residue=0, invertible=0)
-        _expansions(sweep, cusp, 60, SYMPL, validate=False)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[0]["rule"] == 60
-    # one invertibility test per cusp-rule point; x and the integral 1x1 y
-    # have denominators prime to p, so neither test takes a split residue
-    points = sum(len(divisor.rule(b)) for b in enumerate_positive(SYMPL, 1, 60))
-    assert seen[0]["invertible"] == points
-    assert seen[0]["residue"] == 0
+        cusp = CuspData(plain.label, plain.n, counting_rule)
+        betas = enumerate_positive(field, cusp.n, bound)
+        norm_one.update(id(b.entries) for b in betas)
+        others = sum(len(plain.rule(b)) - 1 for b in betas)
+        assert (others > 0) == (plain is divisor)
+        seen = []
+        for sweep in (jobs, jobs, new):
+            counts.clear()
+            _expansions(sweep, cusp, bound, field, validate=False)
+            seen.append(dict(counts))
+        first, *later = seen
+        assert first["rule"] == len(betas)
+        assert first["invertible", True] == len(betas)
+        assert first["residue", True] > 0
+        assert first.get(("invertible", False), 0) == others
+        for again in later:
+            assert again["rule"] == len(betas)
+            assert again.get(("invertible", True), 0) == 0
+            assert again.get(("residue", True), 0) == 0
+            assert again.get(("invertible", False), 0) == others
 
 
 #: The weights of the weight-shift benchmark, as in acceptance 04.
