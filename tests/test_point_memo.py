@@ -162,7 +162,7 @@ def test_interleaved_sweeps_over_stored_points_match_the_oracle(monkeypatch):
         for _ in range(3):
             runs.append((c, tuple(rng.sample(good, 3)), None, False))
     failed = 0
-    for round_ in range(2):
+    for _ in range(2):
         rng.shuffle(runs)
         for c, group, prec, validate in runs:
             field, cusp, bound = CONTEXTS[c]
