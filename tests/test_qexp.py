@@ -326,16 +326,18 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     index itself is built once per enumeration: a second sweep, and a sweep
     of a new function over the same context, make no invertibility test and
     take no split residue there.  Each divisor-rule point at d > 1 is built
-    again, and tested once, in every sweep."""
+    again, and tested once, in every sweep.  x and y have denominators prime
+    to p at every point here, so the unit and invertibility tests never take
+    a split residue, in any sweep."""
     counts = collections.Counter()
     norm_one = set()  # ids of the enumerated indices' entries
-    inside = []  # is the point whose key is being read at norm one?
+    inside = []  # (name, at norm one?) of each counted call under way
 
     def counting(name, fn):
         def wrapped(pt, *args):
             at_one = id(pt.y) in norm_one
             counts[name, at_one] += 1
-            inside.append(at_one)
+            inside.append((name, at_one))
             try:
                 return fn(pt, *args)
             finally:
@@ -343,14 +345,20 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
         return wrapped
 
     def counting_residue(self, a, r, j, residue=FieldData._residue):
-        counts["residue", inside[-1] if inside else None] += 1
+        # residues a unit or invertibility test takes, through its fallback
+        # to the keys or not, are counted apart from the coset keys'
+        if any(name in ("unit", "invertible") for name, _ in inside):
+            counts["test residue"] += 1
+        else:
+            counts["residue", inside[-1][1] if inside else None] += 1
         return residue(self, a, r, j)
 
     monkeypatch.setattr(FieldData, "_residue", counting_residue)
     for name in ("x_key", "y_key"):
         monkeypatch.setattr(GnPoint, name, counting(name, getattr(GnPoint, name)))
-    monkeypatch.setattr(GnPoint.y_is_invertible, "fn", counting(
-        "invertible", GnPoint.y_is_invertible.fn))
+    for name, test in (("unit", GnPoint.x_is_unit),
+                       ("invertible", GnPoint.y_is_invertible)):
+        monkeypatch.setattr(test, "fn", counting(name, test.fn))
 
     def table(field, n, ring, c):
         return LCFunction(field, n, ring, 2, y_invertible=True, rule=lambda
@@ -382,12 +390,15 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
             _expansions(sweep, cusp, bound, field, validate=False)
             seen.append(dict(counts))
         first, *later = seen
+        assert all(again.get("test residue", 0) == 0 for again in seen)
         assert first["rule"] == len(betas)
+        assert first["unit", True] == len(betas)
         assert first["invertible", True] == len(betas)
         assert first["residue", True] > 0
         assert first.get(("invertible", False), 0) == others
         for again in later:
             assert again["rule"] == len(betas)
+            assert again.get(("unit", True), 0) == 0
             assert again.get(("invertible", True), 0) == 0
             assert again.get(("residue", True), 0) == 0
             assert again.get(("invertible", False), 0) == others
