@@ -32,7 +32,7 @@ from .errors import (
     SupportNotInvertible,
 )
 from .fields import CMElt, FieldData, KNum, Weight
-from .hermitian import Matrix, _lazy, mat_det
+from .hermitian import Matrix, mat_det
 from .padic import PadicElt, _vp
 from .rings import CyclotomicRing, PadicRing, RationalRing, ring_from_tag
 
@@ -74,32 +74,27 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 # -- points -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
 class GnPoint:
     """A point of the pair domain, exact and/or p-adic.
 
-    ``x_is_unit``, ``y_is_invertible``, ``det_y_exact``, the coset key of
-    each level and the translate by each unit are computed once per point,
-    so every function evaluated there shares them; a known det(y) can be
-    given to the constructor.  A cusp-rule point at norm one is stored on
-    its index (``qexp._rule_point``) and lives as long as the enumeration.
+    A plain ``__slots__`` class, never hashed or compared (equality is
+    identity).  ``x_is_unit``, ``y_is_invertible``, ``det_y_exact``, the
+    coset key of each level and the translate by each unit are computed on
+    first use and kept in slots (None until then), so every function
+    evaluated there shares them; a known det(y) can be given to the
+    constructor.  The cusp-rule points are stored with their index
+    (``qexp._rule_terms``) and live as long as the enumeration.
     """
 
-    field: FieldData
-    n: int
-    x: KNum | None = None
-    y: Matrix | None = None
-    x_padic: CMElt | None = None
-    y_padic: tuple[tuple[PadicElt, ...], ...] | None = None
+    __slots__ = ("field", "n", "x", "y", "x_padic", "y_padic", "_det_y",
+                 "_unit", "_invertible", "_coset_keys", "_translates")
 
     def __init__(self, field, n, x=None, y=None, x_padic=None, y_padic=None,
                  *, det_y_exact=None):
-        # dict stores cost less than the frozen dataclass's __setattr__ calls
-        d = self.__dict__
-        d["field"], d["n"], d["x"], d["y"] = field, n, x, y
-        d["x_padic"], d["y_padic"] = x_padic, y_padic
-        if det_y_exact is not None:
-            d["det_y_exact"] = det_y_exact
+        self.field, self.n, self.x, self.y = field, n, x, y
+        self.x_padic, self.y_padic, self._det_y = x_padic, y_padic, det_y_exact
+        self._unit = self._invertible = None
+        self._coset_keys = self._translates = None
 
     @classmethod
     def from_exact(cls, field: FieldData, x: KNum, y: Matrix) -> "GnPoint":
@@ -123,12 +118,12 @@ class GnPoint:
 
     def coset_key(self, j: int) -> tuple[XKey, YKey]:
         """(x_key(j), y_key(j)), stored per level; a key that raises is not."""
+        if self._coset_keys is None:
+            self._coset_keys = {}
         key = self._coset_keys.get(j)
         if key is None:
             key = self._coset_keys[j] = (self.x_key(j), self.y_key(j))
         return key
-
-    _coset_keys = _lazy(lambda self: {})  # level -> coset key
 
     # -- y accessors -------------------------------------------------------
     def y_key(self, j: int) -> YKey:
@@ -142,20 +137,22 @@ class GnPoint:
             return mat_det(self.y_padic)
         return self.field.sigma_padic(self.det_y_exact, prec)
 
-    @_lazy
+    @property
     def det_y_exact(self) -> KNum:
-        if self.y is None:
-            raise RingMismatch("point has no exact part")
-        return mat_det(self.y)
+        if self._det_y is None:
+            if self.y is None:
+                raise RingMismatch("point has no exact part")
+            self._det_y = mat_det(self.y)
+        return self._det_y
 
     def unit_translate(self, e: KNum) -> "GnPoint":
         """The translated point (e*x, relative-norm(e)^-1 * y), stored per e."""
+        if self._translates is None:
+            self._translates = {}
         moved = self._translates.get(e)
         if moved is None:
             moved = self._translates[e] = self._translate(e)
         return moved
-
-    _translates = _lazy(lambda self: {})  # unit -> translated point
 
     def _translate(self, e: KNum) -> "GnPoint":
         ne = norm_rel_exact(e, self.field)
@@ -168,22 +165,28 @@ class GnPoint:
         y2 = tuple(tuple(v * ni for v in row) for row in self.y_padic)
         return GnPoint(self.field, self.n, x_padic=self.x_cm() * ec, y_padic=y2)
 
-    @_lazy
+    @property
     def x_is_unit(self) -> bool:
-        x, (r, rb), p = self.x, self.field.split_roots, self.field.p
-        # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
-        xk = ((x.a + x.b * r, x.a + x.b * rb) if x is not None and x.d % p
-              else self.x_key(1))
-        return xk[0] % p != 0 and xk[1] % p != 0
+        if self._unit is None:
+            x, (r, rb), p = self.x, self.field.split_roots, self.field.p
+            # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
+            xk = ((x.a + x.b * r, x.a + x.b * rb) if x is not None and x.d % p
+                  else self.x_key(1))
+            self._unit = xk[0] % p != 0 and xk[1] % p != 0
+        return self._unit
 
-    @_lazy
+    @property
     def y_is_invertible(self) -> bool:
-        y, p = self.y, self.field.p
-        # no p in a denominator: det(y) mod p is the det of the residues
-        if y is not None and all(e.d % p for row in y for e in row):
-            d = self.det_y_exact
-            return (d.a + d.b * self.field.split_roots[0]) % p != 0
-        return y_det_key(self.y_key(1), self.n, p) % p != 0
+        if self._invertible is None:
+            y, p = self.y, self.field.p
+            # no p in a denominator: det(y) mod p is the det of the residues
+            if y is not None and all(e.d % p for row in y for e in row):
+                d = self.det_y_exact
+                d = d.a + d.b * self.field.split_roots[0]
+            else:
+                d = y_det_key(self.y_key(1), self.n, p)
+            self._invertible = d % p != 0
+        return self._invertible
 
 
 # -- function classes ---------------------------------------------------------

@@ -86,8 +86,9 @@ class HermitianMatrix:
     """A Hermitian matrix with exact entries and rational diagonal.
 
     The exact determinant and the key are computed on first use and stored,
-    so every sweep over a memoised enumeration reads them; so are the
-    cusp-rule points whose y is the matrix itself (``_points``).
+    so every sweep over a memoised enumeration reads them.  So are the terms
+    of the last cusp rule swept here, ``_rule_terms = (rule, mults,
+    points)``: one slot, replaced by a sweep with another rule.
     """
 
     field: FieldData
@@ -118,7 +119,7 @@ class HermitianMatrix:
         """The determinant as a (rational) field element."""
         return mat_det(self.entries)
 
-    _points = _lazy(lambda self: {})  # a -> the cusp-rule point (a, self)
+    _rule_terms = None  # written by qexp._rule_terms
 
     def trace(self) -> Fraction:
         t = sum((self.entries[i][i] for i in range(1, self.n)),
@@ -218,7 +219,9 @@ class CuspData:
     """A cusp label together with its coefficient-sum rule.
 
     The rule maps a lattice matrix to a list of (a, multiplicity) pairs,
-    where a is an exact field element that is a p-adic unit.
+    where a is an exact field element that is a p-adic unit.  It must be a
+    pure function of the matrix: sweeps store its terms with the index, by
+    the rule's identity.  Each built-in cusp is made once per argument tuple.
     """
 
     label: str
@@ -226,6 +229,7 @@ class CuspData:
     rule: Callable[[HermitianMatrix], list[tuple[KNum, int]]]
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def single_term(cls, field: FieldData, n: int) -> "CuspData":
         one = field.K(1)
 
@@ -235,9 +239,11 @@ class CuspData:
         return cls("single", n, rule)
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def divisor_rule(cls, field: FieldData) -> "CuspData":
         """Katz-style rank-one rule: positive divisors prime to p, ascending."""
         p = field.p
+        ks = {}  # d -> field.K(d), shared by every index's terms
 
         def rule(beta: HermitianMatrix):
             t = beta.entries[0][0]  # the trace, read as an integer
@@ -251,6 +257,7 @@ class CuspData:
                     small.append(d)
                     if d * d != m:
                         large.append(m // d)
-            return [(field.K(d), 1) for d in small + large[::-1] if d % p != 0]
+            return [(ks.get(d) or ks.setdefault(d, field.K(d)), 1)
+                    for d in small + large[::-1] if d % p != 0]
 
         return cls("divisor", 1, rule)

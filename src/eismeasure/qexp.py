@@ -5,12 +5,13 @@ cusp rule: multiplicity times the coefficient function at the point
 (a, relnorm(a)^-1 * beta), times the weight norm of a^-1 * det(beta),
 times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
-``_expansions``, which builds each cusp-rule point once and evaluates
-every expansion of the same context there.  A point is built from integers
+``_expansions``, which evaluates every expansion of the same context at
+each cusp-rule point.  A memoised index stores the terms (multiplicities
+and points) of the rule last swept there, so the rule runs and each point
+is built once per enumeration and rule.  A point is built from integers
 and decides its unit and invertibility tests, coset keys and unit
-translates once; a point at norm one is stored on its memoised index, so
-later sweeps over the enumeration reuse it.  A rational coefficient
-is summed from the functions' integer (num, den) values into one Fraction.
+translates once.  A rational coefficient is summed from the functions'
+integer (num, den) values into one Fraction.
 """
 
 from __future__ import annotations
@@ -135,27 +136,43 @@ class QExpansion:
                    data["cusp"], int(data["trace_bound"]), ring, terms)
 
 
-def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
+def _rule_point(field: FieldData, a, beta: HermitianMatrix,
+                ys: dict | None = None) -> GnPoint:
     """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced.
 
-    At norm 1 y is beta itself: the point takes beta's stored det and is
-    stored on beta, so every later sweep over the enumeration reads it."""
+    At norm 1 y is beta itself, with its stored det; at rank one an integral
+    y is shared through ``ys`` (if given), keyed by its value."""
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
     if nn == nd:
-        pt = beta._points.get(a)
-        if pt is None:
-            pt = beta._points[a] = GnPoint(field, beta.n, a, beta.entries,
-                                           det_y_exact=beta.det_exact)
-        return pt
+        return GnPoint(field, beta.n, a, beta.entries,
+                       det_y_exact=beta.det_exact)
+    e = beta.entries[0][0]
+    if ys is not None and beta.n == 1 and nn and e.a * nd % (e.d * nn) == 0:
+        q = e.a * nd // (e.d * nn)
+        y = ys.get(q) or ys.setdefault(q, ((KNum(q, 0, 1, e.s, e.t),),))
+        return GnPoint(field, 1, a, y)
     y = tuple([tuple([KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t)
                       for e in row]) for row in beta.entries])
     return GnPoint(field, len(y), a, y)
 
 
+def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):
+    """(rule, mults, points) at beta, stored on beta for the last rule swept
+    there: a later sweep with that rule runs no rule and builds no point (a
+    point's x is its a).  Nothing is stored if the rule or a point raises."""
+    terms = beta._rule_terms
+    if terms is None or terms[0] is not rule:
+        pairs = rule(beta)
+        terms = (rule, tuple([mult for _, mult in pairs]),
+                 tuple([_rule_point(field, a, beta, ys) for a, _ in pairs]))
+        beta.__dict__["_rule_terms"] = terms
+    return terms
+
+
 def _sample_points(field: FieldData, cusp: CuspData, betas, count: int = 4):
-    return [_rule_point(field, a, beta)
-            for beta in betas[:count] for a, _ in cusp.rule(beta)[:2]]
+    return [pt for beta in betas[:count]
+            for pt in _rule_terms(field, cusp.rule, beta, None)[2][:2]]
 
 
 def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
@@ -172,9 +189,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 validate: bool = True) -> list[QExpansion]:
     """The expansions of several (f, w) jobs over one context, in one sweep.
 
-    The indices are enumerated once; at each index the cusp rule runs once
-    and each of its points is built once, then every job evaluates its
-    function there.  A job's terms are summed in cusp-rule order whatever
+    The indices are enumerated once; at each index the rule's stored points
+    are read (``_rule_terms`` builds them once), then every job evaluates
+    its function there.  A job's terms are summed in cusp-rule order whatever
     the other jobs are, so each expansion equals the one computed alone.
     The accumulator is the sweep's one per-ring algorithm, dispatched on
     the ring's type (``_ring_coefficient``): the rational ring sums the
@@ -196,23 +213,23 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                     f"{report.witness_text()}")
     coefficient = [_ring_coefficient.dispatch(type(f.ring)) for f, _ in jobs]
     terms = [{} for _ in jobs]
+    rule, ys = cusp.rule, {}
     for beta in betas:
         key, detb = beta.key(), beta.det_exact
-        points = [(a, mult, _rule_point(field, a, beta))
-                  for a, mult in cusp.rule(beta)]
+        _, mults, points = _rule_terms(field, rule, beta, ys)
         for (f, w), coeff, out in zip(jobs, coefficient, terms):
-            out[key] = (beta, coeff(f.ring, f, w, n, detb, points, field,
-                                    precision))
+            out[key] = (beta, coeff(f.ring, f, w, n, detb, mults, points,
+                                    field, precision))
     return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
             for (f, w), t in zip(jobs, terms)]
 
 
 @singledispatch
-def _ring_coefficient(ring, f, w, n, detb, points, field, precision):
+def _ring_coefficient(ring, f, w, n, detb, mults, points, field, precision):
     """The coefficient in the function's (p-adic) ring, term by term."""
     c = ring.zero()
-    for a, mult, pt in points:
-        fval = evaluate(f, pt, precision)
+    for mult, pt in zip(mults, points):
+        a, fval = pt.x, evaluate(f, pt, precision)
         if ring.is_zero(fval):
             continue
         bc = CMElt.embed(detb * a.inverse(), field)
@@ -225,17 +242,18 @@ def _ring_coefficient(ring, f, w, n, detb, points, field, precision):
 
 
 @_ring_coefficient.register
-def _qq_coefficient(ring: RationalRing, f, w, n, detb, points, field,
+def _qq_coefficient(ring: RationalRing, f, w, n, detb, mults, points, field,
                     precision) -> Fraction:
     """The rational coefficient, summed as one integer fraction from the
     function's unreduced (num, den) values."""
     dn, dd = detb.a, detb.d  # det(beta) is rational
     num, den = 0, 1
     pair = f.rational_pair
-    for a, mult, pt in points:
+    for mult, pt in zip(mults, points):
         fn, fd = pair(pt, precision)
         if fn == 0:
             continue
+        a = pt.x
         # b = det(beta)/a is rational exactly when a is
         if not a.is_rational:
             raise RingMismatch(

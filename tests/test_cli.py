@@ -270,3 +270,77 @@ def test_decompose_with_values_that_do_not_match_the_ring_is_usage_error(
     assert code == 2 and out == ""
     assert err.startswith("error: {'val': 0, 'unit': ")
     assert err.endswith("} is not a qq value\n")
+
+
+def _with_zero_denominator(path, tmp_path, where):
+    """The expansion at path with '1/0' as its first coefficient or as the
+    first coordinate of its first index."""
+    data = json.loads(open(path).read())
+    if where == "coeff":
+        data["terms"][0]["coeff"] = "1/0"
+    else:
+        data["terms"][0]["beta"][0][0][0] = "1/0"
+    out = tmp_path / f"zero_{where}.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+def _table_with_zero_denominator(tmp_path):
+    from fractions import Fraction
+
+    from eismeasure.fields import FieldData
+    from eismeasure.functions import LCFunction
+    from eismeasure.rings import QQ
+
+    table = LCFunction(FieldData(p=5, k_disc=-4), 1, QQ, 1,
+                       values={((1, 1), (1,)): Fraction(1, 2)}).to_json()
+    table["entries"][0]["value"] = "1/0"
+    path = tmp_path / "zero_table.json"
+    path.write_text(json.dumps(table))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["function", "table", "decompose", "coeff",
+                                  "beta"])
+def test_a_zero_denominator_in_the_input_is_usage_error(
+        tmp_path, capsys, rank_one_input, case):
+    """'1/0' in a function expression, a table value, or an expansion's
+    coefficient or index exits 2 with an error line, not a traceback."""
+    if case == "function":
+        argv = ["qexp", "--k", "1", "--function", "1/0*x^1"]
+    elif case in ("table", "decompose"):
+        table = _table_with_zero_denominator(tmp_path)
+        argv = (["qexp", "--k", "1", "--ring", "qq", "--bound", "4",
+                 "--function", "@" + table] if case == "table"
+                else ["decompose", "--table", table])
+    else:
+        argv = ["transform-cusp", "--mode", "symplectic", "--p", "5",
+                "--input", _with_zero_denominator(rank_one_input, tmp_path,
+                                                  case),
+                "--h", "[[[1,0]]]"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: Fraction(1, 0)\n"
+
+
+def test_a_table_finer_than_the_field_precision_is_usage_error(
+        tmp_path, capsys):
+    """A level-4 table on a precision-3 field needs residues the field does
+    not have: the sweep raises PrecisionUnavailable at its first rank-two
+    index with an irrational entry, and the command exits 2 naming it."""
+    import random
+
+    from eismeasure.fields import FieldData
+    from eismeasure.functions import random_lc_function
+
+    fld = FieldData(p=5, k_disc=-4, precision=3)
+    table = tmp_path / "level4.json"
+    table.write_text(json.dumps(
+        random_lc_function(fld, 2, 4, random.Random(1)).to_json()))
+    for command, extra in (("qexp", ["--k", "2"]), ("integrate", []),
+                           ("moment", [])):
+        code, out, err = run(capsys, command, "--n", "2", "--precision", "3",
+                             "--bound", "4", "--function", f"@{table}",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err == "error: (0+-1w) is known mod p^3, asked mod p^4\n"

@@ -1,9 +1,11 @@
 """Cusp-rule points stored on the memoised enumeration.
 
-A point whose y is the index itself is built once per enumeration and keeps
-its flags, coset keys and unit translates.  These tests hold the sweeps that
-reuse it to ``tests/qexp_oracle.py``, which builds fresh points on every call,
-check that an error is never stored, and bound what the memo keeps.
+Every index keeps the terms of the cusp rule it was last swept with, one
+slot ``(rule, mults, points)``: each point is built once per enumeration and
+rule and keeps its flags, coset keys and unit translates.  These tests hold
+the sweeps that reuse them to ``tests/qexp_oracle.py``, which builds fresh
+points on every call, check that an error is never stored, and bound what
+the memo keeps.
 """
 
 import gc
@@ -13,19 +15,26 @@ from fractions import Fraction
 
 import pytest
 
-from eismeasure.errors import EisMeasureError, PrecisionUnavailable
+from eismeasure.errors import (
+    EisMeasureError,
+    LatticeMismatch,
+    PrecisionUnavailable,
+)
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
     GnPoint,
     LCFunction,
     MonomialFunction,
+    check_equivariance,
+    check_unit_invariance,
+    h_to_f,
     norm_rel_exact,
     random_lc_function,
     symmetrize,
     weight_twist,
     y_det_key,
 )
-from eismeasure.hermitian import CuspData, enumerate_positive
+from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
 from eismeasure.measure import kummer_check
 from eismeasure.padic import PadicElt
 from eismeasure.qexp import _expansions
@@ -34,7 +43,14 @@ from qexp_oracle import oracle_qexp
 
 G3 = FieldData(p=5, k_disc=-4, precision=3)
 G12 = FieldData(p=5, k_disc=-4, precision=12)
+GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
+
+
+def _live_points():
+    """The number of GnPoint objects alive."""
+    gc.collect()
+    return sum(type(o) is GnPoint for o in gc.get_objects())
 
 
 def _fresh_point(field, a, beta):
@@ -100,6 +116,10 @@ CONTEXTS = [
                         (CuspData.divisor_rule(field), 20))
 ] + [(SYMPL, CuspData.single_term(SYMPL, 1), 12),
      (SYMPL, CuspData.divisor_rule(SYMPL), 30),
+     # single-term cusps on the divisor contexts' enumerations: a sweep of
+     # either replaces the other's stored points
+     (G3, CuspData.single_term(G3, 1), 20),
+     (SYMPL, CuspData.single_term(SYMPL, 1), 30),
      # two norm-one points per index, stored side by side
      (G3, CuspData("units", 2, lambda beta: [(G3.K(1), 1), (G3.K(0, 1), 2)]),
       4)]
@@ -193,39 +213,205 @@ def test_a_key_that_raises_raises_on_every_sweep():
         with pytest.raises(PrecisionUnavailable,
                            match=r"\(0\+-1w\) is known mod p\^3, asked mod p\^4"):
             _expansions([(f4, Weight(2, 0))], cusp, 4, field, validate=False)
-    # a stored level-4 key is one that exists; the others still raise
-    points = [pt for b in enumerate_positive(field, 2, 4)
-              for pt in b._points.values()]
-    missing = [pt for pt in points if 4 not in pt._coset_keys]
+    # a stored level-4 key is one that exists, and the others still raise
+    betas = enumerate_positive(field, 2, 4)
+    swept = [b for b in betas if b._rule_terms is not None]
+    assert swept and all(b._rule_terms[0] is cusp.rule for b in swept)
+    points = [pt for b in swept for pt in b._rule_terms[2]]
+    missing = [pt for pt in points if 4 not in (pt._coset_keys or {})]
     assert missing
     for pt in missing:
         with pytest.raises(PrecisionUnavailable):
             pt.coset_key(4)
-        assert 4 not in pt._coset_keys
+        assert 4 not in (pt._coset_keys or {})
     f3 = random_lc_function(field, 2, 3, random.Random(1))
     got, = _expansions([(f3, Weight(2, 0))], cusp, 4, field, validate=False)
     _assert_same(got, oracle_qexp(f3, Weight(2, 0), cusp, 4, field,
                                   validate=False))
+    # the level-3 sweep kept the points stored before it
+    kept = [pt for b in swept for pt in b._rule_terms[2]]
+    assert len(kept) == len(points)
+    assert all(pt is old for pt, old in zip(kept, points))
+    _slot_counts(cusp.rule, betas)
+    points = [pt for b in betas for pt in b._rule_terms[2]]
     assert all(3 in pt._coset_keys for pt in points if pt.y_is_invertible)
 
 
-def test_each_index_keeps_one_point_for_as_long_as_its_enumeration():
+def _slot_counts(rule, betas):
+    """(indices, points) of the slots on betas, each checked against rule:
+    the slot's rule is rule, its multiplicities are the rule's, and each
+    point's x is the rule's a itself."""
+    points = 0
+    for b in betas:
+        slot_rule, mults, pts = b._rule_terms
+        pairs = rule(b)
+        assert slot_rule is rule
+        assert mults == tuple(mult for _, mult in pairs)
+        assert len(pts) == len(pairs)
+        assert all(pt.x is a for pt, (a, _) in zip(pts, pairs))
+        points += len(pts)
+    return len(betas), points
+
+
+def test_each_index_keeps_one_slot_for_as_long_as_its_enumeration():
     """After the Kummer check and a rank-two single-term sweep every index
-    stores exactly one point; a new enumeration stores none, and the old
-    points go with the old memo entry."""
-    gauss = FieldData(p=5, k_disc=-4)
+    keeps one slot: the rule it was swept with and all of that rule's
+    points, the divisor rule's d > 1 points included.  The built-in cusps
+    are made once per argument tuple, so the Kummer check's rule is the
+    divisor rule.  The old points go with the old memo entry, and a new
+    enumeration stores none."""
     enumerate_positive.cache_clear()
     assert kummer_check(SYMPL, 4, 24, 1, 200).passed
-    mono = MonomialFunction(gauss, 2, QQ, Fraction(1), e_det=-1)
-    _expansions([(mono, Weight(2, 0))], CuspData.single_term(gauss, 2), 6,
-                gauss, validate=False)
-    old = [enumerate_positive(SYMPL, 1, 200), enumerate_positive(gauss, 2, 6)]
-    assert all(len(b._points) == 1 for betas in old for b in betas)
-    stored = weakref.ref(next(iter(old[0][0]._points.values())))
+    single = CuspData.single_term(GAUSS, 2)
+    mono = MonomialFunction(GAUSS, 2, QQ, Fraction(1), e_det=-1)
+    _expansions([(mono, Weight(2, 0))], single, 6, GAUSS, validate=False)
+    divisor = CuspData.divisor_rule(SYMPL)
+    assert divisor is CuspData.divisor_rule(SYMPL)
+    assert single is CuspData.single_term(GAUSS, 2)
+    assert single is not CuspData.single_term(GAUSS, 1)
+    indices, points = _slot_counts(divisor.rule,
+                                   enumerate_positive(SYMPL, 1, 200))
+    assert points > indices == 200  # d > 1 points are stored too
+    indices2, points2 = _slot_counts(single.rule,
+                                     enumerate_positive(GAUSS, 2, 6))
+    assert points2 == indices2 > 0
+    before = _live_points()
     enumerate_positive.cache_clear()
-    del old
-    gc.collect()
-    assert stored() is None
+    assert before - _live_points() == points + points2
     for betas in (enumerate_positive(SYMPL, 1, 200),
-                  enumerate_positive(gauss, 2, 6)):
-        assert not any("_points" in b.__dict__ for b in betas)
+                  enumerate_positive(GAUSS, 2, 6)):
+        assert all(b._rule_terms is None for b in betas)
+
+
+def test_a_new_rule_per_sweep_keeps_one_slot_per_index():
+    """Twenty Kummer-style sweeps, each with a new rule closure (as a traced
+    run makes one per job): each index keeps one slot, the last rule's, the
+    earlier rules' points are collected, and every sweep gives the same
+    expansions as the oracle."""
+    divisor = CuspData.divisor_rule(SYMPL)
+    jobs = [(h_to_f(MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=e)),
+             Weight(1, 0)) for e in (3, 23)]
+    enumerate_positive.cache_clear()
+    betas = enumerate_positive(SYMPL, 1, 200)
+    base = _live_points()
+    want = [oracle_qexp(f, w, divisor, 200, SYMPL, validate=False)
+            for f, w in jobs]
+    for _ in range(20):
+        cusp = CuspData("divisor", 1, lambda beta: divisor.rule(beta))
+        for got, q in zip(_expansions(jobs, cusp, 200, SYMPL, validate=False),
+                          want):
+            _assert_same(got, q)
+        indices, points = _slot_counts(cusp.rule, betas)
+        assert _live_points() - base == points > indices
+
+
+def _halved_divisors(beta):
+    """The divisor rule at beta / 2 from trace 7 on: trace 7 is the first
+    index whose rule raises LatticeMismatch (non-integral trace)."""
+    m = beta.entries[0][0].a
+    half = HermitianMatrix(SYMPL, ((SYMPL.K(Fraction(m, 2 if m > 6 else 1)),),))
+    return CuspData.divisor_rule(SYMPL).rule(half)
+
+
+def _zero_at_seven(beta):
+    """The divisor rule, with an element of norm 0 at trace 7, after 1 and
+    7: the point (0, ...) cannot be built."""
+    extra = [(SYMPL.K(0), 1)] if beta.entries[0][0].a == 7 else []
+    return CuspData.divisor_rule(SYMPL).rule(beta) + extra
+
+
+@pytest.mark.parametrize("rule, error, text", [
+    (_halved_divisors, LatticeMismatch,
+     r"Her\(\(\(\(7/2\+0w\),\),\)\) is not a rank-one index of integral trace"),
+    (_zero_at_seven, ZeroDivisionError, "KNum with denominator zero"),
+])
+def test_errors_are_never_stored(rule, error, text):
+    """A rule that raises, or whose element of norm 0 gives no point,
+    raises on every sweep, with and without validation, and leaves no slot
+    at that index; the indices before it keep their complete slots.  The
+    oracle raises the same error type."""
+    cusp = CuspData("broken", 1, rule)
+    mono = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
+    enumerate_positive.cache_clear()
+    betas = enumerate_positive(SYMPL, 1, 12)
+    for validate in (False, True, False):
+        with pytest.raises(error, match=text):
+            _expansions([(mono, Weight(3, 0))], cusp, 12, SYMPL,
+                        validate=validate)
+        assert [b._rule_terms is not None for b in betas] == \
+            [m < 7 for m in range(1, 13)]
+        _slot_counts(rule, betas[:6])
+    with pytest.raises(error):
+        oracle_qexp(mono, Weight(3, 0), cusp, 12, SYMPL, validate=False)
+
+
+def test_cusps_swept_alternately_match_the_oracle():
+    """Three cusps on one enumeration, swept in turn twice: the divisor
+    rule, the single-term cusp and a new closure around the divisor rule
+    (same label, another rule).  Each sweep replaces the slots with its own
+    rule's terms, and equals the oracle, in value or error, with and
+    without validation."""
+    passed = 0
+    for i, field in enumerate((G12, SYMPL)):
+        divisor = CuspData.divisor_rule(field)
+        cusps = [divisor, CuspData.single_term(field, 1),
+                 CuspData("divisor", 1, lambda beta, r=divisor.rule: r(beta))]
+        w = Weight(3, 1 if field.mode == "unitary" else 0)
+        jobs = [(MonomialFunction(field, 1, QQ, Fraction(1), e_xs=2, e_det=-1),
+                 w),
+                (MonomialFunction(field, 1, PadicRing(5, 12), Fraction(1),
+                                  e_xs=4, e_det=-2), Weight(5, 0)),
+                (symmetrize(random_lc_function(field, 1, 2, random.Random(i),
+                                               entries=8), w), w)]
+        enumerate_positive.cache_clear()
+        betas = enumerate_positive(field, 1, 20)
+        for validate in (False, True, False, True):
+            for cusp in cusps:
+                for f, w in jobs:
+                    got = _outcome(lambda: _expansions(
+                        [(f, w)], cusp, 20, field, validate=validate)[0])
+                    _assert_same(got, _outcome(lambda: oracle_qexp(
+                        f, w, cusp, 20, field, validate=validate)))
+                    passed += validate and not isinstance(got, tuple)
+                _slot_counts(cusp.rule, betas)
+    assert passed > 0
+
+
+def test_stored_points_are_lean_and_equal_fresh_points():
+    """Every stored point, d > 1 included, has no ``__dict__`` and equals
+    the oracle's fresh point in x, y, det(y), flags and coset keys; its unit
+    translates have no ``__dict__`` either.  At rank one, stored points at
+    norm other than 1 with one integral y share it.  A failing check names
+    a stored d > 1 point in the pinned witness text."""
+    for field, bound in ((G3, 20), (G12, 20), (GAUSS, 12), (SYMPL, 30)):
+        cusp = CuspData.divisor_rule(field)
+        mono = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
+        enumerate_positive.cache_clear()
+        _expansions([(mono, Weight(3, 0))], cusp, bound, field,
+                    validate=False)
+        ys = {}
+        for b in enumerate_positive(field, 1, bound):
+            for pt in b._rule_terms[2]:
+                want = _fresh_point(field, pt.x, b)
+                assert not hasattr(pt, "__dict__")
+                assert (pt.n, pt.x, pt.y) == (want.n, want.x, want.y)
+                assert pt.det_y_exact == want.det_y_exact
+                assert pt.x_is_unit == want.x_is_unit
+                assert pt.y_is_invertible == want.y_is_invertible
+                assert pt.coset_key(2) == (want.x_key(2), want.y_key(2))
+                for e in field.unit_group:
+                    assert not hasattr(pt.unit_translate(e), "__dict__")
+                if pt.y is not b.entries and pt.y[0][0].d == 1:
+                    assert ys.setdefault(pt.y[0][0].a, pt.y) is pt.y
+        assert len(ys) > 1
+        if field is GAUSS:  # the witness at the first failing d > 1 point
+            points = [pt for b in enumerate_positive(GAUSS, 1, 12)
+                      for pt in b._rule_terms[2] if pt.x != GAUSS.K(1)]
+            bad = random_lc_function(GAUSS, 1, 1, random.Random(2), entries=20)
+            assert check_equivariance(bad, Weight(3, 1),
+                                      points).witness_text() == (
+                "unit (-1+0w), x = (3+0w), y = (((1/3+0w),),): O(5^1) != "
+                "5^0*1 + O(5^1)")
+            assert check_unit_invariance(bad, points).witness_text() == (
+                "unit (-1+0w), x = (3+0w), y = (((1/3+0w),),): O(5^1) != "
+                "5^0*4 + O(5^1)")

@@ -30,7 +30,7 @@ from eismeasure.functions import (
     y_det_key,
 )
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
-from eismeasure import functions, hermitian, measure
+from eismeasure import fields, functions, hermitian, measure
 from eismeasure.measure import _zeta_multiplier, kummer_check
 from eismeasure.padic import PadicElt
 from eismeasure.qexp import (
@@ -322,43 +322,46 @@ def test_sweep_validates_every_job():
 
 
 def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
-    """The cusp rule runs once per index per sweep.  A point whose y is the
-    index itself is built once per enumeration: a second sweep, and a sweep
-    of a new function over the same context, make no invertibility test and
-    take no split residue there.  Each divisor-rule point at d > 1 is built
-    again, and tested once, in every sweep.  x and y have denominators prime
-    to p at every point here, so the unit and invertibility tests never take
-    a split residue, in any sweep."""
+    """The cusp rule runs once per index per enumeration, and each of its
+    points is built and tested once.  A second sweep, and a sweep of a new
+    function over the same context, run no rule, build no point, make no
+    unit or invertibility test and take no split residue, at norm one and
+    at the divisor rule's d > 1 points alike; over the rationals they build
+    no KNum either.  x and y have denominators prime to p at every point
+    here, so the unit and invertibility tests never take a split residue,
+    in any sweep."""
     counts = collections.Counter()
-    norm_one = set()  # ids of the enumerated indices' entries
-    inside = []  # (name, at norm one?) of each counted call under way
+    testing = []  # the unit or invertibility tests under way
 
-    def counting(name, fn):
-        def wrapped(pt, *args):
-            at_one = id(pt.y) in norm_one
-            counts[name, at_one] += 1
-            inside.append((name, at_one))
+    def counting_test(name, prop, slot):
+        def fget(pt):
+            counts[name] += getattr(pt, slot) is None  # made, not read
+            testing.append(name)
             try:
-                return fn(pt, *args)
+                return prop.fget(pt)
             finally:
-                inside.pop()
-        return wrapped
+                testing.pop()
+        return property(fget)
 
     def counting_residue(self, a, r, j, residue=FieldData._residue):
-        # residues a unit or invertibility test takes, through its fallback
-        # to the keys or not, are counted apart from the coset keys'
-        if any(name in ("unit", "invertible") for name, _ in inside):
-            counts["test residue"] += 1
-        else:
-            counts["residue", inside[-1][1] if inside else None] += 1
+        counts["test residue" if testing else "residue"] += 1
         return residue(self, a, r, j)
 
+    def counting_point(pt, *args, init=GnPoint.__init__, **kwargs):
+        counts["point"] += 1
+        init(pt, *args, **kwargs)
+
+    def counting_knum(*args, raw=fields._raw):
+        counts["knum"] += 1
+        return raw(*args)
+
     monkeypatch.setattr(FieldData, "_residue", counting_residue)
-    for name in ("x_key", "y_key"):
-        monkeypatch.setattr(GnPoint, name, counting(name, getattr(GnPoint, name)))
-    for name, test in (("unit", GnPoint.x_is_unit),
-                       ("invertible", GnPoint.y_is_invertible)):
-        monkeypatch.setattr(test, "fn", counting(name, test.fn))
+    monkeypatch.setattr(GnPoint, "__init__", counting_point)
+    monkeypatch.setattr(fields, "_raw", counting_knum)
+    for name, attr, slot in (("unit", "x_is_unit", "_unit"),
+                             ("invertible", "y_is_invertible", "_invertible")):
+        monkeypatch.setattr(GnPoint, attr, counting_test(
+            name, getattr(GnPoint, attr), slot))
 
     def table(field, n, ring, c):
         return LCFunction(field, n, ring, 2, y_invertible=True, rule=lambda
@@ -381,27 +384,28 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
 
         cusp = CuspData(plain.label, plain.n, counting_rule)
         betas = enumerate_positive(field, cusp.n, bound)
-        norm_one.update(id(b.entries) for b in betas)
-        others = sum(len(plain.rule(b)) - 1 for b in betas)
-        assert (others > 0) == (plain is divisor)
+        points = sum(len(plain.rule(b)) for b in betas)
+        assert (points > len(betas)) == (plain is divisor)
         seen = []
-        for sweep in (jobs, jobs, new):
+        for sweep in (jobs, jobs, new, None):
+            if sweep is None:  # a new enumeration starts cold
+                enumerate_positive.cache_clear()
+                sweep = jobs
             counts.clear()
             _expansions(sweep, cusp, bound, field, validate=False)
             seen.append(dict(counts))
-        first, *later = seen
+        first, *later, renewed = seen
         assert all(again.get("test residue", 0) == 0 for again in seen)
-        assert first["rule"] == len(betas)
-        assert first["unit", True] == len(betas)
-        assert first["invertible", True] == len(betas)
-        assert first["residue", True] > 0
-        assert first.get(("invertible", False), 0) == others
+        for cold in (first, renewed):
+            assert cold["rule"] == len(betas)
+            assert cold["point"] == cold["unit"] == cold["invertible"] == points
+            assert cold["residue"] > 0
+        zero = dict.fromkeys(("rule", "point", "unit", "invertible",
+                              "residue"), 0)
         for again in later:
-            assert again["rule"] == len(betas)
-            assert again.get(("unit", True), 0) == 0
-            assert again.get(("invertible", True), 0) == 0
-            assert again.get(("residue", True), 0) == 0
-            assert again.get(("invertible", False), 0) == others
+            assert {name: again.get(name, 0) for name in zero} == zero
+            if field is SYMPL:  # rational jobs: integers only
+                assert again.get("knum", 0) == 0
 
 
 #: The weights of the weight-shift benchmark, as in acceptance 04.
@@ -510,26 +514,29 @@ def _flag_test_betas(field):
 def test_rule_points_and_their_flags_match_the_old_definitions(field):
     """The integer-built point and its unit and invertibility tests equal
     the point built by dividing by the Fraction norm with the flags read
-    from the split residues: value, or exception type."""
+    from the split residues: value, or exception type.  So does the point
+    built with a y shared among rank-one points (``ys``)."""
     p = field.p
     trace_12 = HermitianMatrix(field, ((field.K(12),),))
     alphas = (list(field.unit_group)
               + [a for a, _ in CuspData.divisor_rule(field).rule(trace_12)]
               + [field.K(p), field.K(Fraction(1, p)), field.K(0)])
-    seen = set()
+    seen, ys = set(), {}
     for beta in _flag_test_betas(field):
         for a in alphas:
-            new = _outcome(lambda: _rule_point(field, a, beta))
             old = _outcome(lambda: _old_rule_point(field, a, beta))
-            if isinstance(old, type):
-                assert new is old
-                seen.add(("point", old))
-                continue
-            assert (new.n, new.x, new.y) == (old.n, old.x, old.y)
-            flags = (_outcome(lambda: new.x_is_unit),
-                     _outcome(lambda: new.y_is_invertible))
-            assert flags == _old_flags(old)
-            seen.update(enumerate(flags))
+            for new in (_outcome(lambda: _rule_point(field, a, beta)),
+                        _outcome(lambda: _rule_point(field, a, beta, ys))):
+                if isinstance(old, type):
+                    assert new is old
+                    seen.add(("point", old))
+                    continue
+                assert (new.n, new.x, new.y) == (old.n, old.x, old.y)
+                flags = (_outcome(lambda: new.x_is_unit),
+                         _outcome(lambda: new.y_is_invertible))
+                assert flags == _old_flags(old)
+                seen.update(enumerate(flags))
+    assert len(ys) > 1
     # a y that is not Hermitian can have a determinant off the rationals
     vs = range(-3, 4) if field.mode == "unitary" else (0,)
     for u, v, d in itertools.product(range(-3, 4), vs, (1, 2, p)):
