@@ -372,8 +372,9 @@ def _det_nonzero(e: list, n: int) -> bool:
     """Is det h != 0 for the Gaussian-integer block h with parts e?
 
     e holds the real and imaginary parts of the entries in row-major order.
-    det h is a Gaussian integer, of modulus 0 or at least 1, so for entries
-    in [-2, 2] this is the decision abs(np.linalg.det(h)) > 0.5.
+    The decision is the pass-by-pass loop's, abs(np.linalg.det(h)) > 0.5 on
+    the same complex array.  det h is a Gaussian integer, of modulus 0 or at
+    least 1, so for n <= 2 and entries in [-2, 2] it is decided exactly.
     """
     if n == 1:
         return e[0] != 0 or e[1] != 0
@@ -381,29 +382,8 @@ def _det_nonzero(e: list, n: int) -> bool:
         a, b, c, d, f, g, p, q = e
         # (a + bi)(p + qi) - (c + di)(f + gi)
         return a * p - b * q != c * f - d * g or a * q + b * p != c * g + d * f
-    # Bareiss elimination over the Gaussian integers, entries as (re, im)
-    a = [[(e[2 * (i * n + j)], e[2 * (i * n + j) + 1]) for j in range(n)]
-         for i in range(n)]
-    pr, pi = 1, 0
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
-        if pivot is None:
-            return False
-        a[k], a[pivot] = a[pivot], a[k]
-        kr, ki = a[k][k]
-        norm = pr * pr + pi * pi
-        for i in range(k + 1, n):
-            ir, ii = a[i][k]
-            for j in range(k + 1, n):
-                xr, xi = a[i][j]
-                yr, yi = a[k][j]
-                # (a_ij a_kk - a_ik a_kj) / previous pivot, exact in Z[i]
-                nr = xr * kr - xi * ki - (ir * yr - ii * yi)
-                ni = xr * ki + xi * kr - (ir * yi + ii * yr)
-                a[i][j] = ((nr * pr + ni * pi) // norm,
-                           (ni * pr - nr * pi) // norm)
-        pr, pi = kr, ki
-    return a[-1][-1] != (0, 0)
+    h = np.array(e, dtype=float).view(complex).reshape(n, n)
+    return bool(abs(np.linalg.det(h)) > 0.5)
 
 
 def _draw_generator(n: int, bits, data: list) -> int:

@@ -337,8 +337,8 @@ def archimedean_eigenvalue(k: int, d: int, n: int,
     """Eigenvalue constant of the det^d operator at scalar weight k.
 
     ``action``: i^(nd) * psi(-k - s) at s = k/2, the operator normalization.
-    ``weight_shift``: (i/2)^(nd) * prod over h <= n, j <= d of (-k - j + h),
-    the constant in front of the shifted-weight expansion.
+    ``weight_shift``: (i/2)^(nd) * psi(-k), the product over h <= n, j <= d
+    of (-k - j + h), the constant in front of the shifted-weight expansion.
     """
     hw = HighestWeight((d,) * n)
     deg = n * d
@@ -346,9 +346,5 @@ def archimedean_eigenvalue(k: int, d: int, n: int,
         val = psi_eval(hw, Fraction(-k) - Fraction(k, 2))
         return EigenvalueConstant(deg % 4, 0, val)
     if convention == "weight_shift":
-        val = Fraction(1)
-        for h in range(1, n + 1):
-            for j in range(1, d + 1):
-                val *= Fraction(-k - j + h)
-        return EigenvalueConstant(deg % 4, -deg, val)
+        return EigenvalueConstant(deg % 4, -deg, psi_eval(hw, Fraction(-k)))
     raise ValueError(f"unknown convention {convention!r}")

@@ -1,8 +1,10 @@
 """Hermitian matrices over the quadratic order, cusp rules, enumeration.
 
-Matrices are kept exact (entries are KNum).  Only sizes n <= 2 are
-supported for enumeration and conjugation; that is where the desk-scale
-expansions live.
+Matrices are kept exact (entries are KNum).  An index is a plain
+``__slots__`` object, like a point (``functions.GnPoint``): its determinant,
+its key and the terms of the last cusp rule swept there are stored in slots
+on first use.  Only sizes n <= 2 are supported for determinants and
+enumeration; that is where the desk-scale expansions live.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import LatticeMismatch, SingularMatrix, UnsupportedSize
+from .errors import LatticeMismatch, UnsupportedSize
 from .fields import FieldData, KNum
 
 Matrix = tuple[tuple[KNum, ...], ...]
@@ -40,38 +42,8 @@ def mat_det(a: Matrix) -> KNum:
     raise UnsupportedSize(f"determinant for n = {n} not supported")
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    d = mat_det(a)
-    if d.is_zero:
-        raise SingularMatrix("matrix is singular")
-    if n == 1:
-        return ((d.inverse(),),)
-    adj = ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    di = d.inverse()
-    return tuple(tuple(x * di for x in row) for row in adj)
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return tuple(tuple(x * c for x in row) for row in a)
-
-
-class _lazy:
-    """An attribute computed on first access and then stored on the
-    instance, as ``functools.cached_property`` does, but without its lock
-    (which Python 3.11 takes on every first access)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 def _coord_key(c: int, d: int):
@@ -81,28 +53,38 @@ def _coord_key(c: int, d: int):
     return str(Fraction(c, d))
 
 
-@dataclass(frozen=True, eq=False)
+def _entries_key(entries: Matrix) -> tuple:
+    """((u, v) per entry, row-major): integral coordinates as ints, the
+    others as Fraction strings."""
+    return tuple((e.a, e.b) if e.d == 1
+                 else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
+                 for row in entries for e in row)
+
+
 class HermitianMatrix:
     """A Hermitian matrix with exact entries and rational diagonal.
 
-    The exact determinant and the key are computed on first use and stored,
-    so every sweep over a memoised enumeration reads them.  So are the terms
-    of the last cusp rule swept here, ``_rule_terms = (rule, mults,
-    points)``: one slot, replaced by a sweep with another rule.
+    A plain ``__slots__`` class, compared entrywise and never hashed (its
+    ``key()`` is the hashable form).  The exact determinant and the key are
+    computed on first use and kept in slots (None until then), so every
+    sweep over a memoised enumeration reads them.  So are the terms of the
+    last cusp rule swept here, ``_rule_terms = (rule, mults, points)``
+    (written by ``qexp._rule_terms``): one slot, replaced by a sweep with
+    another rule.
     """
 
-    field: FieldData
-    entries: Matrix
+    __slots__ = ("field", "entries", "_det", "_key", "_rule_terms")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, field: FieldData, entries: Matrix):
+        n = len(entries)
         for i in range(n):
-            if not self.entries[i][i].is_rational:
+            if not entries[i][i].is_rational:
                 raise LatticeMismatch("diagonal entries must be rational")
             for j in range(n):
-                e, f = self.entries[i][j], self.entries[j][i]
-                if e.conj() != f:
+                if entries[i][j].conj() != entries[j][i]:
                     raise LatticeMismatch("matrix is not Hermitian")
+        self.field, self.entries = field, entries
+        self._det = self._key = self._rule_terms = None
 
     @property
     def n(self) -> int:
@@ -114,24 +96,17 @@ class HermitianMatrix:
         rows = tuple(tuple(field.K(u, v) for (u, v) in row) for row in pairs)
         return cls(field, rows)
 
-    @_lazy
+    @property
     def det_exact(self) -> KNum:
         """The determinant as a (rational) field element."""
-        return mat_det(self.entries)
-
-    _rule_terms = None  # written by qexp._rule_terms
+        if self._det is None:
+            self._det = mat_det(self.entries)
+        return self._det
 
     def trace(self) -> Fraction:
         t = sum((self.entries[i][i] for i in range(1, self.n)),
                 self.entries[0][0])
         return Fraction(t.a, t.d)  # the diagonal is rational
-
-    def leading_minor(self, j: int) -> Fraction:
-        sub = tuple(tuple(self.entries[a][b] for b in range(j))
-                    for a in range(j))
-        d = mat_det(sub)
-        assert d.is_rational
-        return d.u
 
     def is_integral(self) -> bool:
         return all(e.d == 1 for row in self.entries for e in row)
@@ -141,13 +116,9 @@ class HermitianMatrix:
 
         Integral coordinates appear as ints, the others as Fraction strings.
         """
+        if self._key is None:
+            self._key = _entries_key(self.entries)
         return self._key
-
-    @_lazy
-    def _key(self) -> tuple:
-        return tuple((e.a, e.b) if e.d == 1
-                     else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
-                     for row in self.entries for e in row)
 
     def __eq__(self, o):
         if not isinstance(o, HermitianMatrix):
@@ -156,11 +127,6 @@ class HermitianMatrix:
 
     def __repr__(self):
         return f"Her({self.entries!r})"
-
-
-def is_positive_definite(beta: HermitianMatrix) -> bool:
-    """Sylvester criterion on the exact leading principal minors."""
-    return all(beta.leading_minor(j) > 0 for j in range(1, beta.n + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,17 +163,9 @@ def enumerate_positive(field: FieldData, n: int,
     return tuple(out)
 
 
-def gl_conjugate(beta: HermitianMatrix, h: Matrix, lam) -> HermitianMatrix:
-    """Index change under a Levi element: lam^-1 * conj(h)^-T * beta * h^-1."""
-    hi = mat_inverse(h)
-    hct = mat_conj_transpose(hi)
-    m = mat_mul(mat_mul(hct, beta.entries), hi)
-    m = mat_scale(m, Fraction(1, 1) / Fraction(lam))
-    return HermitianMatrix(beta.field, m)
-
-
 def gl_conjugate_inverse(beta: HermitianMatrix, h: Matrix, lam) -> HermitianMatrix:
-    """Inverse of gl_conjugate with the same (h, lam)."""
+    """The index lam * conj(h)^T * beta * h under the Levi element (h, lam):
+    where ``qexp.cusp_transform`` moves the coefficient at beta."""
     hct = mat_conj_transpose(h)
     m = mat_mul(mat_mul(hct, beta.entries), h)
     m = mat_scale(m, Fraction(lam))

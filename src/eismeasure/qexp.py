@@ -166,7 +166,7 @@ def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):
         pairs = rule(beta)
         terms = (rule, tuple([mult for _, mult in pairs]),
                  tuple([_rule_point(field, a, beta, ys) for a, _ in pairs]))
-        beta.__dict__["_rule_terms"] = terms
+        beta._rule_terms = terms
     return terms
 
 
@@ -199,7 +199,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     term by term; all else about a ring is the ring's own (``rings.py``).
     """
     n = cusp.n
-    for _, w in jobs:
+    for f, w in jobs:
+        if f.n != n:
+            raise ShapeMismatch(f"a rank-{f.n} function at a rank-{n} cusp")
         if w.k < n:
             raise ValueError(f"weight {w.k} below the rank {n}")
     betas = enumerate_positive(field, n, trace_bound)
@@ -297,9 +299,11 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
     at gamma moves to lam * conj(h)^T * gamma * h.  The image indices need
     not be every index up to any trace, so the result keeps the source's
     trace bound: its terms are the images of the source indices of trace
-    at most that bound.  A singular h or lam = 0 is rejected, because it
-    would merge distinct indices.
+    at most that bound.  An h that is not n x n is rejected, and so is a
+    singular h or lam = 0, because it would merge distinct indices.
     """
+    if len(h) != q.n or any(len(row) != q.n for row in h):
+        raise ShapeMismatch(f"h is not {q.n} x {q.n}")
     if mat_det(h).is_zero or lam == 0:
         raise LatticeMismatch("the Levi element (h, lam) is singular")
     chi_data = chi_data or ChiData()

@@ -282,7 +282,7 @@ def test_exact_determinant_decision_matches_lapack():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_bareiss_decision_matches_lapack_on_a_sample(n):
+def test_levi_decision_at_n3_and_n4_matches_lapack_on_a_sample(n):
     rng = np.random.default_rng(n)
     blocks = rng.integers(-2, 3, size=(2000, n, n, 2))
     # a zero first entry (a pivot search), a zero column, a repeated row,
@@ -294,9 +294,9 @@ def test_bareiss_decision_matches_lapack_on_a_sample(n):
     blocks[800:1000, 2, :, 0], blocks[800:1000, 2, :, 1] = re - im, re + im
     parts = blocks.reshape(len(blocks), -1)
     lapack = (np.abs(np.linalg.det(_blocks(parts, n))) > 0.5).tolist()
-    exact = [automorphy._det_nonzero(e, n) for e in parts.tolist()]
-    assert exact == lapack
-    assert exact.count(False) >= 600
+    decided = [automorphy._det_nonzero(e, n) for e in parts.tolist()]
+    assert decided == lapack
+    assert decided.count(False) >= 600
 
 
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])

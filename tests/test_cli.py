@@ -1,9 +1,13 @@
 """Command line interface: exit codes and output schema."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eismeasure
 from eismeasure.cli import run_command
 
 
@@ -205,6 +209,66 @@ def test_transform_cusp_with_a_bad_matrix_is_usage_error(
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: argument --h: {message}" in out.err
+
+
+@pytest.mark.parametrize("rank, h", [
+    (2, "[[[1,0]]]"),
+    (1, "[[[1,0],[0,0]],[[0,0],[1,0]]]"),
+    (1, "[[[1,0],[0,0]]]")])
+def test_transform_cusp_with_an_h_of_the_wrong_shape_is_usage_error(
+        tmp_path, capsys, rank_one_input, rank, h):
+    """h must be n x n for a rank-n expansion: a 1x1 h on rank two or a 2x2
+    h on rank one raised IndexError, and a 1x2 h on rank one wrote 2x2
+    indices into a rank-one expansion."""
+    if rank == 2:
+        code, out, _ = run(capsys, "qexp", "--n", "2", "--k", "4",
+                           "--bound", "3", "--function", "const1")
+        assert code == 0 and len(json.loads(out)["terms"]) == 11
+        path = tmp_path / "q2.json"
+        path.write_text(out)
+        argv = ["--input", str(path)]
+    else:
+        argv = ["--mode", "symplectic", "--p", "5", "--input", rank_one_input]
+    code, out, err = run(capsys, "transform-cusp", *argv, "--h", h)
+    assert code == 2 and out == ""
+    assert err == f"error: h is not {rank} x {rank}\n"
+
+
+@pytest.mark.parametrize("command, k", [("qexp", 4), ("integrate", 0)])
+def test_a_function_of_another_rank_than_the_cusp_is_usage_error(
+        tmp_path, capsys, command, k):
+    """A symmetrized rank-one table at a rank-two cusp exits 2 instead of
+    writing an expansion whose every coefficient is zero; at rank one the
+    same table gives an expansion."""
+    import random
+
+    from eismeasure.fields import FieldData, Weight
+    from eismeasure.functions import random_lc_function, symmetrize
+
+    fld = FieldData(p=5, k_disc=-4)
+    table = tmp_path / "rank1.json"
+    table.write_text(json.dumps(symmetrize(
+        random_lc_function(fld, 1, 1, random.Random(1)),
+        Weight(k, 0)).to_json()))
+    extra = ["--k", str(k)] if command == "qexp" else []
+    argv = [command, "--bound", "3", "--function", f"@{table}", *extra]
+    code, out, _ = run(capsys, *argv, "--n", "1")
+    assert code == 0 and json.loads(out)["n"] == 1
+    code, out, err = run(capsys, *argv, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: a rank-1 function at a rank-2 cusp\n"
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_automorphy():
+    """numpy is for ``automorphy-selftest`` alone, which imports it when it
+    runs: every other command would pay its load time."""
+    src = os.path.dirname(os.path.dirname(eismeasure.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, eismeasure.cli; print(sorted(m for m in "
+            "('numpy', 'eismeasure.automorphy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command, extra", [

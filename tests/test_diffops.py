@@ -98,6 +98,20 @@ def test_archimedean_eigenvalue_conventions():
     assert ws.value == Fraction(-4)  # (-k - j + h) at j = h = 1
 
 
+
+def test_weight_shift_eigenvalue_is_the_product_over_h_and_j():
+    """(i/2)^(nd) times the product of (-k - j + h) over h <= n, j <= d."""
+    for k in range(12):
+        for d in range(5):
+            for n in range(1, 4):
+                want = Fraction(1)
+                for h in range(1, n + 1):
+                    for j in range(1, d + 1):
+                        want *= -k - j + h
+                ev = archimedean_eigenvalue(k, d, n, "weight_shift")
+                assert (ev.i_power, ev.two_power, ev.value) == \
+                    ((n * d) % 4, -n * d, want)
+
 def test_theta_apply_multiplies_by_multiplier_at_index():
     ctx = MeasureContext.rank_one(SYMPL, 8)
     h = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=3)

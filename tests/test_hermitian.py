@@ -14,8 +14,6 @@ from eismeasure.hermitian import (
     CuspData,
     HermitianMatrix,
     enumerate_positive,
-    is_positive_definite,
-    gl_conjugate,
     gl_conjugate_inverse,
 )
 
@@ -89,20 +87,26 @@ def test_determinant_and_minors():
     b = GAUSS.K(1, 1)
     m = HermitianMatrix(GAUSS, ((GAUSS.K(3), b), (b.conj(), GAUSS.K(2))))
     assert m.det_exact.u == Fraction(4)  # 6 - norm(1+i)
-    assert m.leading_minor(1) == Fraction(3)
-    assert is_positive_definite(m)
+    assert m.det_exact is m.det_exact  # stored on first use
+    # the leading principal minors are 3 and 4: positive definite
+    minors = [HermitianMatrix(GAUSS, tuple(row[:j] for row in m.entries[:j]))
+              .det_exact.u for j in (1, 2)]
+    assert minors == [Fraction(3), Fraction(4)]
 
 
 def test_gl_conjugate_roundtrip():
     b = GAUSS.K(1, 1)
     beta = HermitianMatrix(GAUSS, ((GAUSS.K(3), b), (b.conj(), GAUSS.K(2))))
     h = ((GAUSS.K(1), GAUSS.K(0, 1)), (GAUSS.K(0), GAUSS.K(1)))
+    h_inv = ((GAUSS.K(1), GAUSS.K(0, -1)), (GAUSS.K(0), GAUSS.K(1)))
     lam = Fraction(2)
-    gamma = gl_conjugate(beta, h, lam)
-    back = gl_conjugate_inverse(gamma, h, lam)
+    gamma = gl_conjugate_inverse(beta, h, lam)
+    # lam * conj(h)^T * beta * h
+    assert gamma.key() == ((6, 0), (2, 8), (2, -8), (14, 0))
+    back = gl_conjugate_inverse(gamma, h_inv, 1 / lam)
     assert back.key() == beta.key()
-    # the transform scales determinants by norm(det h) / lam^n
-    assert gamma.det_exact.u == beta.det_exact.u / lam**2
+    # the transform scales determinants by norm(det h) * lam^n
+    assert gamma.det_exact.u == beta.det_exact.u * lam**2
 
 
 def test_cusp_rules():

@@ -452,13 +452,13 @@ def test_a_second_sweep_reuses_each_index_s_determinant_and_key(
         counts["det"] += id(a) in betas
         return det(a)
 
-    def counting_key(beta, key=HermitianMatrix._key.fn):
+    def counting_key(entries, key=hermitian._entries_key):
         counts["key"] += 1
-        return key(beta)
+        return key(entries)
 
     for module in (hermitian, functions):
         monkeypatch.setattr(module, "mat_det", counting_mat_det)
-    monkeypatch.setattr(HermitianMatrix._key, "fn", counting_key)
+    monkeypatch.setattr(hermitian, "_entries_key", counting_key)
     enumerate_positive.cache_clear()
     betas.update(id(b.entries) for b in enumerate_positive(field, cusp.n,
                                                            bound))
