@@ -54,8 +54,10 @@ def _coord_key(c: int, d: int):
 
 
 def _entries_key(entries: Matrix) -> tuple:
-    """((u, v) per entry, row-major): integral coordinates as ints, the
-    others as Fraction strings."""
+    """((u, v) per entry, row-major).
+
+    Integral coordinates appear as ints, the others as Fraction strings.
+    """
     return tuple((e.a, e.b) if e.d == 1
                  else (_coord_key(e.a, e.d), _coord_key(e.b, e.d))
                  for row in entries for e in row)
@@ -112,10 +114,7 @@ class HermitianMatrix:
         return all(e.d == 1 for row in self.entries for e in row)
 
     def key(self) -> tuple:
-        """Canonical hashable form: ((u, v) per entry, row-major).
-
-        Integral coordinates appear as ints, the others as Fraction strings.
-        """
+        """Canonical hashable form (``_entries_key``), built once."""
         if self._key is None:
             self._key = _entries_key(self.entries)
         return self._key
