@@ -28,7 +28,6 @@ pass by pass, so a ``random`` module that draws differently fails it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 # tiny matrices need one OpenBLAS thread; idle ones busy-wait as numpy loads
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -50,12 +49,11 @@ def _t(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """A 2n-by-2n complex matrix with its similitude factor."""
 
-    matrix: np.ndarray
-    nu: float
+    def __init__(self, matrix: np.ndarray, nu: float):
+        self.matrix, self.nu = matrix, nu
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.matrix @ other.matrix, self.nu * other.nu)
@@ -171,15 +169,13 @@ def delta(z: np.ndarray):
     return np.real(np.linalg.det(eta_matrix(z) / 2)).tolist()
 
 
-@dataclass(frozen=True)
 class DomainPoint:
     """A point of the tube domain: i*(conj(z)^T - z) positive definite."""
 
-    z: np.ndarray
-
-    def __post_init__(self):
-        if _outside(self.z).any():
+    def __init__(self, z: np.ndarray):
+        if _outside(z).any():
             raise ValueError("point is not in the tube domain")
+        self.z = z
 
 
 def base_point(n: int) -> DomainPoint:
@@ -332,10 +328,9 @@ def section_infty(alpha: GroupElement, pt: DomainPoint, k: int, nu: int,
     return sec.value(0, delta(pt.z), k, nu, s)
 
 
-@dataclass(frozen=True)
 class CocycleReport:
-    residual: float
-    details: dict
+    def __init__(self, residual: float, details: dict):
+        self.residual, self.details = residual, details
 
 
 def cocycle_check(alpha: GroupElement, beta: GroupElement,

@@ -9,7 +9,6 @@ that basis is the coefficient multiplier applied to q-expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,12 +18,11 @@ from .hermitian import HermitianMatrix
 Monomial = tuple[int, ...]  # exponents of the n*n matrix entries, row-major
 
 
-@dataclass(frozen=True)
 class MatrixPolynomial:
     """Polynomial in the entries of an n-by-n matrix, rational coefficients."""
 
-    n: int
-    coeffs: dict  # Monomial -> Fraction
+    def __init__(self, n: int, coeffs: dict):
+        self.n, self.coeffs = n, coeffs  # Monomial -> Fraction
 
     @classmethod
     def variable(cls, n: int, a: int, b: int) -> "MatrixPolynomial":
@@ -163,17 +161,15 @@ def _perm_sign(perm) -> int:
 # -- highest weight bookkeeping -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HighestWeight:
     """Nonincreasing nonnegative integer tuple of length n (one place)."""
 
-    r: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a < b for a, b in zip(self.r, self.r[1:])):
+    def __init__(self, r: tuple[int, ...]):
+        if any(a < b for a, b in zip(r, r[1:])):
             raise ValueError("weights must be nonincreasing")
-        if any(a < 0 for a in self.r):
+        if any(a < 0 for a in r):
             raise ValueError("weights must be nonnegative")
+        self.r = r
 
     @property
     def n(self) -> int:
@@ -323,13 +319,11 @@ def theta_apply(qexp, mult: MatrixPolynomial):
     return qexp.replace_terms(out)
 
 
-@dataclass(frozen=True)
 class EigenvalueConstant:
     """i^i_power * 2^two_power * value, one archimedean place."""
 
-    i_power: int
-    two_power: int
-    value: Fraction
+    def __init__(self, i_power: int, two_power: int, value: Fraction):
+        self.i_power, self.two_power, self.value = i_power, two_power, value
 
 
 def archimedean_eigenvalue(k: int, d: int, n: int,

@@ -20,7 +20,6 @@ claims no more digits than that gives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
@@ -238,39 +237,41 @@ def _hensel_root(s: int, t: int, p: int, prec: int) -> tuple[int, int]:
     return r, (s - r) % pk
 
 
-@dataclass(frozen=True)
 class FieldData:
     """Arithmetic context: prime, discriminant, precision and mode."""
 
-    p: int
-    k_disc: int = -4
-    precision: int = DEFAULT_PRECISION
-    mode: str = "unitary"
-    omega_s: int = dc_field(init=False, default=0)
-    omega_t: int = dc_field(init=False, default=0)
-    split_roots: tuple[int, int] = dc_field(init=False, default=(0, 0))
-
-    def __post_init__(self):
-        if self.mode not in ("unitary", "symplectic"):
-            raise FieldDataError(f"unknown mode {self.mode!r}")
-        if not _is_prime(self.p) or self.p == 2:
-            raise FieldDataError(f"p = {self.p} is not an odd prime")
-        if self.precision < 1:
+    def __init__(self, p: int, k_disc: int = -4,
+                 precision: int = DEFAULT_PRECISION, mode: str = "unitary"):
+        if mode not in ("unitary", "symplectic"):
+            raise FieldDataError(f"unknown mode {mode!r}")
+        if not _is_prime(p) or p == 2:
+            raise FieldDataError(f"p = {p} is not an odd prime")
+        if precision < 1:
             raise FieldDataError("precision must be >= 1")
-        if self.mode == "symplectic":
-            object.__setattr__(self, "k_disc", 1)
+        self.p, self.precision, self.mode = p, precision, mode
+        if mode == "symplectic":
+            self.k_disc, self.omega_s, self.omega_t = 1, 0, 0
+            self.split_roots = (0, 0)
             return
-        if self.k_disc not in _OMEGA_PARAMS:
-            raise FieldDataError(f"unsupported discriminant {self.k_disc}")
-        if self.k_disc % self.p == 0:
-            raise FieldDataError(f"p = {self.p} ramifies")
-        if pow(self.k_disc % self.p, (self.p - 1) // 2, self.p) != 1:
-            raise FieldDataError(f"p = {self.p} is not split")
-        s, t = _OMEGA_PARAMS[self.k_disc]
-        object.__setattr__(self, "omega_s", s)
-        object.__setattr__(self, "omega_t", t)
-        object.__setattr__(self, "split_roots",
-                           _hensel_root(s, t, self.p, self.precision))
+        if k_disc not in _OMEGA_PARAMS:
+            raise FieldDataError(f"unsupported discriminant {k_disc}")
+        if k_disc % p == 0:
+            raise FieldDataError(f"p = {p} ramifies")
+        if pow(k_disc % p, (p - 1) // 2, p) != 1:
+            raise FieldDataError(f"p = {p} is not split")
+        self.k_disc = k_disc
+        self.omega_s, self.omega_t = s, t = _OMEGA_PARAMS[k_disc]
+        self.split_roots = _hensel_root(s, t, p, precision)
+
+    # equal contexts share the enumeration and cusp-rule memo entries
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldData):
+            return NotImplemented
+        return ((self.p, self.k_disc, self.precision, self.mode)
+                == (other.p, other.k_disc, other.precision, other.mode))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.k_disc, self.precision, self.mode))
 
     @classmethod
     def from_config(cls, source) -> "FieldData":
@@ -365,21 +366,28 @@ def _at_root(a: KNum, r: int) -> tuple[int, int]:
     return num, den
 
 
-@dataclass(frozen=True)
 class Weight:
     """Scalar weight k with auxiliary twist exponent nu (one archimedean place)."""
 
-    k: int
-    nu: int = 0
+    def __init__(self, k: int, nu: int = 0):
+        self.k, self.nu = k, nu
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return (self.k, self.nu) == (other.k, other.nu)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.nu))
 
 
-@dataclass(frozen=True, eq=False)
 class CMElt:
     """A completed-field element as its pair of split components."""
 
-    field: FieldData
-    xs: PadicElt  # first-root component
-    xb: PadicElt  # second-root component
+    __slots__ = ("field", "xs", "xb")  # xs, xb: first- and second-root components
+
+    def __init__(self, field: FieldData, xs: PadicElt, xb: PadicElt):
+        self.field, self.xs, self.xb = field, xs, xb
 
     @classmethod
     def embed(cls, a: KNum, field: FieldData, prec: int | None = None) -> "CMElt":

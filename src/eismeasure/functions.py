@@ -20,7 +20,6 @@ coset's value by it, and any other function is multiplied by its value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
@@ -195,10 +194,9 @@ class GnPoint:
 class GnFunction:
     """Base class; subclasses implement evaluate(pt, j)."""
 
-    field: FieldData
-    n: int
-    ring: object
-    y_invertible: bool = False
+    def __init__(self, field: FieldData, n: int, ring, y_invertible=False):
+        self.field, self.n, self.ring = field, n, ring
+        self.y_invertible = y_invertible
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         raise NotImplementedError
@@ -213,7 +211,6 @@ class GnFunction:
                                  ((1, self), (1, other)))
 
 
-@dataclass(frozen=True, eq=False)
 class LCFunction(GnFunction):
     """Locally constant function at a finite level.
 
@@ -221,19 +218,15 @@ class LCFunction(GnFunction):
     mean zero.  Alternatively ``rule`` computes the value from the cosets.
     """
 
-    field: FieldData
-    n: int
-    ring: object
-    level: int
-    values: dict | None = None
-    rule: Callable[[XKey, YKey], object] | None = None
-    y_invertible: bool = False
-
-    def __post_init__(self):
-        if (self.values is None) == (self.rule is None):
+    def __init__(self, field, n, ring, level: int, values: dict | None = None,
+                 rule: Callable[[XKey, YKey], object] | None = None,
+                 y_invertible=False):
+        if (values is None) == (rule is None):
             raise ValueError("exactly one of values/rule required")
-        if self.level < 1:
+        if level < 1:
             raise LevelMismatch("level must be >= 1")
+        super().__init__(field, n, ring, y_invertible)
+        self.level, self.values, self.rule = level, values, rule
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         if not pt.x_is_unit:
@@ -270,33 +263,22 @@ class LCFunction(GnFunction):
                    y_invertible=data.get("support") == "y_invertible")
 
 
-@dataclass(frozen=True, eq=False)
 class MonomialFunction(GnFunction):
     """coef * xs^e_xs * xb^e_xb * det(y)^e_det, exact where the point is."""
 
-    field: FieldData
-    n: int
-    ring: object
-    coef: object
-    e_xs: int = 0
-    e_xb: int = 0
-    e_det: int = 0
-    y_invertible: bool = dc_field(default=False)
-
-    def __post_init__(self):
-        if self.e_det < 0:
-            object.__setattr__(self, "y_invertible", True)
-        if self.field.mode == "symplectic" and self.e_xb != 0:
-            object.__setattr__(self, "e_xs", self.e_xs + self.e_xb)
-            object.__setattr__(self, "e_xb", 0)
+    def __init__(self, field, n, ring, coef, e_xs: int = 0, e_xb: int = 0,
+                 e_det: int = 0, y_invertible=False):
+        super().__init__(field, n, ring, y_invertible or e_det < 0)
+        if field.mode == "symplectic":
+            e_xs, e_xb = e_xs + e_xb, 0
+        self.coef, self.e_xs, self.e_xb, self.e_det = coef, e_xs, e_xb, e_det
         # what rational_pair reads at every point: the coefficient's
         # numerator and denominator (None unless rational), and the exponents
         # of a rational x, where xs = xb = x, and of det(y)
-        c = self.coef
-        object.__setattr__(self, "_pair_consts", (
-            (c.numerator, c.denominator)
-            if isinstance(c, (int, Fraction)) else None,
-            self.e_xs + self.e_xb, self.e_det))
+        self._pair_consts = (
+            (coef.numerator, coef.denominator)
+            if isinstance(coef, (int, Fraction)) else None,
+            e_xs + e_xb, e_det)
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         if isinstance(self.ring, RationalRing):  # from the integer pair
@@ -361,16 +343,13 @@ class MonomialFunction(GnFunction):
                           y_invertible=self.y_invertible)
 
 
-@dataclass(frozen=True, eq=False)
 class ProductFunction(GnFunction):
     """Pointwise product of a base function and a multiplier callable."""
 
-    field: FieldData
-    n: int
-    ring: object
-    base: GnFunction
-    multiplier: Callable[[GnPoint, object], object]
-    y_invertible: bool = False
+    def __init__(self, field, n, ring, base: GnFunction,
+                 multiplier: Callable[[GnPoint, object], object], y_invertible=False):
+        super().__init__(field, n, ring, y_invertible)
+        self.base, self.multiplier = base, multiplier
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         if self.y_invertible and not pt.y_is_invertible:
@@ -381,16 +360,12 @@ class ProductFunction(GnFunction):
         return v * self.multiplier(pt, self.ring)
 
 
-@dataclass(frozen=True, eq=False)
 class LinearCombination(GnFunction):
-    field: FieldData
-    n: int
-    ring: object
-    terms: tuple  # of (scalar, GnFunction)
+    """A sum of (scalar, GnFunction) terms; y-invertible when every term is."""
 
-    @property
-    def y_invertible(self):
-        return all(f.y_invertible for _, f in self.terms)
+    def __init__(self, field, n, ring, terms: tuple):
+        super().__init__(field, n, ring, all(f.y_invertible for _, f in terms))
+        self.terms = terms
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
         out = self.ring.zero()
@@ -399,15 +374,13 @@ class LinearCombination(GnFunction):
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class ContinuousFunction(GnFunction):
     """A continuous function given through its truncation oracle."""
 
-    field: FieldData
-    n: int
-    ring: object
-    oracle: Callable[[int], GnFunction]
-    y_invertible: bool = False
+    def __init__(self, field, n, ring, oracle: Callable[[int], GnFunction],
+                 y_invertible=False):
+        super().__init__(field, n, ring, y_invertible)
+        self.oracle = oracle
 
     def truncate(self, j: int) -> GnFunction:
         return self.oracle(j)
@@ -568,13 +541,12 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
 # -- unit equivariance ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EquivarianceReport:
     """A failed check's witness is (unit, point, value at the moved point,
     value it should equal)."""
 
-    passed: bool
-    witness: tuple | None = None
+    def __init__(self, passed: bool, witness: tuple | None = None):
+        self.passed, self.witness = passed, witness
 
     def witness_text(self) -> str:
         """The witness as the unit, the point's x and y, and the two values."""
@@ -703,14 +675,11 @@ def teichmuller(u: int, p: int, prec: int) -> PadicElt:
     return PadicElt(p, 0, x, prec)
 
 
-@dataclass(frozen=True)
 class UnitCharacter:
     """A finite-order character on the units mod p^level, extended by zero."""
 
-    p: int
-    level: int
-    ring: object
-    values: dict[int, object]
+    def __init__(self, p: int, level: int, ring, values: dict[int, object]):
+        self.p, self.level, self.ring, self.values = p, level, ring, values
 
     def __call__(self, residue: int):
         r = residue % self.p ** self.level
@@ -790,19 +759,16 @@ def character_decompose(f: LCFunction):
     return components
 
 
-@dataclass(frozen=True)
 class PartitionSpec:
     """An ordered partition of n with one unit character per part."""
 
-    n: int
-    parts: tuple[int, ...]
-    characters: tuple[UnitCharacter, ...]
-
-    def __post_init__(self):
-        if sum(self.parts) != self.n:
+    def __init__(self, n: int, parts: tuple[int, ...],
+                 characters: tuple[UnitCharacter, ...]):
+        if sum(parts) != n:
             raise ValueError("parts must sum to n")
-        if len(self.parts) != len(self.characters):
+        if len(parts) != len(characters):
             raise ValueError("one character per part required")
+        self.n, self.parts, self.characters = n, parts, characters
 
 
 def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharacter],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -171,7 +170,6 @@ def gl_conjugate_inverse(beta: HermitianMatrix, h: Matrix, lam) -> HermitianMatr
     return HermitianMatrix(beta.field, m)
 
 
-@dataclass(frozen=True)
 class CuspData:
     """A cusp label together with its coefficient-sum rule.
 
@@ -181,9 +179,9 @@ class CuspData:
     the rule's identity.  Each built-in cusp is made once per argument tuple.
     """
 
-    label: str
-    n: int
-    rule: Callable[[HermitianMatrix], list[tuple[KNum, int]]]
+    def __init__(self, label: str, n: int,
+                 rule: Callable[[HermitianMatrix], list[tuple[KNum, int]]]):
+        self.label, self.n, self.rule = label, n, rule
 
     @classmethod
     @functools.lru_cache(maxsize=16)

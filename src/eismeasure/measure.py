@@ -9,10 +9,9 @@ multiplication) and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffops import MatrixPolynomial, theta_apply
+from .diffops import MatrixPolynomial, det_polynomial, theta_apply
 from .errors import EquivarianceViolation, HypothesisViolation, ShapeMismatch
 from .fields import FieldData, Weight
 from .functions import (
@@ -31,14 +30,13 @@ from .qexp import QExpansion, _expansions, _sample_points, eisenstein_qexp
 from .rings import QQ
 
 
-@dataclass(frozen=True)
 class MeasureContext:
     """Everything needed to integrate: field, rank, cusp and bounds."""
 
-    field: FieldData
-    cusp: CuspData
-    trace_bound: int
-    precision: int | None = None
+    def __init__(self, field: FieldData, cusp: CuspData, trace_bound: int,
+                 precision: int | None = None):
+        self.field, self.cusp = field, cusp
+        self.trace_bound, self.precision = trace_bound, precision
 
     @property
     def n(self) -> int:
@@ -115,28 +113,29 @@ def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
     """
     if d < 0:
         raise ValueError(f"the determinant power must be >= 0, got {d}")
-    from .diffops import det_polynomial
     n = ctx.n
-    mult = det_polynomial(n, n)
-    for _ in range(d - 1):
-        mult = mult * det_polynomial(n, n)
-    if d == 0:
-        mult = MatrixPolynomial.constant(n, 1)
+    det, mult = det_polynomial(n, n), MatrixPolynomial.constant(n, 1)
+    for _ in range(d):
+        mult = mult * det
     q = moment_zeta(h, mult, ctx, verify=verify)
     return QExpansion(q.field, q.n, Weight(n + 2 * d, -d), q.cusp_label,
                       q.trace_bound, q.ring, q.terms)
 
 
-@dataclass(frozen=True)
 class KummerReport:
     """On failure ``witness`` is the first failing coefficient pair: its
     ``trace``, the coefficients ``coeff_k`` and ``coeff_k2`` as strings, and
     the p-adic ``valuation`` of their difference."""
 
-    passed: bool
-    checked: int
-    witness: dict | None
-    modulus_exponent: int
+    def __init__(self, passed: bool, checked: int, witness: dict | None,
+                 modulus_exponent: int):
+        self.passed, self.checked = passed, checked
+        self.witness, self.modulus_exponent = witness, modulus_exponent
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KummerReport):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def kummer_check(field: FieldData, k: int, k2: int, m: int,

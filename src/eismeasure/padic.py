@@ -8,7 +8,6 @@ raises instead of silently producing negative valuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -35,27 +34,24 @@ def _vp(m, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, eq=False)
 class PadicElt:
     """A p-adic integer known to finite precision."""
 
-    p: int
-    val: int | None  # None encodes zero-at-precision
-    unit: int
-    prec: int  # relative precision of the unit part
+    # val is None for zero at precision; prec is the unit's relative precision
+    __slots__ = ("p", "val", "unit", "prec")
 
-    def __post_init__(self):
-        if self.prec < 1:
+    def __init__(self, p: int, val: int | None, unit: int, prec: int):
+        if prec < 1:
             raise PrecisionUnavailable("relative precision must be >= 1")
-        if self.val is not None:
-            if self.val < 0:
-                raise NegativeValuationResult(f"valuation {self.val} < 0")
-            u = self.unit % self.p**self.prec
-            if u % self.p == 0:
-                raise NotAUnit("unit part divisible by p")
-            object.__setattr__(self, "unit", u)
+        if val is None:
+            unit = 0
         else:
-            object.__setattr__(self, "unit", 0)
+            if val < 0:
+                raise NegativeValuationResult(f"valuation {val} < 0")
+            unit %= p**prec
+            if unit % p == 0:
+                raise NotAUnit("unit part divisible by p")
+        self.p, self.val, self.unit, self.prec = p, val, unit, prec
 
     # -- constructors ----------------------------------------------------
     @classmethod

@@ -17,7 +17,6 @@ integer (num, den) values into one Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
 
@@ -47,17 +46,14 @@ from .padic import PadicElt
 from .rings import RationalRing, ring_from_tag
 
 
-@dataclass(frozen=True, eq=False)
 class QExpansion:
     """Finitely many exact coefficients of an expansion at one cusp."""
 
-    field: FieldData
-    n: int
-    weight: Weight
-    cusp_label: str
-    trace_bound: int
-    ring: object
-    terms: dict  # beta key -> (HermitianMatrix, coefficient)
+    def __init__(self, field: FieldData, n: int, weight: Weight,
+                 cusp_label: str, trace_bound: int, ring, terms: dict):
+        self.field, self.n, self.weight = field, n, weight
+        self.cusp_label, self.trace_bound, self.ring = cusp_label, trace_bound, ring
+        self.terms = terms  # beta key -> (HermitianMatrix, coefficient)
 
     def coeff(self, beta: HermitianMatrix):
         """The coefficient at beta; 0 at an index within the trace bound
@@ -127,12 +123,15 @@ class QExpansion:
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "QExpansion":
         ring = ring_from_tag(data["ring"], field)
+        n = int(data["n"])
         terms = {}
         for t in data["terms"]:
-            beta = HermitianMatrix.from_pairs(field, t["beta"])
+            pairs = t["beta"]
+            if len(pairs) != n or any(len(row) != n for row in pairs):
+                raise ShapeMismatch(f"index {pairs} is not {n} x {n}")
+            beta = HermitianMatrix.from_pairs(field, pairs)
             terms[beta.key()] = (beta, ring.from_json(t["coeff"]))
-        return cls(field, int(data["n"]),
-                   Weight(*data.get("weight", [int(data["n"]), 0])),
+        return cls(field, n, Weight(*data.get("weight", [n, 0])),
                    data["cusp"], int(data["trace_bound"]), ring, terms)
 
 
@@ -271,13 +270,13 @@ def _qq_coefficient(ring: RationalRing, f, w, n, detb, mults, points, field,
 # -- cusp change ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ChiData:
     """Exact scalar prefactor with tracked powers of lambda and det(h)."""
 
-    scalar: Fraction = Fraction(1)
-    lam_power: int = 0
-    det_h_norm_power: int = 0
+    def __init__(self, scalar: Fraction = Fraction(1), lam_power: int = 0,
+                 det_h_norm_power: int = 0):
+        self.scalar, self.lam_power = scalar, lam_power
+        self.det_h_norm_power = det_h_norm_power
 
     def prefactor(self, h: Matrix, lam) -> Fraction:
         dh = mat_det(h)
@@ -324,7 +323,6 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
 # -- normalization bookkeeping ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NormalizationConstant:
     """Exact bookkeeping of the scalar in front of an expansion.
 
@@ -333,15 +331,19 @@ class NormalizationConstant:
     p-stabilized L-values are opaque tokens that enter inversely.
     """
 
-    rational_part: Fraction
-    two_power: int  # all powers of 2, including the 2-part of (2*pi)^(nk)
-    i_power: int
-    two_pi_power: int  # recorded exponent of (2*pi); informational
-    pi_power: int  # net power of pi
-    gamma_factorials: tuple[int, ...]
-    disc_powers: tuple  # symbolic leftovers: (base, Fraction exponent)
-    lvalue_tokens: tuple[str, ...]
-    euler_polynomials: dict
+    def __init__(self, rational_part: Fraction, two_power: int, i_power: int,
+                 two_pi_power: int, pi_power: int,
+                 gamma_factorials: tuple[int, ...], disc_powers: tuple,
+                 lvalue_tokens: tuple[str, ...], euler_polynomials: dict):
+        self.rational_part = rational_part
+        self.two_power = two_power  # all powers of 2, including the 2-part of (2*pi)^(nk)
+        self.i_power = i_power
+        self.two_pi_power = two_pi_power  # recorded exponent of (2*pi); informational
+        self.pi_power = pi_power  # net power of pi
+        self.gamma_factorials = gamma_factorials
+        self.disc_powers = disc_powers  # symbolic leftovers: (base, Fraction exponent)
+        self.lvalue_tokens = lvalue_tokens
+        self.euler_polynomials = euler_polynomials
 
 
 def leading_constant(field: FieldData, n: int) -> tuple[Fraction, int, tuple]:

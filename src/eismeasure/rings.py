@@ -7,7 +7,6 @@ are accepted everywhere as scalars.  A ring places exact field elements
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RingMismatch
@@ -37,12 +36,11 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class CycloElt:
     """An element of the m-th cyclotomic field as a vector mod Phi_m."""
 
-    m: int
-    coeffs: tuple[Fraction, ...]  # length deg Phi_m
+    def __init__(self, m: int, coeffs: tuple[Fraction, ...]):
+        self.m, self.coeffs = m, coeffs  # length deg Phi_m
 
     @classmethod
     def scalar(cls, m: int, c) -> "CycloElt":
@@ -176,15 +174,13 @@ class RationalRing:
         return Fraction(_checked(self, data, str))
 
 
-@dataclass(frozen=True)
 class PadicRing:
-    p: int
-    prec: int
     tag = "zp"
 
-    def __post_init__(self):
+    def __init__(self, p: int, prec: int):
+        self.p, self.prec = p, prec
         # one zero per ring: a PadicElt is immutable, so it can be shared
-        object.__setattr__(self, "_zero", PadicElt.zero(self.p, self.prec))
+        self._zero = PadicElt.zero(p, prec)
 
     def one(self):
         return PadicElt.one(self.p, self.prec)
@@ -226,10 +222,11 @@ class PadicRing:
         return PadicElt(self.p, data["val"], data["unit"], data["prec"])
 
 
-@dataclass(frozen=True)
 class CyclotomicRing:
-    m: int
     tag = "cyclo"
+
+    def __init__(self, m: int):
+        self.m = m
 
     def one(self):
         return CycloElt.scalar(self.m, 1)

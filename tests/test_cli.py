@@ -234,6 +234,25 @@ def test_transform_cusp_with_an_h_of_the_wrong_shape_is_usage_error(
     assert err == f"error: h is not {rank} x {rank}\n"
 
 
+@pytest.mark.parametrize("beta", [
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]]]])
+def test_an_expansion_file_with_an_index_of_the_wrong_shape_is_usage_error(
+        tmp_path, capsys, rank_one_input, beta):
+    """Every index of an expansion file must be n x n for the file's n: a
+    2x2 index in a rank-one file raised IndexError, and a 1x2 one was cut
+    down to 1x1 and written out."""
+    with open(rank_one_input) as fh:
+        data = json.load(fh)
+    data["terms"][0]["beta"] = beta
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                         "--p", "5", "--input", str(path), "--h", "[[[1,0]]]")
+    assert code == 2 and out == ""
+    assert err == f"error: index {beta} is not 1 x 1\n"
+
+
 @pytest.mark.parametrize("command, k", [("qexp", 4), ("integrate", 0)])
 def test_a_function_of_another_rank_than_the_cusp_is_usage_error(
         tmp_path, capsys, command, k):
@@ -261,11 +280,13 @@ def test_a_function_of_another_rank_than_the_cusp_is_usage_error(
 
 def test_importing_the_cli_loads_neither_numpy_nor_automorphy():
     """numpy is for ``automorphy-selftest`` alone, which imports it when it
-    runs: every other command would pay its load time."""
+    runs: every other command would pay its load time.  No class is a
+    dataclass, so ``dataclasses`` (and its ``inspect``) is not loaded either."""
     src = os.path.dirname(os.path.dirname(eismeasure.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, eismeasure.cli; print(sorted(m for m in "
-            "('numpy', 'eismeasure.automorphy') if m in sys.modules))")
+            "('numpy', 'eismeasure.automorphy', 'dataclasses') "
+            "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
