@@ -20,7 +20,6 @@ from .errors import (
     PrecisionUnavailable,
     RingMismatch,
     ShapeMismatch,
-    SingularMatrix,
     SpanNotClosed,
     SupportNotInvertible,
     UnsupportedSize,

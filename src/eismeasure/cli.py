@@ -154,10 +154,8 @@ def run_command(argv=None) -> int:
     except EquivarianceViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EisMeasureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, ZeroDivisionError) as exc:
+    except (EisMeasureError, OSError, ValueError, KeyError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

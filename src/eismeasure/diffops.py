@@ -215,11 +215,7 @@ def psi_z(hw: HighestWeight) -> list[Fraction]:
 
 
 def psi_eval(hw: HighestWeight, s: Fraction) -> Fraction:
-    out = Fraction(1)
-    for h in range(1, hw.n + 1):
-        for j in range(1, hw.r[h - 1] + 1):
-            out *= s - j + h
-    return out
+    return sum(c * s ** i for i, c in enumerate(psi_z(hw)))
 
 
 # -- cyclic span and the coefficient multiplier ---------------------------------

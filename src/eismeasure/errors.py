@@ -45,10 +45,6 @@ class UnsupportedSize(EisMeasureError):
     pass
 
 
-class SingularMatrix(EisMeasureError):
-    pass
-
-
 class LatticeMismatch(EisMeasureError):
     pass
 

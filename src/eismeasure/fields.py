@@ -291,9 +291,6 @@ class FieldData:
             raise FieldDataError("symplectic mode has no imaginary part")
         return _from_coords(u, v, self.omega_s, self.omega_t)
 
-    def one(self) -> KNum:
-        return self.K(1)
-
     @property
     def unit_group(self) -> tuple[KNum, ...]:
         """Integral units acting on cosets (totally positive in the split case)."""

@@ -21,6 +21,7 @@ coset's value by it, and any other function is multiplied by its value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 from .errors import (
@@ -272,21 +273,23 @@ class MonomialFunction(GnFunction):
         if field.mode == "symplectic":
             e_xs, e_xb = e_xs + e_xb, 0
         self.coef, self.e_xs, self.e_xb, self.e_det = coef, e_xs, e_xb, e_det
-        # what rational_pair reads at every point: the coefficient's
-        # numerator and denominator (None unless rational), and the exponents
-        # of a rational x, where xs = xb = x, and of det(y)
-        self._pair_consts = (
-            (coef.numerator, coef.denominator)
-            if isinstance(coef, (int, Fraction)) else None,
-            e_xs + e_xb, e_det)
 
     def evaluate(self, pt: GnPoint, j: int | None = None):
-        if isinstance(self.ring, RationalRing):  # from the integer pair
-            return Fraction(*self.rational_pair(pt, j))
         if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
+        if isinstance(self.ring, RationalRing):  # rational x: xs = xb = x
+            x, d = pt.x, pt.det_y_exact
+            if x is None or not x.is_rational:
+                raise RingMismatch("rational-ring monomials need a rational point")
+            if not d.is_rational:
+                raise RingMismatch("determinant is not rational")
+            if not isinstance(self.coef, (int, Fraction)):
+                raise RingMismatch("rational-ring monomials need a rational "
+                                   "coefficient")
+            return (self.coef * Fraction(x.a, x.d) ** (self.e_xs + self.e_xb)
+                    * Fraction(d.a, d.d) ** self.e_det)
         if not isinstance(self.ring, PadicRing):
             raise RingMismatch("monomials live over the rational or p-adic ring")
         xc = pt.x_cm(self.field.precision)
@@ -297,31 +300,6 @@ class MonomialFunction(GnFunction):
         if self.e_det:
             out = out * d ** self.e_det
         return out
-
-    def rational_pair(self, pt: GnPoint, j: int | None = None) -> tuple[int, int]:
-        """The value from the integer fields of x and det(y), unreduced."""
-        if not pt.x_is_unit:
-            raise NotAUnit("x coordinate must be a unit")
-        if self.y_invertible and not pt.y_is_invertible:
-            return 0, 1
-        x = pt.x
-        if x is None or not x.is_rational:
-            raise RingMismatch("rational-ring monomials need a rational point")
-        d = pt.det_y_exact
-        if not d.is_rational:
-            raise RingMismatch("determinant is not rational")
-        coef, ex, ed = self._pair_consts
-        if coef is None:
-            raise RingMismatch("rational-ring monomials need a rational "
-                               "coefficient")
-        num, den = coef
-        if ex >= 0:
-            num, den = num * x.a ** ex, den * x.d ** ex
-        else:
-            num, den = num * x.d ** -ex, den * x.a ** -ex
-        if ed >= 0:
-            return num * d.a ** ed, den * d.d ** ed
-        return num * d.d ** -ed, den * d.a ** -ed
 
     def truncate(self, j: int) -> LCFunction:
         """The level-j locally constant shadow of the monomial."""
@@ -785,11 +763,7 @@ def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharac
     ring = spec.characters[0].ring
     p = field.p
     pj = p ** level
-    cum = []
-    tot = 0
-    for part in spec.parts:
-        tot += part
-        cum.append(tot)
+    cum = list(accumulate(spec.parts))
 
     def rule(xk: XKey, yk: YKey):
         nx = x_norm_key(xk, field, pj)

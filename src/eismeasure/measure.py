@@ -150,8 +150,11 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     does not pass.
     """
     p = field.p
-    if k < 1 or k2 < 1:
-        raise HypothesisViolation("weights must be positive")
+    j = m + 1 if modulus_exponent is None else modulus_exponent
+    if k < 1 or k2 < 1 or m < 0 or j < 1:
+        raise HypothesisViolation("the weights and the modulus exponent must be"
+                                  f" positive and m >= 0, got k = {k}, k2 = "
+                                  f"{k2}, m = {m}, exponent {j}")
     if (k - k2) % ((p - 1) * p ** m) != 0:
         raise HypothesisViolation(
             f"{k} and {k2} are not congruent mod (p-1)p^{m}")
@@ -162,7 +165,6 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     w = Weight(1, 0)
     q1, q2 = _expansions([(h_to_f(h1), w), (h_to_f(h2), w)], ctx.cusp,
                          trace_bound, field, validate=False)
-    j = m + 1 if modulus_exponent is None else modulus_exponent
     # one pass over the sorted rank-one indices, each read as its trace
     checked, witness = 0, None
     for key, (beta, c1) in sorted(q1.terms.items()):

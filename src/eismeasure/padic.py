@@ -120,9 +120,7 @@ class PadicElt:
         m = (self.lift(ap) + other.lift(ap)) % self.p**ap
         if m == 0:
             return PadicElt.zero(self.p, ap)
-        v = _vp(m, self.p)
-        if v >= ap:
-            return PadicElt.zero(self.p, ap)
+        v = _vp(m, self.p)  # below ap, as 0 < m < p^ap
         return PadicElt(self.p, v, m // self.p**v, ap - v)
 
     def __neg__(self) -> "PadicElt":

@@ -10,15 +10,16 @@ each cusp-rule point.  A memoised index stores the terms (multiplicities
 and points) of the rule last swept there, so the rule runs and each point
 is built once per enumeration and rule.  A point is built from integers
 and decides its unit and invertibility tests, coset keys and unit
-translates once.  A rational coefficient is summed from the functions'
-integer (num, den) values into one Fraction.
+translates once.  A rational monomial's coefficient is a power sum of x
+over the points, reduced once (``_power_sum``); any other rational
+coefficient is summed from the function's (num, den) values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import singledispatch
+from functools import partial
 
 from .errors import (
     EquivarianceViolation,
@@ -30,6 +31,7 @@ from .fields import CMElt, FieldData, KNum, Weight, norm_weight
 from .functions import (
     GnFunction,
     GnPoint,
+    MonomialFunction,
     _congruent,
     check_equivariance,
     evaluate,
@@ -57,13 +59,17 @@ class QExpansion:
 
     def coeff(self, beta: HermitianMatrix):
         """The coefficient at beta; 0 at an index within the trace bound
-        that has no term.  An index above the bound was never computed."""
+        that has no term, but a ``cusp_transform`` image (``*levi``) covers
+        only its terms.  An index above the bound was never computed."""
         entry = self.terms.get(beta.key())
         if entry is not None:
             return entry[1]
         if beta.trace() > self.trace_bound:
             raise ShapeMismatch(f"index of trace {beta.trace()} is above the "
                                 f"trace bound {self.trace_bound}")
+        if self.cusp_label.endswith("*levi"):
+            raise ShapeMismatch(f"index of trace {beta.trace()} is outside "
+                                "the image of the cusp change")
         return self.ring.zero()
 
     def coeff_by_trace(self, m: int):
@@ -192,10 +198,10 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     are read (``_rule_terms`` builds them once), then every job evaluates
     its function there.  A job's terms are summed in cusp-rule order whatever
     the other jobs are, so each expansion equals the one computed alone.
-    The accumulator is the sweep's one per-ring algorithm, dispatched on
-    the ring's type (``_ring_coefficient``): the rational ring sums the
-    unreduced (num, den) pairs of ``rational_pair``, any other ring sums
-    term by term; all else about a ring is the ring's own (``rings.py``).
+    Each job's accumulator is chosen once (``_job_coefficient``): a rational
+    monomial sums x-powers (``_power_sum``), any other rational function
+    the pairs of ``rational_pair``, a p-adic one its terms; all else about
+    a ring is the ring's own (``rings.py``).
     """
     n = cusp.n
     for f, w in jobs:
@@ -212,23 +218,59 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 raise EquivarianceViolation(
                     "coefficient function fails unit equivariance at "
                     f"{report.witness_text()}")
-    coefficient = [_ring_coefficient.dispatch(type(f.ring)) for f, _ in jobs]
+    coefficient = [_job_coefficient(f, w, n, field, precision) for f, w in jobs]
     terms = [{} for _ in jobs]
     rule, ys = cusp.rule, {}
     for beta in betas:
         key, detb = beta.key(), beta.det_exact
         _, mults, points = _rule_terms(field, rule, beta, ys)
-        for (f, w), coeff, out in zip(jobs, coefficient, terms):
-            out[key] = (beta, coeff(f.ring, f, w, n, detb, mults, points,
-                                    field, precision))
+        for coeff, out in zip(coefficient, terms):
+            out[key] = (beta, coeff(detb, mults, points))
     return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
             for (f, w), t in zip(jobs, terms)]
 
 
-@singledispatch
-def _ring_coefficient(ring, f, w, n, detb, mults, points, field, precision):
+def _job_coefficient(f, w, n, field, precision):
+    """The job's accumulator, (detb, mults, points) -> coefficient."""
+    if not isinstance(f.ring, RationalRing):
+        return partial(_ring_coefficient, f, w, n, field, precision)
+    if not (isinstance(f, MonomialFunction)
+            and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
+        return partial(_qq_coefficient, f, w.k, n, precision)
+    r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
+    return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
+                   f.e_det + w.k - n)
+
+
+def _power_sum(f, e, dexp, detb, mults, points) -> Fraction:
+    """coef * det(beta)^dexp * the sum of mult * x^e over the points where x
+    is a unit (and y invertible, if the monomial asks): at (x, x^-r * beta)
+    det(y) = det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k
+    / det(beta)^n.  A point where ``f.evaluate`` raises is handed to it."""
+    flip, e = e < 0, abs(e)  # (a/d)^-e = (d/a)^e
+    num, den, y_invertible = 0, 1, f.y_invertible
+    for mult, pt in zip(mults, points):
+        x = pt.x
+        if x.b or not pt.x_is_unit:  # evaluate raises, or is 0 off the y-support
+            f.evaluate(pt)
+            continue
+        if y_invertible and not pt.y_is_invertible:
+            continue
+        tn, td = (x.d, x.a) if flip else (x.a, x.d)
+        td = td ** e if td != 1 else 1
+        if td == den:  # every integral x when e >= 0
+            num += mult * tn ** e
+        else:  # over the lcm of the denominators
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + mult * tn ** e * (den // g), den // g * td
+    dn, dd = (detb.a, detb.d) if dexp >= 0 else (detb.d, detb.a)
+    return Fraction(num * f.coef.numerator * dn ** abs(dexp),
+                    den * f.coef.denominator * dd ** abs(dexp))
+
+
+def _ring_coefficient(f, w, n, field, precision, detb, mults, points):
     """The coefficient in the function's (p-adic) ring, term by term."""
-    c = ring.zero()
+    ring, c = f.ring, f.ring.zero()
     for mult, pt in zip(mults, points):
         a, fval = pt.x, evaluate(f, pt, precision)
         if ring.is_zero(fval):
@@ -242,11 +284,9 @@ def _ring_coefficient(ring, f, w, n, detb, mults, points, field, precision):
     return c
 
 
-@_ring_coefficient.register
-def _qq_coefficient(ring: RationalRing, f, w, n, detb, mults, points, field,
-                    precision) -> Fraction:
+def _qq_coefficient(f, k, n, precision, detb, mults, points) -> Fraction:
     """The rational coefficient, summed as one integer fraction from the
-    function's unreduced (num, den) values."""
+    function's (num, den) values."""
     dn, dd = detb.a, detb.d  # det(beta) is rational
     num, den = 0, 1
     pair = f.rational_pair
@@ -260,8 +300,8 @@ def _qq_coefficient(ring: RationalRing, f, w, n, detb, mults, points, field,
             raise RingMismatch(
                 "rational coefficients need rational norm arguments")
         # mult * f(pt) * b^k / det(beta)^n
-        tn = mult * fn * (dn * a.d) ** w.k * dd ** n
-        td = fd * (dd * a.a) ** w.k * dn ** n
+        tn = mult * fn * (dn * a.d) ** k * dd ** n
+        td = fd * (dd * a.a) ** k * dn ** n
         g = math.gcd(den, td)
         num, den = num * (td // g) + tn * (den // g), den // g * td
     return Fraction(num, den)

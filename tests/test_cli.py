@@ -39,6 +39,13 @@ def test_kummer_bad_hypothesis_is_usage_error(capsys):
     assert "congruent" in err
 
 
+def test_kummer_negative_m_is_usage_error(capsys):
+    code, out, err = run(capsys, "kummer", "--p", "5", "--k", "4",
+                         "--k2", "4", "--m", "-1", "--bound", "30")
+    assert code == 2 and out == ""
+    assert "m >= 0" in err
+
+
 def test_integrate_emits_sorted_terms(capsys):
     code, out, _ = run(capsys, "integrate", "--mode", "symplectic",
                        "--p", "5", "--n", "1", "--ring", "qq",

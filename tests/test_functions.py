@@ -211,7 +211,7 @@ def test_table_json_roundtrip():
     (Fraction(-1, 6), 1, -4)])
 def test_rational_monomial_values(coef, e_xs, e_det):
     """The value is coef * x^e * det(y)^e_det in Fraction arithmetic, and the
-    pair is that value unreduced."""
+    generic pair is that value."""
     f = MonomialFunction(SYMPL, 1, QQ, coef, e_xs=e_xs, e_det=e_det)
     for x, y in ((SYMPL.K(-2), Fraction(3, 4)), (SYMPL.K(Fraction(3, 7)),
                                                   Fraction(-6)),

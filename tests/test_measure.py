@@ -111,6 +111,14 @@ def test_kummer_check_rejects_bad_weight_pairs():
         kummer_check(SYMPL, 4, 8, 1, 10)  # congruent mod 4 but not mod 20
 
 
+@pytest.mark.parametrize("m, exponent", [(-1, None), (-2, 3), (0, 0),
+                                         (1, -1)])
+def test_kummer_check_rejects_a_negative_m_or_modulus_exponent(m, exponent):
+    # m = -1 used to pass over 24 coefficients, a congruence mod p^0
+    with pytest.raises(HypothesisViolation, match="m >= 0"):
+        kummer_check(SYMPL, 4, 4, m, 30, modulus_exponent=exponent)
+
+
 def test_kummer_witness_on_forced_failure():
     # weights congruent mod (p-1) only, checked at modulus p^2: must fail
     rep = kummer_check(SYMPL, 4, 8, 0, 40, modulus_exponent=2)

@@ -10,8 +10,10 @@ import pytest
 from eismeasure.diffops import det_polynomial
 from eismeasure.errors import (
     DenominatorDivisibleByP,
+    EisMeasureError,
     EquivarianceViolation,
     LatticeMismatch,
+    NotAUnit,
     RingMismatch,
     ShapeMismatch,
 )
@@ -251,6 +253,20 @@ def _padic_rank_two_jobs(field, cusp, bound):
             (mono, Weight(4, 0)), (prod, Weight(2, 0))]
 
 
+def _power_sum_jobs(field, cusp, bound):
+    """qq monomials, n = 1, at the edges of the power sum: powers of both
+    conjugates of x (r = 2 in unitary mode), a negative power of x (small
+    e_xs, large k), and det(y)^1 without y-invertibility."""
+    both = MonomialFunction(field, 1, QQ, Fraction(-2, 9), e_xs=3, e_xb=2,
+                            e_det=-2)
+    negative = MonomialFunction(field, 1, QQ, Fraction(5, 4), e_xs=1,
+                                e_det=-1)
+    all_y = MonomialFunction(field, 1, QQ, Fraction(-7, 3), e_xs=2, e_det=1)
+    assert not all_y.y_invertible
+    return [(both, Weight(2, 0)), (negative, Weight(9, 0)),
+            (all_y, Weight(4, 0))]
+
+
 def _rational_rank_two_jobs(field, cusp, bound):
     mono = MonomialFunction(field, 2, QQ, Fraction(5, 3), e_det=-1)
     prod = ProductFunction(field, 2, QQ, mono,
@@ -273,6 +289,10 @@ SWEEPS = {
                      CuspData.single_term(GAUSS, 2), 4, None),
     "qq-single-n2": (_rational_rank_two_jobs, GAUSS,
                      CuspData.single_term(GAUSS, 2), 4, None),
+    "qq-divisor-n1-powers": (_power_sum_jobs, SYMPL,
+                             CuspData.divisor_rule(SYMPL), 40, None),
+    "qq-divisor-unitary-n1": (_power_sum_jobs, GAUSS,
+                              CuspData.divisor_rule(GAUSS), 40, None),
 }
 
 
@@ -304,6 +324,103 @@ def test_sweep_matches_the_per_function_oracle(case):
             eisenstein_qexp(f, w, cusp, bound, field, precision,
                             validate=False), want)
         assert any(not f.ring.is_zero(c) for _, c in q.terms.values())
+
+
+def test_power_sum_of_a_zero_monomial_is_a_zero_fraction():
+    cusp, w = CuspData.divisor_rule(SYMPL), Weight(2, 0)
+    zero = MonomialFunction(SYMPL, 1, QQ, 0, e_xs=3, e_det=-1)
+    [got] = _expansions([(zero, w)], cusp, 30, SYMPL, validate=False)
+    assert_same_expansion(got, oracle_qexp(zero, w, cusp, 30, SYMPL,
+                                           validate=False))
+    assert all(type(c) is Fraction and c == 0 for _, c in got.terms.values())
+
+
+def _sweep_outcome(sweep):
+    """The sweep's one expansion, or the type and text of its error."""
+    try:
+        return sweep()
+    except EisMeasureError as exc:
+        return type(exc), str(exc)
+
+
+#: case -> (function, cusp, the error and message it must raise, or None)
+POWER_SUM_ERRORS = {
+    # a = 1 and i: the irrational x raises at the first index
+    "irrational-x": (
+        MonomialFunction(GAUSS, 1, QQ, Fraction(2), e_xs=1, e_xb=1),
+        CuspData("units", 1, lambda beta: [(GAUSS.K(1), 1),
+                                           (GAUSS.K(0, 1), 2)]),
+        (RingMismatch, "rational-ring monomials need a rational point")),
+    # i only where y = beta is not invertible: skipped before the x check
+    "irrational-x-off-the-y-support": (
+        MonomialFunction(GAUSS, 1, QQ, Fraction(2), e_xs=1, e_xb=1,
+                         e_det=-1),
+        CuspData("units", 1, lambda beta: [(GAUSS.K(1), 1)] + (
+            [(GAUSS.K(0, 1), 2)] if beta.entries[0][0].a % 5 == 0 else [])),
+        None),
+    "irrational-coefficient": (
+        MonomialFunction(GAUSS, 1, QQ, GAUSS.K(1, 1), e_xs=1),
+        CuspData.single_term(GAUSS, 1),
+        (RingMismatch, "rational-ring monomials need a rational coefficient")),
+    "non-unit-x": (
+        MonomialFunction(SYMPL, 1, QQ, Fraction(3), e_xs=2),
+        CuspData("non-unit", 1, lambda beta: [(SYMPL.K(1), 1),
+                                              (SYMPL.K(5), 1)]),
+        (NotAUnit, "x coordinate must be a unit")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POWER_SUM_ERRORS))
+def test_power_sum_raises_as_the_monomial_does(case):
+    """Each check of a rational monomial's value runs in the sweep, in the
+    same order and with the same error and message as the oracle's."""
+    f, cusp, error = POWER_SUM_ERRORS[case]
+    field, w = f.field, Weight(1, 0)
+    got = _sweep_outcome(lambda: _expansions([(f, w)], cusp, 12, field,
+                                             validate=False)[0])
+    want = _sweep_outcome(lambda: oracle_qexp(f, w, cusp, 12, field,
+                                              validate=False))
+    if error is not None:
+        assert got == want == error
+        return
+    assert_same_expansion(got, want)
+    assert any(c != 0 for _, c in got.terms.values())
+
+
+def test_monomial_sweeps_make_no_pair_call(monkeypatch):
+    """A rational monomial's coefficient is a power sum: no pair and no
+    value per term; a product and a combination still sum their pairs."""
+    calls = collections.Counter()
+
+    def counting(name, method):
+        def counted(self, pt, j=None):
+            calls[name, type(self).__name__] += 1
+            return method(self, pt, j)
+        return counted
+
+    for cls in (functions.GnFunction, MonomialFunction, ProductFunction,
+                LinearCombination):
+        for name in ("rational_pair", "evaluate"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+    for case in ("qq-divisor-n1-powers", "qq-divisor-unitary-n1",
+                 "qq-single-n2"):
+        make_jobs, field, cusp, bound, _ = SWEEPS[case]
+        jobs = [(f, w) for f, w in make_jobs(field, cusp, bound)
+                if isinstance(f, MonomialFunction)]
+        _expansions(jobs, cusp, bound, field, validate=False)
+    cusp = CuspData.divisor_rule(SYMPL)
+    monos = [(f, w) for f, w in _kummer_jobs()
+             if isinstance(f, MonomialFunction)]
+    _expansions(monos, cusp, 100, SYMPL, validate=False)
+    assert not calls
+    mono = monos[0][0]
+    prod = ProductFunction(SYMPL, 1, QQ, mono, lambda pt, ring: Fraction(2))
+    combo = LinearCombination(SYMPL, 1, QQ, ((Fraction(1, 3), mono),))
+    _expansions([(prod, Weight(1, 0)), (combo, Weight(1, 0))], cusp, 100,
+                SYMPL, validate=False)
+    assert calls["rational_pair", "ProductFunction"] > 0
+    assert calls["rational_pair", "LinearCombination"] > 0
 
 
 def test_sweep_validates_every_job():
@@ -615,6 +732,25 @@ def test_cusp_transform_rejects_a_singular_rank_two_h():
     h = ((GAUSS.K(1), GAUSS.K(0, 1)), (GAUSS.K(0, -1), GAUSS.K(1)))
     with pytest.raises(LatticeMismatch):
         cusp_transform(q, h, Fraction(1))
+
+
+def test_a_transformed_expansion_covers_only_its_image():
+    """The lambda = 2 image of a bound-12 expansion holds the even traces
+    2..24; an odd trace within the bound is not in it and used to read 0.
+    The rule holds after a JSON round trip, which adds no key."""
+    q = rank_one_qexp(4, bound=12)
+    image = cusp_transform(q, ((SYMPL.K(1),),), Fraction(2))
+    loaded = QExpansion.from_json(image.to_json(), SYMPL)
+    assert set(image.to_json()) == set(q.to_json())
+    for got in (image, loaded):
+        assert got.cusp_label == "divisor*levi"
+        assert got.coeff_by_trace(4) == q.coeff_by_trace(2) != 0
+        assert got.coeff_by_trace(24) == q.coeff_by_trace(12)
+        for m in (1, 3, 11):
+            with pytest.raises(ShapeMismatch, match="outside the image"):
+                got.coeff_by_trace(m)
+        with pytest.raises(ShapeMismatch, match="above the trace bound 12"):
+            got.coeff_by_trace(13)
 
 
 def test_cusp_transform_keeps_the_source_bound():
