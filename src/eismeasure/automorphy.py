@@ -27,6 +27,7 @@ pass by pass, so a ``random`` module that draws differently fails it.
 
 from __future__ import annotations
 
+import math
 import os
 
 # tiny matrices need one OpenBLAS thread; idle ones busy-wait as numpy loads
@@ -512,9 +513,9 @@ def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
     A pass draws alpha, beta, a point and g, and counts once both identities
     were evaluated; a pass whose factors are near singular is drawn again.
     """
-    if n < 1 or cases < 1:
-        raise ValueError("the self-test needs n >= 1 and at least one case, "
-                         f"got n = {n}, cases = {cases}")
+    if n < 1 or cases < 1 or not math.isfinite(s):  # nan drops out of max()
+        raise ValueError("the self-test needs n >= 1, at least one case and a "
+                         f"finite s, got n = {n}, cases = {cases}, s = {s}")
     import random
 
     rng = random.Random(seed)

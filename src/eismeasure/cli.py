@@ -155,7 +155,7 @@ def run_command(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EisMeasureError, OSError, ValueError, KeyError,
-            ZeroDivisionError) as exc:
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -205,6 +205,8 @@ def _dispatch(args) -> int:
         _emit(data, args.out)
         return 0
     if cmd == "automorphy-selftest":
+        if not 0 < args.tol < float("inf"):
+            raise ValueError(f"tolerance must be finite and > 0, got {args.tol}")
         from .automorphy import selftest
         worst = selftest(args.n, args.cases, args.seed, args.k, args.nu, args.s)
         _emit({"residuals": worst, "tolerance": args.tol}, args.out)

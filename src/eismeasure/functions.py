@@ -385,10 +385,12 @@ class ContinuousFunction(GnFunction):
 
 
 def _congruent(a, b, p: int, j: int) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        # a - b is num over the product of the denominators, unreduced
-        num = a.numerator * b.denominator - b.numerator * a.denominator
-        return num == 0 or _vp(num, p) - _vp(a.denominator * b.denominator, p) >= j
+    if type(a) is Fraction and type(b) is Fraction:
+        ad, bd = a.denominator, b.denominator
+        num = a.numerator * bd - b.numerator * ad  # a - b = num / (ad * bd)
+        if ad % p and bd % p:  # a p-free denominator: p^j divides num
+            return j <= 0 or num % p ** j == 0
+        return num == 0 or _vp(num, p) - _vp(ad * bd, p) >= j
     return a.congruent_mod(b, j)
 
 

@@ -71,10 +71,11 @@ class HermitianMatrix:
     sweep over a memoised enumeration reads them.  So are the terms of the
     last cusp rule swept here, ``_rule_terms = (rule, mults, points)``
     (written by ``qexp._rule_terms``): one slot, replaced by a sweep with
-    another rule.
+    another rule, which drops ``_power_view`` (read by ``qexp._power_sum``).
     """
 
-    __slots__ = ("field", "entries", "_det", "_key", "_rule_terms")
+    __slots__ = ("field", "entries", "_det", "_key", "_rule_terms",
+                 "_power_view")
 
     def __init__(self, field: FieldData, entries: Matrix):
         n = len(entries)
@@ -85,7 +86,7 @@ class HermitianMatrix:
                 if entries[i][j].conj() != entries[j][i]:
                     raise LatticeMismatch("matrix is not Hermitian")
         self.field, self.entries = field, entries
-        self._det = self._key = self._rule_terms = None
+        self._det = self._key = self._rule_terms = self._power_view = None
 
     @property
     def n(self) -> int:

@@ -11,7 +11,9 @@ and points) of the rule last swept there, so the rule runs and each point
 is built once per enumeration and rule.  A point is built from integers
 and decides its unit and invertibility tests, coset keys and unit
 translates once.  A rational monomial's coefficient is a power sum of x
-over the points, reduced once (``_power_sum``); any other rational
+over the points, reduced once (``_power_sum``).  It reads the index's
+stored view, (mult, a, d, y invertible) per point with x = a/d a rational
+unit, and each x-power from a table kept for one sweep.  Any other rational
 coefficient is summed from the function's (num, den) values.
 """
 
@@ -22,6 +24,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import (
+    EisMeasureError,
     EquivarianceViolation,
     LatticeMismatch,
     RingMismatch,
@@ -84,6 +87,9 @@ class QExpansion:
                           self.trace_bound, self.ring, terms)
 
     def _compatible(self, other: "QExpansion"):
+        if type(self.ring) is not type(other.ring):
+            raise RingMismatch(f"expansions over {self.ring.tag} and "
+                               f"{other.ring.tag} are not comparable")
         if (self.n != other.n or self.cusp_label != other.cusp_label
                 or self.terms.keys() != other.terms.keys()):
             raise ShapeMismatch("expansions are not comparable")
@@ -171,7 +177,7 @@ def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):
         pairs = rule(beta)
         terms = (rule, tuple([mult for _, mult in pairs]),
                  tuple([_rule_point(field, a, beta, ys) for a, _ in pairs]))
-        beta._rule_terms = terms
+        beta._rule_terms, beta._power_view = terms, None
     return terms
 
 
@@ -222,55 +228,63 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     terms = [{} for _ in jobs]
     rule, ys = cusp.rule, {}
     for beta in betas:
-        key, detb = beta.key(), beta.det_exact
+        key = beta.key()
         _, mults, points = _rule_terms(field, rule, beta, ys)
         for coeff, out in zip(coefficient, terms):
-            out[key] = (beta, coeff(detb, mults, points))
+            out[key] = (beta, coeff(beta, mults, points))
     return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
             for (f, w), t in zip(jobs, terms)]
 
 
 def _job_coefficient(f, w, n, field, precision):
-    """The job's accumulator, (detb, mults, points) -> coefficient."""
+    """The job's accumulator, (beta, mults, points) -> coefficient."""
     if not isinstance(f.ring, RationalRing):
         return partial(_ring_coefficient, f, w, n, field, precision)
+    pairs = partial(_qq_coefficient, f, w.k, n, precision)
     if not (isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
-        return partial(_qq_coefficient, f, w.k, n, precision)
+        return pairs
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
     return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
-                   f.e_det + w.k - n)
+                   f.e_det + w.k - n, {}, pairs)
 
 
-def _power_sum(f, e, dexp, detb, mults, points) -> Fraction:
-    """coef * det(beta)^dexp * the sum of mult * x^e over the points where x
-    is a unit (and y invertible, if the monomial asks): at (x, x^-r * beta)
-    det(y) = det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k
-    / det(beta)^n.  A point where ``f.evaluate`` raises is handed to it."""
-    flip, e = e < 0, abs(e)  # (a/d)^-e = (d/a)^e
-    num, den, y_invertible = 0, 1, f.y_invertible
-    for mult, pt in zip(mults, points):
-        x = pt.x
-        if x.b or not pt.x_is_unit:  # evaluate raises, or is 0 off the y-support
-            f.evaluate(pt)
+def _power_sum(f, e, dexp, powers, pairs, beta, mults, points) -> Fraction:
+    """coef * det(beta)^dexp * the sum of mult * x^e over beta's view (y
+    invertible, if the monomial asks), each x^e from the sweep's ``powers``:
+    at (x, x^-r * beta) det(y) = det(beta) * x^-rn, so this sums mult * f(pt)
+    * (det(beta)/x)^k / det(beta)^n.  Unless each x is a rational unit the
+    view is False (not stored, if a test raises) and ``pairs`` sums f(pt)."""
+    if (view := beta._power_view) is None:
+        try:
+            view = beta._power_view = (
+                tuple([(mult, pt.x.a, pt.x.d, pt.y_is_invertible)
+                       for mult, pt in zip(mults, points)])
+                if all(not pt.x.b and pt.x_is_unit for pt in points) else False)
+        except EisMeasureError:
+            view = False
+    if view is False:
+        return pairs(beta, mults, points)
+    num, den, y_invertible, get = 0, 1, f.y_invertible, powers.get
+    for mult, a, d, y_inv in view:
+        if y_invertible and not y_inv:
             continue
-        if y_invertible and not pt.y_is_invertible:
-            continue
-        tn, td = (x.d, x.a) if flip else (x.a, x.d)
-        td = td ** e if td != 1 else 1
+        tn, td = get((a, d)) or powers.setdefault(  # (a/d)^e = (d/a)^-e
+            (a, d), (a ** e, d ** e) if e >= 0 else (d ** -e, a ** -e))
         if td == den:  # every integral x when e >= 0
-            num += mult * tn ** e
+            num += mult * tn
         else:  # over the lcm of the denominators
             g = math.gcd(den, td)
-            num, den = num * (td // g) + mult * tn ** e * (den // g), den // g * td
+            num, den = num * (td // g) + mult * tn * (den // g), den // g * td
+    detb = beta.det_exact
     dn, dd = (detb.a, detb.d) if dexp >= 0 else (detb.d, detb.a)
     return Fraction(num * f.coef.numerator * dn ** abs(dexp),
                     den * f.coef.denominator * dd ** abs(dexp))
 
 
-def _ring_coefficient(f, w, n, field, precision, detb, mults, points):
+def _ring_coefficient(f, w, n, field, precision, beta, mults, points):
     """The coefficient in the function's (p-adic) ring, term by term."""
-    ring, c = f.ring, f.ring.zero()
+    ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
     for mult, pt in zip(mults, points):
         a, fval = pt.x, evaluate(f, pt, precision)
         if ring.is_zero(fval):
@@ -284,11 +298,11 @@ def _ring_coefficient(f, w, n, field, precision, detb, mults, points):
     return c
 
 
-def _qq_coefficient(f, k, n, precision, detb, mults, points) -> Fraction:
+def _qq_coefficient(f, k, n, precision, beta, mults, points) -> Fraction:
     """The rational coefficient, summed as one integer fraction from the
     function's (num, den) values."""
-    dn, dd = detb.a, detb.d  # det(beta) is rational
-    num, den = 0, 1
+    detb = beta.det_exact  # rational
+    dn, dd, num, den = detb.a, detb.d, 0, 1
     pair = f.rational_pair
     for mult, pt in zip(mults, points):
         fn, fd = pair(pt, precision)

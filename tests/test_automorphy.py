@@ -198,6 +198,13 @@ def test_selftest_needs_a_case(n, cases):
         selftest(n, cases, 0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_selftest_needs_a_finite_s(s):
+    with pytest.raises(ValueError,
+                       match=f"a finite s, got n = 2, cases = 5, s = {s}"):
+        selftest(2, 5, 0, s=s)
+
+
 def test_single_sample_functions_match_the_oracle():
     for n in (1, 2, 3):
         rng, ref = random.Random(n), random.Random(n)

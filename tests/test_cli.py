@@ -115,6 +115,27 @@ def test_automorphy_selftest_over_no_cases_is_usage_error(capsys, cases):
     assert err.startswith("error:") and "at least one case" in err
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--s=nan", "finite s, got n = 2, cases = 50, s = nan"),
+    ("--s=inf", "finite s, got n = 2, cases = 50, s = inf"),
+    ("--s=-inf", "finite s, got n = 2, cases = 50, s = -inf"),
+    ("--tol=nan", "tolerance must be finite and > 0, got nan"),
+    ("--tol=inf", "tolerance must be finite and > 0, got inf"),
+    ("--tol=0", "tolerance must be finite and > 0, got 0.0"),
+    ("--tol=-1e-9", "tolerance must be finite and > 0, got -1e-09"),
+    ("--s=1e308", "Numerical result out of range"),  # an OverflowError
+])
+def test_automorphy_selftest_with_a_bad_number_is_usage_error(capsys, option,
+                                                               text):
+    """A non-finite s left every section residual out of the worst case (a
+    nan never wins max), a nan tolerance printed non-JSON, and a huge s
+    ended in a traceback: each is an error line and exit 2, no output."""
+    code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
+                         "--cases", "50", option)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and text in err
+
+
 def test_equivariance_violation_is_a_failed_verification(capsys):
     # x^3 is not invariant under the unit -1 of Q(i) in unitary mode
     code, out, err = run(capsys, "integrate", "--function", "x^3")

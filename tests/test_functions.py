@@ -280,19 +280,42 @@ def test_padic_points_take_the_determinant_of_their_entries():
         GnPoint.from_padic(GAUSS, exact.x_cm(), big).det_y_padic()
 
 
+def _old_congruent(a, b, p, j):
+    """_congruent before its fast path for p-free denominators."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        num = a.numerator * b.denominator - b.numerator * a.denominator
+        return num == 0 or _vp(num, p) - _vp(a.denominator * b.denominator,
+                                             p) >= j
+    return a.congruent_mod(b, j)
+
+
 def test_rational_congruence_matches_the_difference():
     """The congruence of two Fractions mod p^j is read off their difference,
-    also when p divides a denominator."""
-    values = [Fraction(a, d) for a in range(-12, 13)
-              for d in (1, 2, 5, 10, 25, 125)]
+    also when p divides a denominator, and equals the old definition's."""
     outcomes = set()
-    for a in values:
-        for b in values[::7]:
-            for j in range(4):
-                want = a == b or _vp(a - b, 5) >= j
-                assert _congruent(a, b, 5, j) is want
-                outcomes.add(want)
-    assert outcomes == {True, False}
+    for p in (3, 5):
+        values = [Fraction(a, d) for a in range(-12, 13)
+                  for d in (1, 2, p, 2 * p, p * p, p ** 3)]
+        for a in values:
+            for b in values[::7]:
+                for j in range(-1, 5):
+                    want = a == b or _vp(a - b, p) >= j
+                    assert _congruent(a, b, p, j) is want
+                    assert _old_congruent(a, b, p, j) is want
+                    outcomes.add((want, a == b, j))
+    assert {(w, eq) for w, eq, _ in outcomes} == {(True, True), (True, False),
+                                                  (False, False)}
+    assert {(w, j) for w, _, j in outcomes} == {
+        (w, j) for w in (True, False) for j in range(-1, 5)}
+
+
+def _old_congruent(a, b, p, j):
+    """_congruent as it was before its p-free fast path: both valuations."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        num = a.numerator * b.denominator - b.numerator * a.denominator
+        return num == 0 or _vp(num, p) - _vp(a.denominator * b.denominator,
+                                             p) >= j
+    return a.congruent_mod(b, j)
 
 
 def _old_x_is_unit(pt):

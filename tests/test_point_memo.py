@@ -8,6 +8,7 @@ points on every call, check that an error is never stored, and bound what
 the memo keeps.
 """
 
+import collections
 import gc
 import random
 import weakref
@@ -16,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from eismeasure.errors import (
+    DenominatorDivisibleByP,
     EisMeasureError,
     LatticeMismatch,
     PrecisionUnavailable,
@@ -375,6 +377,90 @@ def test_cusps_swept_alternately_match_the_oracle():
                     passed += validate and not isinstance(got, tuple)
                 _slot_counts(cusp.rule, betas)
     assert passed > 0
+
+
+def _counting_tests(monkeypatch):
+    """Count the calls of each point's unit and invertibility tests."""
+    calls = collections.Counter()
+    for name in ("x_is_unit", "y_is_invertible"):
+        def counted(pt, name=name, fget=getattr(GnPoint, name).fget):
+            calls[name] += 1
+            return fget(pt)
+        monkeypatch.setattr(GnPoint, name, property(counted))
+    return calls
+
+
+def _view_of(beta):
+    """The power view ``qexp._power_view`` stores, from beta's points."""
+    _, mults, points = beta._rule_terms
+    return tuple((mult, pt.x.a, pt.x.d, pt.y_is_invertible)
+                 for mult, pt in zip(mults, points))
+
+
+def test_a_warm_kummer_sweep_tests_no_point(monkeypatch):
+    """The first Kummer check stores each index's power view from its
+    points' unit and invertibility tests; the second reads the views and
+    calls neither test."""
+    calls = _counting_tests(monkeypatch)
+    enumerate_positive.cache_clear()
+    assert kummer_check(SYMPL, 4, 24, 1, 200).passed
+    assert calls["x_is_unit"] > 0 and calls["y_is_invertible"] > 0
+    betas = enumerate_positive(SYMPL, 1, 200)
+    views = [b._power_view for b in betas]
+    assert views == [_view_of(b) for b in betas]
+    calls.clear()
+    assert kummer_check(SYMPL, 6, 26, 1, 200).passed
+    assert not calls
+    assert all(b._power_view is v for b, v in zip(betas, views))
+
+
+def test_a_new_rule_drops_the_power_view():
+    """A sweep with another rule drops each index's view with its old
+    terms, whatever its jobs; the next monomial sweep stores the view of
+    the new points and matches the oracle."""
+    divisor, single = (CuspData.divisor_rule(SYMPL),
+                       CuspData.single_term(SYMPL, 1))
+    mono = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
+    table = LCFunction(SYMPL, 1, QQ, 2, rule=lambda xk, yk: Fraction(xk[0]))
+    w = Weight(3, 0)
+    enumerate_positive.cache_clear()
+    betas = enumerate_positive(SYMPL, 1, 30)
+    _expansions([(mono, w)], divisor, 30, SYMPL, validate=False)
+    assert all(b._power_view for b in betas)
+    _expansions([(table, Weight(1, 0))], single, 30, SYMPL, validate=False)
+    assert all(b._power_view is None for b in betas)
+    for cusp in (single, divisor):
+        got, = _expansions([(mono, w)], cusp, 30, SYMPL, validate=False)
+        _assert_same(got, oracle_qexp(mono, w, cusp, 30, SYMPL,
+                                      validate=False))
+        assert [b._power_view for b in betas] == [_view_of(b) for b in betas]
+
+
+def _fifth_at_seven(beta):
+    """The divisor rule, with x = 1/5 after 1 and 7 at trace 7: the unit
+    test of that x raises."""
+    extra = [(SYMPL.K(Fraction(1, 5)), 1)] if beta.entries[0][0].a == 7 else []
+    return CuspData.divisor_rule(SYMPL).rule(beta) + extra
+
+
+def test_a_unit_test_that_raises_leaves_no_view():
+    """At trace 7 the view's unit test raises: that index stores no view,
+    the sweep raises the oracle's error on every run, and the indices
+    before it keep theirs."""
+    cusp = CuspData("fifth", 1, _fifth_at_seven)
+    mono = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
+    w = Weight(3, 0)
+    enumerate_positive.cache_clear()
+    betas = enumerate_positive(SYMPL, 1, 12)
+    want = _outcome(lambda: oracle_qexp(mono, w, cusp, 12, SYMPL,
+                                        validate=False))
+    assert want == (DenominatorDivisibleByP, "5 is divisible by 5")
+    for _ in range(3):
+        assert _outcome(lambda: _expansions([(mono, w)], cusp, 12, SYMPL,
+                                            validate=False)) == want
+        assert [b._power_view is not None for b in betas] == \
+            [m < 7 for m in range(1, 13)]
+        assert betas[6]._rule_terms is not None
 
 
 def test_stored_points_are_lean_and_equal_fresh_points():

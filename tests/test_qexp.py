@@ -46,7 +46,7 @@ from eismeasure.qexp import (
     normalization_constant,
 )
 from eismeasure.rings import QQ, PadicRing
-from qexp_oracle import oracle_qexp
+from qexp_oracle import oracle_power_qexp, oracle_qexp
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
@@ -320,6 +320,9 @@ def test_sweep_matches_the_per_function_oracle(case):
     for (f, w), q in zip(jobs, got):
         want = oracle_qexp(f, w, cusp, bound, field, precision, validate=False)
         assert_same_expansion(q, want)
+        if isinstance(f, MonomialFunction) and f.ring is QQ:  # a power sum
+            assert_same_expansion(
+                q, oracle_power_qexp(f, w, cusp, bound, field))
         assert_same_expansion(
             eisenstein_qexp(f, w, cusp, bound, field, precision,
                             validate=False), want)
@@ -373,18 +376,36 @@ POWER_SUM_ERRORS = {
 @pytest.mark.parametrize("case", sorted(POWER_SUM_ERRORS))
 def test_power_sum_raises_as_the_monomial_does(case):
     """Each check of a rational monomial's value runs in the sweep, in the
-    same order and with the same error and message as the oracle's."""
+    same order and with the same error and message as the oracle's and the
+    per-point power sum's, on a first sweep and on one reading stored views."""
     f, cusp, error = POWER_SUM_ERRORS[case]
     field, w = f.field, Weight(1, 0)
-    got = _sweep_outcome(lambda: _expansions([(f, w)], cusp, 12, field,
-                                             validate=False)[0])
     want = _sweep_outcome(lambda: oracle_qexp(f, w, cusp, 12, field,
                                               validate=False))
-    if error is not None:
-        assert got == want == error
-        return
-    assert_same_expansion(got, want)
-    assert any(c != 0 for _, c in got.terms.values())
+    power = _sweep_outcome(lambda: oracle_power_qexp(f, w, cusp, 12, field))
+    for _ in range(2):
+        got = _sweep_outcome(lambda: _expansions([(f, w)], cusp, 12, field,
+                                                 validate=False)[0])
+        if error is not None:
+            assert got == want == power == error
+            continue
+        assert_same_expansion(got, want)
+        assert_same_expansion(got, power)
+        assert any(c != 0 for _, c in got.terms.values())
+
+
+def test_expansions_over_different_rings_are_not_comparable():
+    cusp, w = CuspData.divisor_rule(SYMPL), Weight(3, 0)
+    qq, zp = (eisenstein_qexp(MonomialFunction(SYMPL, 1, ring, Fraction(1),
+                                               e_xs=3, e_det=-2),
+                              w, cusp, 10, SYMPL, validate=False)
+              for ring in (QQ, ZP5))
+    for a, b in ((qq, zp), (zp, qq)):
+        text = f"expansions over {a.ring.tag} and {b.ring.tag} are not"
+        with pytest.raises(RingMismatch, match=text):
+            a.congruent_mod(b, 2)
+        with pytest.raises(RingMismatch, match=text):
+            a + b
 
 
 def test_monomial_sweeps_make_no_pair_call(monkeypatch):
