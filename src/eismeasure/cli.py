@@ -208,7 +208,12 @@ def _dispatch(args) -> int:
         if not 0 < args.tol < float("inf"):
             raise ValueError(f"tolerance must be finite and > 0, got {args.tol}")
         from .automorphy import selftest
-        worst = selftest(args.n, args.cases, args.seed, args.k, args.nu, args.s)
+        try:
+            worst = selftest(args.n, args.cases, args.seed, args.k, args.nu, args.s)
+        except ArithmeticError as exc:  # overflow, or underflow to 0 then 1/0
+            raise ValueError(f"--k {args.k}, --nu {args.nu}, --s {args.s} take the "
+                             "self-test out of float range "
+                             f"({type(exc).__name__}: {exc})") from exc
         _emit({"residuals": worst, "tolerance": args.tol}, args.out)
         return 0 if max(worst.values()) < args.tol else 1
     raise EisMeasureError(f"unknown command {cmd}")

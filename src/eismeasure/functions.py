@@ -202,11 +202,6 @@ class GnFunction:
     def evaluate(self, pt: GnPoint, j: int | None = None):
         raise NotImplementedError
 
-    def rational_pair(self, pt: GnPoint, j: int | None = None) -> tuple[int, int]:
-        """A rational value at pt as an integer (numerator, denominator) pair."""
-        v = self.evaluate(pt, j)
-        return v.numerator, v.denominator
-
     def __add__(self, other: "GnFunction") -> "LinearCombination":
         return LinearCombination(self.field, self.n, self.ring,
                                  ((1, self), (1, other)))

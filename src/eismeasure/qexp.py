@@ -13,8 +13,8 @@ and decides its unit and invertibility tests, coset keys and unit
 translates once.  A rational monomial's coefficient is a power sum of x
 over the points, reduced once (``_power_sum``).  It reads the index's
 stored view, (mult, a, d, y invertible) per point with x = a/d a rational
-unit, and each x-power from a table kept for one sweep.  Any other rational
-coefficient is summed from the function's (num, den) values.
+unit, and each x-power from a table kept for one sweep.  Any other
+coefficient is summed term by term in its ring (``ring.weight_factor``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .fields import CMElt, FieldData, KNum, Weight, norm_weight
+from .fields import FieldData, KNum, Weight
 from .functions import (
     GnFunction,
     GnPoint,
@@ -47,8 +47,7 @@ from .hermitian import (
     gl_conjugate_inverse,
     mat_det,
 )
-from .padic import PadicElt
-from .rings import RationalRing, ring_from_tag
+from .rings import PadicRing, RationalRing, ring_from_tag
 
 
 class QExpansion:
@@ -96,6 +95,9 @@ class QExpansion:
 
     def __add__(self, other: "QExpansion") -> "QExpansion":
         self._compatible(other)
+        if (w := self.weight) != (w2 := other.weight):
+            raise ShapeMismatch(f"expansions of weights {w.k, w.nu} and "
+                                f"{w2.k, w2.nu} do not add")
         out = {k: (b, c + other.terms[k][1]) for k, (b, c) in self.terms.items()}
         return self.replace_terms(out)
 
@@ -205,9 +207,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     its function there.  A job's terms are summed in cusp-rule order whatever
     the other jobs are, so each expansion equals the one computed alone.
     Each job's accumulator is chosen once (``_job_coefficient``): a rational
-    monomial sums x-powers (``_power_sum``), any other rational function
-    the pairs of ``rational_pair``, a p-adic one its terms; all else about
-    a ring is the ring's own (``rings.py``).
+    monomial sums x-powers (``_power_sum``), any other job its terms, each
+    weighted by ``ring.weight_factor``; a ring without one (cyclotomic) is
+    rejected before the sweep.
     """
     n = cusp.n
     for f, w in jobs:
@@ -215,6 +217,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
             raise ShapeMismatch(f"a rank-{f.n} function at a rank-{n} cusp")
         if w.k < n:
             raise ValueError(f"weight {w.k} below the rank {n}")
+        if not isinstance(f.ring, (RationalRing, PadicRing)):
+            raise RingMismatch("expansions need rational or p-adic "
+                               f"coefficients, not {f.ring.tag}")
     betas = enumerate_positive(field, n, trace_bound)
     if validate:
         pts = _sample_points(field, cusp, betas)
@@ -238,23 +243,21 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
 
 def _job_coefficient(f, w, n, field, precision):
     """The job's accumulator, (beta, mults, points) -> coefficient."""
-    if not isinstance(f.ring, RationalRing):
-        return partial(_ring_coefficient, f, w, n, field, precision)
-    pairs = partial(_qq_coefficient, f, w.k, n, precision)
-    if not (isinstance(f, MonomialFunction)
+    by_term = partial(_ring_coefficient, f, w, n, field, precision)
+    if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
-        return pairs
+        return by_term
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
     return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
-                   f.e_det + w.k - n, {}, pairs)
+                   f.e_det + w.k - n, {}, by_term)
 
 
-def _power_sum(f, e, dexp, powers, pairs, beta, mults, points) -> Fraction:
+def _power_sum(f, e, dexp, powers, by_term, beta, mults, points) -> Fraction:
     """coef * det(beta)^dexp * the sum of mult * x^e over beta's view (y
     invertible, if the monomial asks), each x^e from the sweep's ``powers``:
     at (x, x^-r * beta) det(y) = det(beta) * x^-rn, so this sums mult * f(pt)
     * (det(beta)/x)^k / det(beta)^n.  Unless each x is a rational unit the
-    view is False (not stored, if a test raises) and ``pairs`` sums f(pt)."""
+    view is False (not stored, if a test raises) and ``by_term`` sums f(pt)."""
     if (view := beta._power_view) is None:
         try:
             view = beta._power_view = (
@@ -264,7 +267,7 @@ def _power_sum(f, e, dexp, powers, pairs, beta, mults, points) -> Fraction:
         except EisMeasureError:
             view = False
     if view is False:
-        return pairs(beta, mults, points)
+        return by_term(beta, mults, points)
     num, den, y_invertible, get = 0, 1, f.y_invertible, powers.get
     for mult, a, d, y_inv in view:
         if y_invertible and not y_inv:
@@ -283,42 +286,15 @@ def _power_sum(f, e, dexp, powers, pairs, beta, mults, points) -> Fraction:
 
 
 def _ring_coefficient(f, w, n, field, precision, beta, mults, points):
-    """The coefficient in the function's (p-adic) ring, term by term."""
+    """The coefficient in the function's ring, term by term."""
     ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
     for mult, pt in zip(mults, points):
-        a, fval = pt.x, evaluate(f, pt, precision)
+        fval = evaluate(f, pt, precision)
         if ring.is_zero(fval):
             continue
-        bc = CMElt.embed(detb * a.inverse(), field)
-        num = norm_weight(bc, w)
-        den = PadicElt.from_rational(detb.a, detb.d, p=field.p,
-                                     prec=field.precision) ** n
-        factor = num / den
-        c = c + ring.coerce(mult) * fval * ring.coerce(factor)
+        c = c + ring.coerce(mult) * fval * ring.weight_factor(
+            detb, pt.x, w, n, field)
     return c
-
-
-def _qq_coefficient(f, k, n, precision, beta, mults, points) -> Fraction:
-    """The rational coefficient, summed as one integer fraction from the
-    function's (num, den) values."""
-    detb = beta.det_exact  # rational
-    dn, dd, num, den = detb.a, detb.d, 0, 1
-    pair = f.rational_pair
-    for mult, pt in zip(mults, points):
-        fn, fd = pair(pt, precision)
-        if fn == 0:
-            continue
-        a = pt.x
-        # b = det(beta)/a is rational exactly when a is
-        if not a.is_rational:
-            raise RingMismatch(
-                "rational coefficients need rational norm arguments")
-        # mult * f(pt) * b^k / det(beta)^n
-        tn = mult * fn * (dn * a.d) ** k * dd ** n
-        td = fd * (dd * a.a) ** k * dn ** n
-        g = math.gcd(den, td)
-        num, den = num * (td // g) + tn * (den // g), den // g * td
-    return Fraction(num, den)
 
 
 # -- cusp change ---------------------------------------------------------------

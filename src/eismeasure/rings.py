@@ -2,7 +2,8 @@
 
 Mixing rings is an error, never a coercion; plain integers and Fractions
 are accepted everywhere as scalars.  A ring places exact field elements
-(``from_knum``) and owns its JSON values; ``RINGS`` maps the tags.
+(``from_knum``), gives an expansion term's weight factor
+(``weight_factor``) and owns its JSON values; ``RINGS`` maps the tags.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import RingMismatch
+from .fields import CMElt, norm_weight
 from .padic import PadicElt
 
 
@@ -167,6 +169,15 @@ class RationalRing:
             raise RingMismatch(f"{v} is not rational")
         return Fraction(v.u)
 
+    def weight_factor(self, detb, a, w, n, field) -> Fraction:
+        """(det(beta)/a)^k / det(beta)^n, one Fraction of their integers."""
+        if not a.is_rational:
+            raise RingMismatch(
+                "rational coefficients need rational norm arguments")
+        dn, dd = detb.a, detb.d
+        return Fraction((dn * a.d) ** w.k * dd ** n,
+                        (dd * a.a) ** w.k * dn ** n)
+
     def to_json(self, v) -> str:
         return str(_checked(self, v, Fraction))
 
@@ -211,6 +222,14 @@ class PadicRing:
 
     def from_knum(self, v, field) -> PadicElt:
         return field.sigma_padic(v)  # at the field's precision
+
+    def weight_factor(self, detb, a, w, n, field) -> PadicElt:
+        """N_w(det(beta)/a) / det(beta)^n, at the field's precision."""
+        bc = CMElt.embed(detb * a.inverse(), field)
+        num = norm_weight(bc, w)
+        den = PadicElt.from_rational(detb.a, detb.d, p=field.p,
+                                     prec=field.precision) ** n
+        return self.coerce(num / den)
 
     def to_json(self, v) -> dict:
         v = _checked(self, v, PadicElt)  # val is null for zero

@@ -124,12 +124,17 @@ def test_automorphy_selftest_over_no_cases_is_usage_error(capsys, cases):
     ("--tol=0", "tolerance must be finite and > 0, got 0.0"),
     ("--tol=-1e-9", "tolerance must be finite and > 0, got -1e-09"),
     ("--s=1e308", "Numerical result out of range"),  # an OverflowError
+    ("--s=1e308", "--k 4, --nu 1, --s 1e+308 take the self-test out of float"
+                  " range (OverflowError: "),
+    ("--k=100000", "--k 100000, --nu 1, --s 3.0 take the self-test out of "
+                   "float range (ZeroDivisionError: complex division by zero)"),
 ])
 def test_automorphy_selftest_with_a_bad_number_is_usage_error(capsys, option,
                                                                text):
     """A non-finite s left every section residual out of the worst case (a
-    nan never wins max), a nan tolerance printed non-JSON, and a huge s
-    ended in a traceback: each is an error line and exit 2, no output."""
+    nan never wins max), a nan tolerance printed non-JSON, a huge s ended in
+    a traceback and then in bare Python text, as did a huge k: each is an
+    error line naming the numbers, and exit 2, no output."""
     code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
                          "--cases", "50", option)
     assert (code, out) == (2, "")

@@ -24,6 +24,7 @@ from eismeasure.functions import (
     LinearCombination,
     MonomialFunction,
     ProductFunction,
+    character_decompose,
     h_to_f,
     norm_rel_exact,
     random_lc_function,
@@ -394,6 +395,79 @@ def test_power_sum_raises_as_the_monomial_does(case):
         assert any(c != 0 for _, c in got.terms.values())
 
 
+#: a = 1 and i on GAUSS: x = i is a unit with no rational value
+GAUSS_UNITS = CuspData("units", 1, lambda beta: [(GAUSS.K(1), 1),
+                                                 (GAUSS.K(0, 1), 2)])
+#: level-1 rational tables: one nonzero at both points, one zero at x = i
+_EVERYWHERE = LCFunction(GAUSS, 1, QQ, 1,
+                         rule=lambda xk, yk: Fraction(xk[0] + yk[0]))
+_AT_ONE = LCFunction(GAUSS, 1, QQ, 1, rule=lambda xk, yk: Fraction(
+    yk[0] + 1 if xk == (1, 1) else 0))
+
+
+def _tripled(f):
+    return ProductFunction(GAUSS, 1, QQ, f, lambda pt, ring: Fraction(3))
+
+
+#: case -> (rational non-monomial, whether its sweep raises at x = i)
+RATIONAL_TERMS = {
+    "table": (_EVERYWHERE, True),
+    "product": (_tripled(_EVERYWHERE), True),
+    "table-zero-at-i": (_AT_ONE, False),
+    "product-zero-at-i": (_tripled(_AT_ONE), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATIONAL_TERMS))
+def test_rational_terms_need_rational_norm_arguments(case):
+    """A rational term at an irrational x has no rational weight factor: the
+    ring raises as the oracle does, and only where the value is nonzero,
+    because a zero term is skipped before its factor."""
+    f, raises = RATIONAL_TERMS[case]
+    w = Weight(1, 0)
+    want = _sweep_outcome(lambda: oracle_qexp(f, w, GAUSS_UNITS, 12, GAUSS,
+                                              validate=False))
+    got = _sweep_outcome(lambda: _expansions([(f, w)], GAUSS_UNITS, 12, GAUSS,
+                                             validate=False)[0])
+    if raises:
+        assert got == want == (
+            RingMismatch, "rational coefficients need rational norm arguments")
+        return
+    assert_same_expansion(got, want)
+    assert any(c != 0 for _, c in got.terms.values())
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_cyclotomic_sweep_is_a_ring_mismatch(validate):
+    """A character component of a rational table lives in a cyclotomic ring,
+    which has no weight factor: the job is rejected before the sweep, with
+    or without validation."""
+    rng = random.Random(5)
+    base = random_lc_function(GAUSS, 1, 1, rng, entries=4)
+    table = LCFunction(GAUSS, 1, QQ, 1, values={
+        k: Fraction(i + 1) for i, k in enumerate(base.values)})
+    _, component = character_decompose(table)[0]
+    assert component.ring.tag == "cyclo"
+    with pytest.raises(RingMismatch, match="rational or p-adic coefficients,"
+                                           " not cyclo"):
+        eisenstein_qexp(component, Weight(1, 0),
+                        CuspData.single_term(GAUSS, 1), 6, GAUSS,
+                        validate=validate)
+
+
+def test_expansions_of_different_weights_do_not_add():
+    """The sum would carry the left weight, so weights 3 and 5 must not add
+    (``congruent_mod`` compares across weights, as the Kummer check does)."""
+    q3, q5 = rank_one_qexp(3, bound=10), rank_one_qexp(5, bound=10)
+    for a, b in ((q3, q5), (q5, q3)):
+        with pytest.raises(ShapeMismatch, match=r"weights \(\d, 0\) and "
+                                                r"\(\d, 0\) do not add"):
+            a + b
+    total = q3 + q3
+    assert total.weight == q3.weight
+    assert total.coeff_by_trace(4) == 2 * q3.coeff_by_trace(4)
+
+
 def test_expansions_over_different_rings_are_not_comparable():
     cusp, w = CuspData.divisor_rule(SYMPL), Weight(3, 0)
     qq, zp = (eisenstein_qexp(MonomialFunction(SYMPL, 1, ring, Fraction(1),
@@ -408,22 +482,19 @@ def test_expansions_over_different_rings_are_not_comparable():
             a + b
 
 
-def test_monomial_sweeps_make_no_pair_call(monkeypatch):
-    """A rational monomial's coefficient is a power sum: no pair and no
-    value per term; a product and a combination still sum their pairs."""
+def test_monomial_sweeps_make_no_value_call(monkeypatch):
+    """A rational monomial's coefficient is a power sum: no value per term;
+    a product and a combination still sum their values term by term."""
     calls = collections.Counter()
 
-    def counting(name, method):
+    def counting(method):
         def counted(self, pt, j=None):
-            calls[name, type(self).__name__] += 1
+            calls[type(self).__name__] += 1
             return method(self, pt, j)
         return counted
 
-    for cls in (functions.GnFunction, MonomialFunction, ProductFunction,
-                LinearCombination):
-        for name in ("rational_pair", "evaluate"):
-            if name in vars(cls):
-                monkeypatch.setattr(cls, name, counting(name, vars(cls)[name]))
+    for cls in (MonomialFunction, ProductFunction, LinearCombination):
+        monkeypatch.setattr(cls, "evaluate", counting(vars(cls)["evaluate"]))
     for case in ("qq-divisor-n1-powers", "qq-divisor-unitary-n1",
                  "qq-single-n2"):
         make_jobs, field, cusp, bound, _ = SWEEPS[case]
@@ -440,8 +511,8 @@ def test_monomial_sweeps_make_no_pair_call(monkeypatch):
     combo = LinearCombination(SYMPL, 1, QQ, ((Fraction(1, 3), mono),))
     _expansions([(prod, Weight(1, 0)), (combo, Weight(1, 0))], cusp, 100,
                 SYMPL, validate=False)
-    assert calls["rational_pair", "ProductFunction"] > 0
-    assert calls["rational_pair", "LinearCombination"] > 0
+    assert calls["ProductFunction"] > 0
+    assert calls["LinearCombination"] > 0
 
 
 def test_sweep_validates_every_job():
