@@ -2,8 +2,9 @@
 
 Polynomials live on the n-by-n matrix space with exact rational
 coefficients.  The cyclic span of a vector under integer translations is
-closed off breadth-first and row reduced to a canonical basis; the sum of
-that basis is the coefficient multiplier applied to q-expansions.
+closed off breadth-first and kept as its reduced echelon basis; the sum of
+that basis, which depends only on the span, is the coefficient multiplier
+applied to q-expansions.
 """
 
 from __future__ import annotations
@@ -79,18 +80,12 @@ class MatrixPolynomial:
 
         ``forms[v]`` maps variable index -> rational coefficient.
         """
-        nn = self.n * self.n
-        out = MatrixPolynomial.constant(self.n, 0)
-        for mono, c in self.coeffs.items():
-            term = MatrixPolynomial.constant(self.n, c)
-            for v in range(nn):
-                for _ in range(mono[v]):
-                    lin = MatrixPolynomial(self.n, {
-                        tuple(1 if i == w else 0 for i in range(nn)): cw
-                        for w, cw in forms[v].items()})
-                    term = term * lin
-            out = out + term
-        return out
+        n, nn = self.n, self.n * self.n
+        lins = [MatrixPolynomial(n, {
+            tuple(1 if i == w else 0 for i in range(nn)): cw
+            for w, cw in form.items()}) for form in forms]
+        return self._evaluate(lins, MatrixPolynomial.constant(n, 0),
+                              lambda c: MatrixPolynomial.constant(n, c))
 
     def translate_left(self, g) -> "MatrixPolynomial":
         """p(x) -> p(g*x) for an integer matrix g."""
@@ -106,29 +101,28 @@ class MatrixPolynomial:
                  for a in range(n) for b in range(n)]
         return self.substitute_linear(forms)
 
-    def eval_matrix(self, m, ring):
-        """Evaluate at a matrix of ring elements (row-major nested)."""
-        flat = [e for row in m for e in row]
-        out = ring.zero()
+    def _evaluate(self, flat, zero, scalar):
+        """The sum over monomials of scalar(c) times powers of the values
+        ``flat`` of the entries, in row-major order, summed into ``zero``."""
+        out = zero
         for mono, c in self.coeffs.items():
-            term = ring.scalar(c)
+            term = scalar(c)
             for v, e in enumerate(mono):
                 for _ in range(e):
                     term = term * flat[v]
             out = out + term
         return out
 
+    def eval_matrix(self, m, ring):
+        """Evaluate at a matrix of ring elements (row-major nested)."""
+        return self._evaluate([e for row in m for e in row], ring.zero(),
+                              ring.scalar)
+
     def eval_knum(self, m):
         """Evaluate at a matrix of exact field elements."""
         flat = [e for row in m for e in row]
-        out = flat[0]._like(0, 0)
-        for mono, c in self.coeffs.items():
-            term = flat[0]._like(c, 0)
-            for v, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * flat[v]
-            out = out + term
-        return out
+        return self._evaluate(flat, flat[0]._like(0, 0),
+                              lambda c: flat[0]._like(c, 0))
 
     def sorted_terms(self):
         return sorted(self.coeffs.items(), reverse=True)
@@ -231,48 +225,38 @@ def _elementary_generators(n: int):
     return gens
 
 
-def _leading(poly: MatrixPolynomial) -> Monomial:
-    return max(poly.coeffs)
-
-
-def _reduce_against(poly: MatrixPolynomial, basis: list) -> MatrixPolynomial:
-    changed = True
-    while changed and not poly.is_zero:
-        changed = False
-        lead = _leading(poly)
-        for b in basis:
-            lb = _leading(b)
-            if lb == lead:
-                poly = poly - b * poly.coeffs[lead]
-                changed = True
-                break
-    return poly
-
-
 def f_zeta(zeta: MatrixPolynomial, max_dim: int | None = None) -> MatrixPolynomial:
-    """Sum of the canonical basis of the two-sided translation span of zeta.
+    """Sum of the reduced echelon basis of the two-sided translation span of zeta.
 
     The span is closed under p(x) -> p(g x) and p(x) -> p(x g) for the
-    integer generators 1 + E_ab, computed breadth-first and kept as a
-    reduced echelon basis with lexicographic monomial pivots.
+    integer generators 1 + E_ab, breadth-first.  It is kept as its reduced
+    echelon basis: each element has coefficient 1 at its pivot, its
+    lexicographically leading monomial, and 0 at every other pivot.  That
+    basis, and so the sum, depends only on the span.
     """
     if zeta.is_zero:
         return zeta
     if not zeta.is_homogeneous():
         raise SpanNotClosed("the seed polynomial must be homogeneous")
-    n = zeta.n
-    d = zeta.degree()
+    n, d = zeta.n, zeta.degree()
     bound = max_dim or math.comb(n * n + d - 1, d)
     gens = _elementary_generators(n)
-    basis: list[MatrixPolynomial] = []
+    basis: dict[Monomial, MatrixPolynomial] = {}  # pivot -> element
 
     def insert(p: MatrixPolynomial) -> bool:
-        p = _reduce_against(p, basis)
+        for pivot, b in basis.items():
+            c = p.coeffs.get(pivot)
+            if c:
+                p = p - b * c
         if p.is_zero:
             return False
-        p = p * (1 / p.coeffs[_leading(p)])
-        basis.append(p)
-        basis.sort(key=_leading, reverse=True)
+        lead = max(p.coeffs)
+        p = p * (1 / p.coeffs[lead])
+        for pivot, b in basis.items():
+            c = b.coeffs.get(lead)
+            if c:
+                basis[pivot] = b - p * c
+        basis[lead] = p
         if len(basis) > bound:
             raise SpanNotClosed("span exceeded the dimension bound")
         return True
@@ -287,15 +271,9 @@ def f_zeta(zeta: MatrixPolynomial, max_dim: int | None = None) -> MatrixPolynomi
                     if insert(q):
                         new.append(q)
         frontier = new
-    # re-reduce to echelon form for a canonical answer
-    final: list[MatrixPolynomial] = []
-    for p in sorted(basis, key=_leading, reverse=True):
-        p = _reduce_against(p, final)
-        if not p.is_zero:
-            final.append(p * (1 / p.coeffs[_leading(p)]))
     out = MatrixPolynomial.constant(n, 0)
-    for p in final:
-        out = out + p
+    for pivot in sorted(basis, reverse=True):
+        out = out + basis[pivot]
     return out
 
 

@@ -57,6 +57,10 @@ class RingMismatch(EisMeasureError):
     pass
 
 
+class NotRational(RingMismatch):
+    """An irrational field element asked of the rational ring."""
+
+
 class SpanNotClosed(EisMeasureError):
     pass
 

@@ -12,10 +12,11 @@ over the completed base ring.  Functions come in several flavours:
 
 The bridge between the integrand side (unit-invariant H) and the
 coefficient side (equivariant F) is the pair ``h_to_f`` / ``f_to_h``.  The
-bridge and the weight twist ``weight_twist`` share one weight factor, a norm
-of u = x^-1 * relnorm(x)^n * det y written once as exponents of
-(xs, xb, det y): monomials add it to their exponents, tables scale each
-coset's value by it, and any other function is multiplied by its value.
+bridge and the weight twist ``weight_twist`` share one weight factor, a
+norm of u = x^-1 * relnorm(x)^n * det y as exponents of (xs, xb, det y):
+monomials add it to their exponents and tables scale each coset's value by
+it; the bridge keeps a continuous function continuous, and the twist
+multiplies any other function by the factor's value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .errors import (
     GroupOrderNotInvertible,
     LevelMismatch,
     NotAUnit,
+    NotRational,
     RingMismatch,
+    ShapeMismatch,
     SupportNotInvertible,
 )
 from .fields import CMElt, FieldData, KNum, Weight
@@ -249,14 +252,34 @@ class LCFunction(GnFunction):
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "LCFunction":
-        level = int(data["level"])
+        level, n = int(data["level"]), int(data["n"])
         ring = ring_from_tag(data["ring"], field)
+        p, pj, sympl = field.p, field.p ** level, field.mode == "symplectic"
+
+        def residues(ks, size):
+            return (isinstance(ks, list) and len(ks) == size
+                    and all(type(r) is int and 0 <= r < pj for r in ks))
+
         values = {}
         for ent in data["entries"]:
-            key = (tuple(ent["x_coset"]), tuple(ent["y_coset"]))
-            values[key] = ring.from_json(ent["value"])
-        return cls(field, int(data["n"]), ring, level, values=values,
-                   y_invertible=data.get("support") == "y_invertible")
+            v = ring.from_json(ent["value"])
+            xk, yk = ent["x_coset"], ent["y_coset"]
+            # a coset no point reaches would integrate to 0; a symplectic
+            # x is rational, so both its residues agree
+            if not (residues(xk, 2) and residues(yk, n * n)
+                    and all(r % p for r in xk)
+                    and (not sympl or xk[0] == xk[1])):
+                raise ShapeMismatch(
+                    f"table entry x_coset {xk}, y_coset {yk} is not "
+                    f"{'2 equal' if sympl else '2'} units and {n * n} "
+                    f"residues mod {pj}")
+            values[(tuple(xk), tuple(yk))] = v
+        support = data.get("support")
+        if support not in ("all", "y_invertible"):
+            raise ShapeMismatch(f"table support {support!r} is not 'all' or "
+                                "'y_invertible'")
+        return cls(field, n, ring, level, values=values,
+                   y_invertible=support == "y_invertible")
 
 
 class MonomialFunction(GnFunction):
@@ -461,33 +484,24 @@ def h_to_f(h: GnFunction) -> GnFunction:
 
     f(x, y) = h(x, y^-1) / weight-(n,0) norm of (x^-1 * relnorm(x)^n * det y).
     """
-    return _bridge(h, forward=True)
+    return _bridge(h, _weight_exponents(h.n, h.field.mode, -h.n, 0))
 
 
 def f_to_h(f: GnFunction) -> GnFunction:
     """Inverse bridge: h(x, y) = f(x, y^-1) / norm of (x * relnorm(x)^-n * det y)."""
-    return _bridge(f, forward=False)
+    e = _weight_exponents(f.n, f.field.mode, -f.n, 0)
+    # x enters inverted; the det divisor keeps its sign
+    return _bridge(f, (-e[0], -e[1], e[2]))
 
 
-def _bridge(g: GnFunction, forward: bool) -> GnFunction:
-    field, n = g.field, g.n
-    e = _weight_exponents(n, field.mode, -n, 0)
-    if not forward:  # x enters inverted; the det divisor keeps its sign
-        e = (-e[0], -e[1], e[2])
-    if isinstance(g, MonomialFunction):
-        return MonomialFunction(field, n, g.ring, g.coef, g.e_xs + e[0],
-                                g.e_xb + e[1], -g.e_det + e[2],
-                                y_invertible=True)
-    if isinstance(g, LinearCombination):
-        return LinearCombination(field, n, g.ring,
-                                 tuple((c, _bridge(f, forward)) for c, f in g.terms))
-    if isinstance(g, ContinuousFunction):
-        return ContinuousFunction(field, n, g.ring,
-                                  lambda j: _bridge(g.oracle(j), forward),
+def _bridge(g: GnFunction, e: tuple[int, int, int]) -> GnFunction:
+    def other(g):  # a continuous function stays continuous
+        if not isinstance(g, ContinuousFunction):
+            raise RingMismatch(f"no bridge for {type(g).__name__}")
+        return ContinuousFunction(g.field, g.n, g.ring,
+                                  lambda j: _bridge(g.oracle(j), e),
                                   y_invertible=True)
-    if isinstance(g, LCFunction):
-        return _scale_table(g, e, invert_y=True)
-    raise RingMismatch(f"no bridge for {type(g).__name__}")
+    return _times_weight(g, e, other, invert_y=True, y_inv=True)
 
 
 def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
@@ -495,22 +509,33 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
 
     Reduces an expansion of weight (k, nu) to the base weight (n, 0).
     """
-    field, n = f.field, f.n
-    kp, nu = w.k - n, w.nu
-    e = _weight_exponents(n, field.mode, kp, nu)
+    kp, nu = w.k - f.n, w.nu
+    e = _weight_exponents(f.n, f.field.mode, kp, nu)
     # det(y) enters with the power kp, and the nu-part needs its inverse
-    y_inv = f.y_invertible or kp < 0 or nu != 0
-    if isinstance(f, MonomialFunction):
-        return MonomialFunction(field, n, f.ring, f.coef, f.e_xs + e[0],
-                                f.e_xb + e[1], f.e_det + e[2], y_invertible=y_inv)
-    if isinstance(f, LinearCombination):
-        return LinearCombination(field, n, f.ring,
-                                 tuple((c, weight_twist(g, w)) for c, g in f.terms))
-    if isinstance(f, LCFunction):
-        return _scale_table(f, e, invert_y=False)
-    return ProductFunction(field, n, f.ring, f,
-                           lambda pt, ring: _weight_value(pt, e, ring),
-                           y_invertible=y_inv)
+    y_inv = kp < 0 or nu != 0
+    return _times_weight(f, e, lambda g: ProductFunction(
+        g.field, g.n, g.ring, g, lambda pt, r: _weight_value(pt, e, r),
+        y_invertible=y_inv or g.y_invertible), invert_y=False, y_inv=y_inv)
+
+
+def _times_weight(g: GnFunction, e: tuple[int, int, int], other, *,
+                  invert_y: bool, y_inv: bool) -> GnFunction:
+    """g(x, y^-1) (or g(x, y)) times xs^e0 * xb^e1 * det(y)^e2 for a
+    monomial (y-invertible if g is or y_inv is), a combination or a table;
+    ``other`` takes any other function."""
+    field, n, ring = g.field, g.n, g.ring
+    if isinstance(g, MonomialFunction):
+        e_det = -g.e_det if invert_y else g.e_det
+        return MonomialFunction(field, n, ring, g.coef, g.e_xs + e[0],
+                                g.e_xb + e[1], e_det + e[2],
+                                y_invertible=y_inv or g.y_invertible)
+    if isinstance(g, LinearCombination):
+        return LinearCombination(field, n, ring, tuple(
+            (c, _times_weight(f, e, other, invert_y=invert_y, y_inv=y_inv))
+            for c, f in g.terms))
+    if isinstance(g, LCFunction):
+        return _scale_table(g, e, invert_y)
+    return other(g)
 
 
 # -- unit equivariance ---------------------------------------------------------
@@ -542,7 +567,7 @@ def check_equivariance(f: GnFunction, w: Weight, points,
     for e in field.unit_group:
         try:
             fac = f.ring.from_knum(unit_weight_factor(e, w, field), field)
-        except RingMismatch:  # irrational over Q: only zero transforms by it
+        except NotRational:  # an irrational factor: only zero transforms by it
             fac = None
         for pt in points:
             lhs = f.evaluate(pt.unit_translate(e), j)
@@ -705,13 +730,13 @@ def character_decompose(f: LCFunction):
         zeta = teichmuller(g, p, ring.prec)
         root_pow = {e: zeta ** e for e in range(order)}
         out_ring = ring
-        table = {k: v for k, v in f.values.items()}
     else:
         out_ring = CyclotomicRing(order)
         root_pow = {e: out_ring.root(e) for e in range(order)}
-        table = {k: out_ring.coerce(v) for k, v in f.values.items()}
-
-    inv_size = out_ring.scalar(Fraction(1, gsize))
+    # each value over |group| once; a root times a rational is a scalar product
+    inv_size = ring.scalar(Fraction(1, gsize))
+    table = {k: inv_size * ring.coerce(v) for k, v in f.values.items()}
+    inverse = {u: pow(u, -1, pj) for u in dlog}
     labels = ([(t,) for t in range(order)] if sympl
               else [(t1, t2) for t1 in range(order) for t2 in range(order)])
     components = []
@@ -720,10 +745,10 @@ def character_decompose(f: LCFunction):
         for (u1, u2) in group:
             e = sum(t * d for t, d in zip(label, (dlog[u1], dlog[u2])))
             chi_inv = root_pow[-e % order]
-            ui1, ui2 = pow(u1, -1, pj), pow(u2, -1, pj)
+            ui1, ui2 = inverse[u1], inverse[u2]
             for (xk, yk), v in table.items():
                 key = ((xk[0] * ui1 % pj, xk[1] * ui2 % pj), yk)
-                add = inv_size * chi_inv * v
+                add = chi_inv * v
                 prev = comp.get(key)
                 comp[key] = add if prev is None else prev + add
         comp = {k: v for k, v in comp.items() if not out_ring.is_zero(v)}

@@ -145,7 +145,11 @@ class QExpansion:
                 raise ShapeMismatch(f"index {pairs} is not {n} x {n}")
             beta = HermitianMatrix.from_pairs(field, pairs)
             terms[beta.key()] = (beta, ring.from_json(t["coeff"]))
-        return cls(field, n, Weight(*data.get("weight", [n, 0])),
+        w = data.get("weight")
+        if not (isinstance(w, list) and len(w) == 2
+                and all(type(c) is int for c in w)):
+            raise ShapeMismatch(f"weight {w!r} is not a pair of integers")
+        return cls(field, n, Weight(*w),
                    data["cusp"], int(data["trace_bound"]), ring, terms)
 
 

@@ -4,13 +4,15 @@ Mixing rings is an error, never a coercion; plain integers and Fractions
 are accepted everywhere as scalars.  A ring places exact field elements
 (``from_knum``), gives an expansion term's weight factor
 (``weight_factor``) and owns its JSON values; ``RINGS`` maps the tags.
+The cyclotomic ring holds character components only: it places no field
+element and writes no JSON, and says so with ``RingMismatch``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RingMismatch
+from .errors import NotRational, RingMismatch
 from .fields import CMElt, norm_weight
 from .padic import PadicElt
 
@@ -166,7 +168,7 @@ class RationalRing:
 
     def from_knum(self, v, field) -> Fraction:
         if not v.is_rational:
-            raise RingMismatch(f"{v} is not rational")
+            raise NotRational(f"{v} is not rational")
         return Fraction(v.u)
 
     def weight_factor(self, detb, a, w, n, field) -> Fraction:
@@ -273,6 +275,13 @@ class CyclotomicRing:
 
     def eq(self, x, y) -> bool:
         return self.coerce(x) == self.coerce(y)
+
+    def from_knum(self, v, field):
+        raise RingMismatch(f"the cyclotomic ring does not place field "
+                           f"element {v}")
+
+    def to_json(self, v):
+        raise RingMismatch("cyclotomic values do not serialize")
 
 
 QQ = RationalRing()

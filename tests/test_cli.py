@@ -462,3 +462,83 @@ def test_a_table_finer_than_the_field_precision_is_usage_error(
                              *extra)
         assert code == 2 and out == ""
         assert err == "error: (0+-1w) is known mod p^3, asked mod p^4\n"
+
+
+def _edited_table(tmp_path, edit, mode="unitary"):
+    """A p = 5, rank-one, level-1 table (Gaussian when unitary) after
+    ``edit`` of its JSON."""
+    import random
+
+    from eismeasure.fields import FieldData
+    from eismeasure.functions import random_lc_function
+
+    data = random_lc_function(FieldData(p=5, k_disc=-4, mode=mode), 1, 1,
+                              random.Random(1), entries=3).to_json()
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _each_entry(change):
+    def edit(data):
+        for ent in data["entries"]:
+            change(ent)
+    return edit
+
+
+@pytest.mark.parametrize("mode,change", [
+    ("unitary", lambda ent: ent.update(
+        x_coset=[r + 5 for r in ent["x_coset"]])),
+    ("unitary", lambda ent: ent.update(y_coset=ent["y_coset"] * 4)),
+    ("unitary", lambda ent: ent.update(x_coset=ent["x_coset"][:1])),
+    ("unitary", lambda ent: ent.update(y_coset=[-1])),
+    ("unitary", lambda ent: ent.update(x_coset=[0, ent["x_coset"][1]])),
+    ("unitary", lambda ent: ent.update(
+        x_coset=[[r] for r in ent["x_coset"]])),
+    ("symplectic", lambda ent: ent.update(x_coset=[1, 2])),
+], ids=["x-residue-out-of-range", "y-coset-too-long", "x-coset-too-short",
+        "negative-y-residue", "x-residue-divisible-by-p", "nested-x-coset",
+        "symplectic-unequal-x-residues"])
+@pytest.mark.parametrize("command", ["integrate", "decompose"])
+def test_a_table_with_a_coset_no_point_reaches_is_usage_error(
+        tmp_path, capsys, mode, change, command):
+    """Such a table would integrate to zero or fail as a verification:
+    it is refused at load, naming the entry."""
+    table = _edited_table(tmp_path, _each_entry(change), mode)
+    argv = (["integrate", "--mode", mode, "--bound", "4",
+             "--function", "@" + table]
+            if command == "integrate"
+            else ["decompose", "--mode", mode, "--table", table])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: table entry x_coset ")
+
+
+@pytest.mark.parametrize("support", ["al", None])
+def test_a_table_support_that_is_not_named_is_usage_error(
+        tmp_path, capsys, support):
+    def edit(data):
+        if support is None:
+            del data["support"]
+        else:
+            data["support"] = support
+    table = _edited_table(tmp_path, edit)
+    code, out, err = run(capsys, "integrate", "--bound", "4",
+                         "--function", "@" + table)
+    assert code == 2 and out == ""
+    assert err == f"error: table support {support!r} is not 'all' or " \
+                  "'y_invertible'\n"
+
+
+def test_an_expansion_file_without_its_weight_is_usage_error(
+        tmp_path, capsys, rank_one_input):
+    data = json.loads(open(rank_one_input).read())
+    del data["weight"]
+    path = tmp_path / "no_weight.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                         "--p", "5", "--input", str(path), "--h", "[[[1,0]]]",
+                         "--lam", "2")
+    assert code == 2 and out == ""
+    assert err == "error: weight None is not a pair of integers\n"

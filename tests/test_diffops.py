@@ -1,6 +1,7 @@
 """Matrix polynomials, cyclic spans, and coefficient multipliers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -65,6 +66,24 @@ def test_f_zeta_det_power_is_already_closed():
             seed = seed * d
         fz = f_zeta(seed, 20)
         assert fz.coeffs == seed.coeffs
+
+
+def test_f_zeta_depends_only_on_the_span():
+    """Seeds of one span give one multiplier, the sum of its reduced
+    echelon basis: at n = 2 every linear seed below spans all linear forms,
+    and every quadratic seed and its left translate all quadratic forms."""
+    def v(a, b):
+        return MatrixPolynomial.variable(2, a, b)
+
+    def all_monomials(d):
+        return {m: 1 for m in product(range(d + 1), repeat=4) if sum(m) == d}
+
+    for seed in (v(0, 0), v(0, 1), v(1, 1), v(0, 0) + v(0, 1)):
+        assert f_zeta(seed).coeffs == all_monomials(1)
+    g = [[1, 1], [0, 1]]
+    for seed in (v(0, 0) * v(0, 0), v(0, 0) * v(1, 1), v(1, 0) * v(0, 1)):
+        for s in (seed, seed.translate_left(g)):
+            assert f_zeta(s).coeffs == all_monomials(2)
 
 
 def test_f_zeta_rejects_inhomogeneous_seed():

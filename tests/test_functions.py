@@ -9,6 +9,7 @@ from eismeasure.errors import (
     DenominatorDivisibleByP,
     GroupOrderNotInvertible,
     LevelMismatch,
+    RingMismatch,
     UnsupportedSize,
 )
 from eismeasure.fields import FieldData, Weight
@@ -163,6 +164,24 @@ def test_character_decompose_qq_promotes_to_cyclotomic():
             if got is not None:
                 total = total + got
         assert ring.eq(total, ring.coerce(v))
+
+
+def test_a_cyclotomic_component_refuses_the_ring_protocol_it_lacks():
+    """The cyclotomic ring places no field element and writes no JSON, so
+    symmetrizing, checking and serializing a character component of a
+    rational table raise RingMismatch, not AttributeError."""
+    base = random_lc_function(GAUSS, 1, 1, random.Random(1), entries=3)
+    f = LCFunction(GAUSS, 1, QQ, 1, values={
+        k: Fraction(v.lift()) for k, v in base.values.items()})
+    comps = character_decompose(f)
+    assert len(comps) == 16
+    _, g = comps[0]
+    pts = [GnPoint.from_exact(GAUSS, GAUSS.K(1), ((GAUSS.K(2),),))]
+    for call in (lambda: symmetrize(g, Weight(1, 0)),
+                 lambda: check_equivariance(g, Weight(1, 0), pts),
+                 g.to_json):
+        with pytest.raises(RingMismatch):
+            call()
 
 
 def test_character_decompose_refuses_padic_at_deep_level():
