@@ -406,26 +406,23 @@ def _draw_generator(n: int, bits, data: list) -> int:
     return used
 
 
-def _draw_word(n: int, rng, data: list, lengths: list, max_len: int = 8) -> int:
-    """Append one word's rows to data and its length to lengths; return the
-    words used."""
+def _draw_word(n: int, rng, data: list, lengths: list) -> int:
+    """Append one word's rows to data and its length (1 to 8) to lengths;
+    return the words used."""
     bits = rng.getrandbits
     used = _draw_generator(n, bits, data)
-    k = max_len.bit_length()
-    extra, used = bits(k), used + 1  # randrange(max_len)
-    while extra >= max_len:
-        extra, used = bits(k), used + 1
+    extra, used = bits(4), used + 1  # randrange(8)
+    while extra >= 8:
+        extra, used = bits(4), used + 1
     for _ in range(extra):
         used += _draw_generator(n, bits, data)
     lengths.append(extra + 1)
     return used
 
 
-def random_word(n: int, rng, max_len: int = 8) -> GroupElement:
-    if max_len < 1:
-        raise ValueError(f"a word needs max_len >= 1, got {max_len}")
+def random_word(n: int, rng) -> GroupElement:
     data, lengths = [], []
-    _draw_word(n, rng, data, lengths, max_len)
+    _draw_word(n, rng, data, lengths)
     mats, nus = _words(n, data, lengths)
     return GroupElement(mats[0], nus[0])
 

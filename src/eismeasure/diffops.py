@@ -124,11 +124,9 @@ class MatrixPolynomial:
         return self._evaluate(flat, flat[0]._like(0, 0),
                               lambda c: flat[0]._like(c, 0))
 
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(), reverse=True)
-
     def __repr__(self):
-        return " + ".join(f"{c}*x{m}" for m, c in self.sorted_terms()) or "0"
+        return " + ".join(f"{c}*x{m}" for m, c in
+                          sorted(self.coeffs.items(), reverse=True)) or "0"
 
 
 def det_polynomial(n: int, size: int) -> MatrixPolynomial:
@@ -168,9 +166,6 @@ class HighestWeight:
     @property
     def n(self) -> int:
         return len(self.r)
-
-    def degree(self) -> int:
-        return sum(self.r)
 
 
 def weights_to_exponents(hw: HighestWeight) -> tuple[int, ...]:

@@ -394,34 +394,14 @@ class CMElt:
     def __mul__(self, o: "CMElt") -> "CMElt":
         return CMElt(self.field, self.xs * o.xs, self.xb * o.xb)
 
-    def __truediv__(self, o: "CMElt") -> "CMElt":
-        return CMElt(self.field, self.xs / o.xs, self.xb / o.xb)
-
-    def conj(self) -> "CMElt":
-        if self.field.mode == "symplectic":
-            return self
-        return CMElt(self.field, self.xb, self.xs)
-
     def invert(self) -> "CMElt":
         return CMElt(self.field, self.xs.invert(), self.xb.invert())
-
-    def __pow__(self, e: int) -> "CMElt":
-        return CMElt(self.field, self.xs**e, self.xb**e)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.xs.is_unit and self.xb.is_unit
 
     def norm_relative(self) -> PadicElt:
         """Norm down to the completed base ring (identity in symplectic mode)."""
         if self.field.mode == "symplectic":
             return self.xs
         return self.xs * self.xb
-
-    def __eq__(self, o) -> bool:
-        if not isinstance(o, CMElt):
-            return NotImplemented
-        return self.xs == o.xs and self.xb == o.xb
 
     def __repr__(self):
         return f"CM({self.xs!r}, {self.xb!r})"

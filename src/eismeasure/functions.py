@@ -210,6 +210,14 @@ class GnFunction:
                                  ((1, self), (1, other)))
 
 
+def _json_int(data: dict, key: str) -> int:
+    """data[key], which must be a JSON integer (no float, string or bool)."""
+    v = data[key]
+    if type(v) is not int:
+        raise ShapeMismatch(f"{key} {v!r} is not an integer")
+    return v
+
+
 class LCFunction(GnFunction):
     """Locally constant function at a finite level.
 
@@ -252,7 +260,7 @@ class LCFunction(GnFunction):
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "LCFunction":
-        level, n = int(data["level"]), int(data["n"])
+        level, n = _json_int(data, "level"), _json_int(data, "n")
         ring = ring_from_tag(data["ring"], field)
         p, pj, sympl = field.p, field.p ** level, field.mode == "symplectic"
 
@@ -627,41 +635,21 @@ def symmetrize(f: LCFunction, w: Weight) -> LCFunction:
 # -- characters and partition functions ---------------------------------------
 
 
-def _primitive_root(p: int, j: int) -> int:
-    """Smallest generator of the units mod p^j (p an odd prime)."""
-    pj = p ** j
-    order = (p - 1) * p ** (j - 1)
-    fac = _prime_factors(order)
+def _dlog_table(p: int, j: int) -> tuple[int, dict[int, int], int]:
+    """(g, discrete logs to base g, order) for the smallest generator g of
+    the units mod p^j (p an odd prime): the first g whose powers reach all
+    (p - 1) * p^(j-1) of them."""
+    pj, order = p ** j, (p - 1) * p ** (j - 1)
     for g in range(2, pj):
         if g % p == 0:
             continue
-        if all(pow(g, order // q, pj) != 1 for q in fac):
-            return g
+        table, cur = {}, 1
+        while cur not in table:
+            table[cur] = len(table)
+            cur = cur * g % pj
+        if len(table) == order:
+            return g, table, order
     raise ValueError("no primitive root found")
-
-
-def _prime_factors(m: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _dlog_table(p: int, j: int) -> tuple[int, dict[int, int], int]:
-    g = _primitive_root(p, j)
-    pj = p ** j
-    order = (p - 1) * p ** (j - 1)
-    table, cur = {}, 1
-    for e in range(order):
-        table[cur] = e
-        cur = cur * g % pj
-    return g, table, order
 
 
 def teichmuller(u: int, p: int, prec: int) -> PadicElt:

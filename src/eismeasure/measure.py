@@ -53,30 +53,32 @@ def integrate(h: GnFunction, ctx: MeasureContext,
     """Integrate a unit-invariant function; returns the base-weight expansion."""
     f = h_to_f(h)
     if validate:
-        betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
-        pts = _sample_points(ctx.field, ctx.cusp, betas)
-        rep = check_unit_invariance(h, pts, j=ctx.precision)
-        if not rep.passed:
-            raise EquivarianceViolation(
-                f"integrand is not unit invariant at {rep.witness_text()}")
+        _require_unit_invariance(h, ctx)
     return eisenstein_qexp(f, Weight(ctx.n, 0), ctx.cusp, ctx.trace_bound,
                            ctx.field, precision=ctx.precision,
                            validate=validate)
 
 
+def _require_unit_invariance(h: GnFunction, ctx: MeasureContext):
+    """Raise ``EquivarianceViolation`` unless h is unit invariant at the
+    context's sample points."""
+    betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
+    pts = _sample_points(ctx.field, ctx.cusp, betas)
+    rep = check_unit_invariance(h, pts, j=ctx.precision)
+    if not rep.passed:
+        raise EquivarianceViolation(
+            f"integrand is not unit invariant at {rep.witness_text()}")
+
+
 def _zeta_multiplier(mult: MatrixPolynomial):
-    """The function (x, y) -> mult(relnorm(x) * y) as a pointwise factor."""
+    """The function (x, y) -> mult(relnorm(x) * y) as a pointwise factor at
+    exact points: ``moment_zeta`` sweeps only cusp-rule points."""
 
     def value(pt: GnPoint, ring):
-        field = pt.field
-        if pt.y is not None:
-            nx = norm_rel_exact(pt.x, field)
-            m = [[e * nx for e in row] for row in pt.y]
-            # in the ring's zero, as ``eval_multiplier`` sums it
-            return ring.zero() + ring.from_knum(mult.eval_knum(m), field)
-        nx = pt.x_cm().norm_relative()
-        m = [[e * nx for e in row] for row in pt.y_padic]
-        return mult.eval_matrix(m, ring)
+        nx = norm_rel_exact(pt.x, pt.field)
+        m = [[e * nx for e in row] for row in pt.y]
+        # in the ring's zero, as ``eval_multiplier`` sums it
+        return ring.zero() + ring.from_knum(mult.eval_knum(m), pt.field)
 
     return value
 
@@ -87,9 +89,11 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial, ctx: MeasureContext,
 
     Equals coefficientwise multiplication of integrate(h) by the multiplier
     value at each index; with verify=True both routes are computed, in one
-    sweep, and must agree exactly.
+    sweep, and must agree exactly.  h must be unit invariant, as for
+    ``integrate``.
     """
     f = h_to_f(h)
+    _require_unit_invariance(h, ctx)
     # on the coefficient side the multiplier argument y^-1 turns back into y
     f2 = ProductFunction(f.field, f.n, f.ring, f, _zeta_multiplier(mult),
                          y_invertible=f.y_invertible)

@@ -13,7 +13,7 @@ and decides its unit and invertibility tests, coset keys and unit
 translates once.  A rational monomial's coefficient is a power sum of x
 over the points, reduced once (``_power_sum``).  It reads the index's
 stored view, (mult, a, d, y invertible) per point with x = a/d a rational
-unit, and each x-power from a table kept for one sweep.  Any other
+unit, and takes each x-power as a pair of integer powers.  Any other
 coefficient is summed term by term in its ring (``ring.weight_factor``).
 """
 
@@ -26,6 +26,7 @@ from functools import partial
 from .errors import (
     EisMeasureError,
     EquivarianceViolation,
+    FieldDataError,
     LatticeMismatch,
     RingMismatch,
     ShapeMismatch,
@@ -36,6 +37,7 @@ from .functions import (
     GnPoint,
     MonomialFunction,
     _congruent,
+    _json_int,
     check_equivariance,
     evaluate,
 )
@@ -136,8 +138,11 @@ class QExpansion:
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "QExpansion":
+        if (p := _json_int(data, "p")) != field.p:
+            raise FieldDataError(f"an expansion over p = {p} read with "
+                                 f"p = {field.p}")
         ring = ring_from_tag(data["ring"], field)
-        n = int(data["n"])
+        n = _json_int(data, "n")
         terms = {}
         for t in data["terms"]:
             pairs = t["beta"]
@@ -150,7 +155,7 @@ class QExpansion:
                 and all(type(c) is int for c in w)):
             raise ShapeMismatch(f"weight {w!r} is not a pair of integers")
         return cls(field, n, Weight(*w),
-                   data["cusp"], int(data["trace_bound"]), ring, terms)
+                   data["cusp"], _json_int(data, "trace_bound"), ring, terms)
 
 
 def _rule_point(field: FieldData, a, beta: HermitianMatrix,
@@ -253,15 +258,15 @@ def _job_coefficient(f, w, n, field, precision):
         return by_term
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
     return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
-                   f.e_det + w.k - n, {}, by_term)
+                   f.e_det + w.k - n, by_term)
 
 
-def _power_sum(f, e, dexp, powers, by_term, beta, mults, points) -> Fraction:
+def _power_sum(f, e, dexp, by_term, beta, mults, points) -> Fraction:
     """coef * det(beta)^dexp * the sum of mult * x^e over beta's view (y
-    invertible, if the monomial asks), each x^e from the sweep's ``powers``:
-    at (x, x^-r * beta) det(y) = det(beta) * x^-rn, so this sums mult * f(pt)
-    * (det(beta)/x)^k / det(beta)^n.  Unless each x is a rational unit the
-    view is False (not stored, if a test raises) and ``by_term`` sums f(pt)."""
+    invertible, if the monomial asks), x^e as a^e/d^e: at (x, x^-r * beta)
+    det(y) = det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k
+    / det(beta)^n.  Unless each x is a rational unit the view is False (not
+    stored, if a test raises) and ``by_term`` sums f(pt)."""
     if (view := beta._power_view) is None:
         try:
             view = beta._power_view = (
@@ -272,12 +277,11 @@ def _power_sum(f, e, dexp, powers, by_term, beta, mults, points) -> Fraction:
             view = False
     if view is False:
         return by_term(beta, mults, points)
-    num, den, y_invertible, get = 0, 1, f.y_invertible, powers.get
+    num, den, y_invertible = 0, 1, f.y_invertible
     for mult, a, d, y_inv in view:
         if y_invertible and not y_inv:
             continue
-        tn, td = get((a, d)) or powers.setdefault(  # (a/d)^e = (d/a)^-e
-            (a, d), (a ** e, d ** e) if e >= 0 else (d ** -e, a ** -e))
+        tn, td = (a ** e, d ** e) if e >= 0 else (d ** -e, a ** -e)
         if td == den:  # every integral x when e >= 0
             num += mult * tn
         else:  # over the lcm of the denominators
