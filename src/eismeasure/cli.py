@@ -175,7 +175,7 @@ def _dispatch(args) -> int:
             q = integrate(g, MeasureContext(field, cusp, args.bound))
         else:
             q = moment_detd(g, args.det_power,
-                            MeasureContext(field, cusp, args.bound), verify=True)
+                            MeasureContext(field, cusp, args.bound))
         _emit(q.to_json(), args.out)
         return 0
     if cmd == "kummer":

@@ -307,17 +307,16 @@ class FieldData:
     # -- embeddings ----------------------------------------------------------
     # The split roots are integers known mod p^precision; an element
     # (a + b*w)/d goes to the rational (a + b*r)/d, which must be p-integral.
-    def sigma_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
+    def sigma_padic(self, a: KNum) -> PadicElt:
         """First-root embedding of an exact element as a p-adic integer."""
-        return self._embed(a, self.split_roots[0], prec)
+        return self._embed(a, self.split_roots[0])
 
-    def sigma_bar_padic(self, a: KNum, prec: int | None = None) -> PadicElt:
-        return self._embed(a, self.split_roots[1], prec)
+    def sigma_bar_padic(self, a: KNum) -> PadicElt:
+        return self._embed(a, self.split_roots[1])
 
-    def _embed(self, a: KNum, r: int, prec: int | None) -> PadicElt:
+    def _embed(self, a: KNum, r: int) -> PadicElt:
         num, den = _at_root(a, r)
-        x = PadicElt.from_rational(num, den, p=self.p,
-                                   prec=prec or self.precision)
+        x = PadicElt.from_rational(num, den, p=self.p, prec=self.precision)
         if a.b == 0:  # rational: exact
             return x
         known = self._known_digits(a)
@@ -387,9 +386,9 @@ class CMElt:
         self.field, self.xs, self.xb = field, xs, xb
 
     @classmethod
-    def embed(cls, a: KNum, field: FieldData, prec: int | None = None) -> "CMElt":
+    def embed(cls, a: KNum, field: FieldData) -> "CMElt":
         """Split embedding of an exact p-integral element."""
-        return cls(field, field.sigma_padic(a, prec), field.sigma_bar_padic(a, prec))
+        return cls(field, field.sigma_padic(a), field.sigma_bar_padic(a))
 
     def __mul__(self, o: "CMElt") -> "CMElt":
         return CMElt(self.field, self.xs * o.xs, self.xb * o.xb)

@@ -1,7 +1,9 @@
 """Functions on the pair domain (unit group) x (n-by-n matrix space).
 
 The two coordinates of a point are a completed-field unit x and a matrix y
-over the completed base ring.  Functions come in several flavours:
+over the completed base ring; a ``GnPoint`` holds exact x and y over K, which
+a p-adic function reads through the split embeddings at the field's
+precision.  Functions come in several flavours:
 
 * ``LCFunction``    -- locally constant at a finite level, backed by a
                        sparse coset table or a coset rule;
@@ -78,7 +80,7 @@ def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
 
 
 class GnPoint:
-    """A point of the pair domain, exact and/or p-adic.
+    """A point of the pair domain, with exact coordinates x and y.
 
     A plain ``__slots__`` class, never hashed or compared (equality is
     identity).  ``x_is_unit``, ``y_is_invertible``, ``det_y_exact``, the
@@ -89,33 +91,24 @@ class GnPoint:
     (``qexp._rule_terms``) and live as long as the enumeration.
     """
 
-    __slots__ = ("field", "n", "x", "y", "x_padic", "y_padic", "_det_y",
-                 "_unit", "_invertible", "_coset_keys", "_translates")
+    __slots__ = ("field", "n", "x", "y", "_det_y", "_unit", "_invertible",
+                 "_coset_keys", "_translates")
 
-    def __init__(self, field, n, x=None, y=None, x_padic=None, y_padic=None,
-                 *, det_y_exact=None):
+    def __init__(self, field, n, x, y, *, det_y_exact=None):
         self.field, self.n, self.x, self.y = field, n, x, y
-        self.x_padic, self.y_padic, self._det_y = x_padic, y_padic, det_y_exact
+        self._det_y = det_y_exact
         self._unit = self._invertible = None
         self._coset_keys = self._translates = None
 
     @classmethod
     def from_exact(cls, field: FieldData, x: KNum, y: Matrix) -> "GnPoint":
-        return cls(field, len(y), x=x, y=y)
-
-    @classmethod
-    def from_padic(cls, field: FieldData, x: CMElt, y) -> "GnPoint":
-        return cls(field, len(y), x_padic=x, y_padic=tuple(tuple(r) for r in y))
+        return cls(field, len(y), x, y)
 
     # -- x accessors -------------------------------------------------------
-    def x_cm(self, prec: int | None = None) -> CMElt:
-        if self.x_padic is not None:
-            return self.x_padic
-        return CMElt.embed(self.x, self.field, prec)
+    def x_cm(self) -> CMElt:
+        return CMElt.embed(self.x, self.field)
 
     def x_key(self, j: int) -> XKey:
-        if self.x_padic is not None:
-            return (self.x_padic.xs.lift(j), self.x_padic.xb.lift(j))
         return (self.field.sigma_residue(self.x, j),
                 self.field.sigma_bar_residue(self.x, j))
 
@@ -130,21 +123,15 @@ class GnPoint:
 
     # -- y accessors -------------------------------------------------------
     def y_key(self, j: int) -> YKey:
-        if self.y_padic is not None:
-            return tuple(e.lift(j) for row in self.y_padic for e in row)
         return tuple(self.field.sigma_residue(e, j)
                      for row in self.y for e in row)
 
-    def det_y_padic(self, prec: int | None = None) -> PadicElt:
-        if self.y_padic is not None:
-            return mat_det(self.y_padic)
-        return self.field.sigma_padic(self.det_y_exact, prec)
+    def det_y_padic(self) -> PadicElt:
+        return self.field.sigma_padic(self.det_y_exact)
 
     @property
     def det_y_exact(self) -> KNum:
         if self._det_y is None:
-            if self.y is None:
-                raise RingMismatch("point has no exact part")
             self._det_y = mat_det(self.y)
         return self._det_y
 
@@ -159,21 +146,15 @@ class GnPoint:
 
     def _translate(self, e: KNum) -> "GnPoint":
         ne = norm_rel_exact(e, self.field)
-        if self.x is not None:
-            y2 = tuple(tuple(v / ne for v in row) for row in self.y)
-            return GnPoint(self.field, self.n, x=self.x * e, y=y2)
-        ec = CMElt.embed(e, self.field)
-        ni = PadicElt.from_rational(1 / ne, p=self.field.p,
-                                    prec=self.field.precision)
-        y2 = tuple(tuple(v * ni for v in row) for row in self.y_padic)
-        return GnPoint(self.field, self.n, x_padic=self.x_cm() * ec, y_padic=y2)
+        y2 = tuple(tuple(v / ne for v in row) for row in self.y)
+        return GnPoint(self.field, self.n, self.x * e, y2)
 
     @property
     def x_is_unit(self) -> bool:
         if self._unit is None:
             x, (r, rb), p = self.x, self.field.split_roots, self.field.p
             # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
-            xk = ((x.a + x.b * r, x.a + x.b * rb) if x is not None and x.d % p
+            xk = ((x.a + x.b * r, x.a + x.b * rb) if x.d % p
                   else self.x_key(1))
             self._unit = xk[0] % p != 0 and xk[1] % p != 0
         return self._unit
@@ -183,7 +164,7 @@ class GnPoint:
         if self._invertible is None:
             y, p = self.y, self.field.p
             # no p in a denominator: det(y) mod p is the det of the residues
-            if y is not None and all(e.d % p for row in y for e in row):
+            if all(e.d % p for row in y for e in row):
                 d = self.det_y_exact
                 d = d.a + d.b * self.field.split_roots[0]
             else:
@@ -307,7 +288,7 @@ class MonomialFunction(GnFunction):
             return self.ring.zero()
         if isinstance(self.ring, RationalRing):  # rational x: xs = xb = x
             x, d = pt.x, pt.det_y_exact
-            if x is None or not x.is_rational:
+            if not x.is_rational:
                 raise RingMismatch("rational-ring monomials need a rational point")
             if not d.is_rational:
                 raise RingMismatch("determinant is not rational")
@@ -318,8 +299,7 @@ class MonomialFunction(GnFunction):
                     * Fraction(d.a, d.d) ** self.e_det)
         if not isinstance(self.ring, PadicRing):
             raise RingMismatch("monomials live over the rational or p-adic ring")
-        xc = pt.x_cm(self.field.precision)
-        d = pt.det_y_padic(self.field.precision)
+        xc, d = pt.x_cm(), pt.det_y_padic()
         out = self.ring.coerce(self.coef) * xc.xs ** self.e_xs
         if self.e_xb:
             out = out * xc.xb ** self.e_xb
@@ -559,8 +539,7 @@ class EquivarianceReport:
     def witness_text(self) -> str:
         """The witness as the unit, the point's x and y, and the two values."""
         e, pt, got, want = self.witness
-        x, y = (pt.x, pt.y) if pt.x is not None else (pt.x_padic, pt.y_padic)
-        return f"unit {e}, x = {x}, y = {y}: {got} != {want}"
+        return f"unit {e}, x = {pt.x}, y = {pt.y}: {got} != {want}"
 
 
 def unit_weight_factor(e: KNum, w: Weight, field: FieldData) -> KNum:
@@ -794,13 +773,11 @@ def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharac
 
 
 def random_lc_function(field: FieldData, n: int, level: int, rng,
-                       entries: int = 12, y_invertible: bool = True,
-                       prec: int | None = None) -> LCFunction:
-    """A sparse random table with p-adic unit values."""
+                       entries: int = 12) -> LCFunction:
+    """A sparse random table with p-adic unit values on invertible y cosets."""
     p = field.p
     pj = p ** level
-    prec = prec or level
-    ring = PadicRing(p, prec)
+    ring = PadicRing(p, level)
     values = {}
     while len(values) < entries:
         if field.mode == "symplectic":
@@ -814,11 +791,10 @@ def random_lc_function(field: FieldData, n: int, level: int, rng,
                 continue
             xk = (x1, x2)
         yk = tuple(rng.randrange(pj) for _ in range(n * n))
-        if y_invertible and y_det_key(yk, n, pj) % p == 0:
+        if y_det_key(yk, n, pj) % p == 0:
             continue
         v = rng.randrange(1, pj)
         if v % p == 0:
             continue
-        values[(xk, yk)] = PadicElt(p, 0, v, prec)
-    return LCFunction(field, n, ring, level, values=values,
-                      y_invertible=y_invertible)
+        values[(xk, yk)] = PadicElt(p, 0, v, level)
+    return LCFunction(field, n, ring, level, values=values, y_invertible=True)

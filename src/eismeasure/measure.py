@@ -43,9 +43,8 @@ class MeasureContext:
         return self.cusp.n
 
     @classmethod
-    def rank_one(cls, field: FieldData, trace_bound: int,
-                 precision: int | None = None) -> "MeasureContext":
-        return cls(field, CuspData.divisor_rule(field), trace_bound, precision)
+    def rank_one(cls, field: FieldData, trace_bound: int) -> "MeasureContext":
+        return cls(field, CuspData.divisor_rule(field), trace_bound)
 
 
 def integrate(h: GnFunction, ctx: MeasureContext,
@@ -61,7 +60,10 @@ def integrate(h: GnFunction, ctx: MeasureContext,
 
 def _require_unit_invariance(h: GnFunction, ctx: MeasureContext):
     """Raise ``EquivarianceViolation`` unless h is unit invariant at the
-    context's sample points."""
+    context's sample points (``ShapeMismatch`` first if its rank is not the
+    cusp's)."""
+    if h.n != ctx.n:
+        raise ShapeMismatch(f"a rank-{h.n} function at a rank-{ctx.n} cusp")
     betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
     pts = _sample_points(ctx.field, ctx.cusp, betas)
     rep = check_unit_invariance(h, pts, j=ctx.precision)
@@ -71,8 +73,7 @@ def _require_unit_invariance(h: GnFunction, ctx: MeasureContext):
 
 
 def _zeta_multiplier(mult: MatrixPolynomial):
-    """The function (x, y) -> mult(relnorm(x) * y) as a pointwise factor at
-    exact points: ``moment_zeta`` sweeps only cusp-rule points."""
+    """The function (x, y) -> mult(relnorm(x) * y) as a pointwise factor."""
 
     def value(pt: GnPoint, ring):
         nx = norm_rel_exact(pt.x, pt.field)
@@ -83,14 +84,13 @@ def _zeta_multiplier(mult: MatrixPolynomial):
     return value
 
 
-def moment_zeta(h: GnFunction, mult: MatrixPolynomial, ctx: MeasureContext,
-                verify: bool = True) -> QExpansion:
+def moment_zeta(h: GnFunction, mult: MatrixPolynomial,
+                ctx: MeasureContext) -> QExpansion:
     """Integrate h times the multiplier evaluated at relnorm(x) * y^-1.
 
     Equals coefficientwise multiplication of integrate(h) by the multiplier
-    value at each index; with verify=True both routes are computed, in one
-    sweep, and must agree exactly.  h must be unit invariant, as for
-    ``integrate``.
+    value at each index; both routes are computed, in one sweep, and must
+    agree exactly.  h must be unit invariant, as for ``integrate``.
     """
     f = h_to_f(h)
     _require_unit_invariance(h, ctx)
@@ -99,21 +99,19 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial, ctx: MeasureContext,
                          y_invertible=f.y_invertible)
     w = Weight(ctx.n, 0)
     # the second job is integrate(h, ctx, validate=False)
-    jobs = [(f2, w), (f, w)] if verify else [(f2, w)]
-    qs = _expansions(jobs, ctx.cusp, ctx.trace_bound, ctx.field,
+    qs = _expansions([(f2, w), (f, w)], ctx.cusp, ctx.trace_bound, ctx.field,
                      precision=ctx.precision, validate=False)
-    if verify and not qs[0] == theta_apply(qs[1], mult):
+    if not qs[0] == theta_apply(qs[1], mult):
         raise ShapeMismatch("moment routes disagree")
     return qs[0]
 
 
-def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
-                verify: bool = True) -> QExpansion:
+def moment_detd(h: GnFunction, d: int, ctx: MeasureContext) -> QExpansion:
     """The determinant-power moment, labeled with the shifted weight.
 
     Computed as the det^d polynomial moment for d >= 0; the result carries
-    weight (n + 2d, -d).  With verify=True the product-integrand route is
-    checked against coefficientwise multiplication by det(beta)^d.
+    weight (n + 2d, -d).  The product-integrand route is checked against
+    coefficientwise multiplication by det(beta)^d.
     """
     if d < 0:
         raise ValueError(f"the determinant power must be >= 0, got {d}")
@@ -121,7 +119,7 @@ def moment_detd(h: GnFunction, d: int, ctx: MeasureContext,
     det, mult = det_polynomial(n, n), MatrixPolynomial.constant(n, 1)
     for _ in range(d):
         mult = mult * det
-    q = moment_zeta(h, mult, ctx, verify=verify)
+    q = moment_zeta(h, mult, ctx)
     return QExpansion(q.field, q.n, Weight(n + 2 * d, -d), q.cusp_label,
                       q.trace_bound, q.ring, q.terms)
 

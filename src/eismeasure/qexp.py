@@ -192,8 +192,8 @@ def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):
     return terms
 
 
-def _sample_points(field: FieldData, cusp: CuspData, betas, count: int = 4):
-    return [pt for beta in betas[:count]
+def _sample_points(field: FieldData, cusp: CuspData, betas):
+    return [pt for beta in betas[:4]
             for pt in _rule_terms(field, cusp.rule, beta, None)[2][:2]]
 
 

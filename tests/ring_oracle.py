@@ -45,10 +45,7 @@ def oracle_zeta_multiplier(mult: MatrixPolynomial):
                 raise ShapeMismatch("multiplier value is not rational")
             return Fraction(v.u)
         nx = pt.x_cm().norm_relative()
-        if pt.y_padic is not None:
-            m = [[e * nx for e in row] for row in pt.y_padic]
-        else:
-            m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
+        m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
         return mult.eval_matrix(m, ring)
 
     return value

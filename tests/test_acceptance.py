@@ -115,7 +115,7 @@ def test_acceptance_05_theta_moments():
     h = MonomialFunction(SYMPL5, 1, QQ, Fraction(1), e_xs=3)
     base = integrate(h, ctx)
     for d in (1, 2, 3):
-        q = moment_detd(h, d, ctx, verify=True)
+        q = moment_detd(h, d, ctx)
         for key, (beta, c) in base.terms.items():
             assert q.terms[key][1] == c * beta.det_exact.u ** d
     # a non-scalar multiplier generated from a single matrix entry, n=2
@@ -125,7 +125,7 @@ def test_acceptance_05_theta_moments():
     ctx2 = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 2), 4,
                           precision=1)
     fz = f_zeta(MatrixPolynomial.variable(2, 0, 0), 10)
-    q2 = moment_zeta(h2, fz, ctx2, verify=True)
+    q2 = moment_zeta(h2, fz, ctx2)
     assert q2 == theta_apply(integrate(h2, ctx2), fz)
     report(5, "det^d for d<=3 and the rank-(1,0) multiplier at n=2")
 

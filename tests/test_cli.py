@@ -1,9 +1,12 @@
 """Command line interface: exit codes and output schema."""
 
+import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,19 @@ def test_automorphy_selftest_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert max(data["residuals"].values()) < data["tolerance"]
+
+
+def test_automorphy_selftest_above_its_tolerance_is_a_failed_verification(
+        capsys):
+    """A worst residual at or above --tol exits 1 and still prints the
+    residuals with the tolerance they were held to."""
+    code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
+                         "--cases", "20", "--tol", "1e-30")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert sorted(data) == ["residuals", "tolerance"]
+    assert data["tolerance"] == 1e-30
+    assert max(data["residuals"].values()) >= 1e-30
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -309,6 +325,20 @@ def test_a_function_of_another_rank_than_the_cusp_is_usage_error(
     code, out, err = run(capsys, *argv, "--n", "2")
     assert code == 2 and out == ""
     assert err == "error: a rank-1 function at a rank-2 cusp\n"
+
+
+@pytest.mark.parametrize("command", ["integrate", "moment"])
+@pytest.mark.parametrize("ring", ["qq", "zp"])
+def test_a_rank_two_integrand_at_the_divisor_cusp_names_the_ranks(
+        capsys, command, ring):
+    """The divisor cusp is rank one, so a rank-two integrand there exits 2
+    naming both ranks before its unit invariance is checked; over qq that
+    check used to fail first and name a symptom, not the mistake."""
+    code, out, err = run(capsys, command, "--n", "2", "--cusp", "divisor",
+                         "--ring", ring, "--bound", "4", "--function",
+                         "const1")
+    assert (code, out) == (2, "")
+    assert err == "error: a rank-2 function at a rank-1 cusp\n"
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_automorphy():
@@ -542,3 +572,21 @@ def test_an_expansion_file_without_its_weight_is_usage_error(
                          "--lam", "2")
     assert code == 2 and out == ""
     assert err == "error: weight None is not a pair of integers\n"
+
+
+def test_the_readme_commands_are_the_ones_the_benchmark_times():
+    """The README's command block, read as argv lists, is
+    ``perfbench/workloads.README_COMMANDS``: editing one without the other
+    would time commands the README no longer shows."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").strip().splitlines()]
+    assert all(argv[0] == "eismeasure" for argv in commands)
+    assert [argv[1:] for argv in commands] == [
+        argv for _, argv in workloads.README_COMMANDS]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eismeasure.errors import (
     DenominatorDivisibleByP,
@@ -138,7 +138,7 @@ def test_from_config(tmp_path):
 
 
 def test_from_rational_embedding_pinned():
-    x = GAUSS.sigma_padic(GAUSS.K(Fraction(3, 2)), prec=3)
+    x = GAUSS.sigma_padic(GAUSS.K(Fraction(3, 2)))
     assert x.lift(3) == 3 * pow(2, -1, 125) % 125 == 64
 
 
@@ -239,13 +239,28 @@ def embedding_outcome(fn, *args):
 
 @given(fld=st.sampled_from(ALL_FIELDS), u=coords, v=coords,
        j=st.integers(min_value=0, max_value=30))
+@example(fld=GAUSS, u=Fraction(3, 2), v=Fraction(0), j=30)
+@example(fld=GAUSS, u=Fraction(1), v=Fraction(25), j=25)  # 26 digits known
 def test_residues_match_the_padic_embedding(fld, u, v, j):
+    """The embedding keeps the field's precision in digits from its
+    valuation on.  Above that a rational element's residue is read from its
+    exact embedding at precision j, and an irrational one whose b carries
+    powers of p (so the root gives more digits) agrees on the digits the
+    embedding has."""
     x, _ = pair(fld, u, v)
     for residue, padic in ((fld.sigma_residue, fld.sigma_padic),
                            (fld.sigma_bar_residue, fld.sigma_bar_padic)):
         direct = embedding_outcome(residue, x, j)
-        via = embedding_outcome(lambda a, j: padic(a, prec=max(j, 1)).lift(j),
-                                x, j)
+        if x.is_rational and j > fld.precision:
+            via = embedding_outcome(lambda a: PadicElt.from_rational(
+                a.a, a.d, p=fld.p, prec=j).lift(j), x)
+        else:
+            via = embedding_outcome(lambda a: padic(a).lift(j), x)
+        if direct != via and j > fld.precision:
+            e = padic(x)
+            assert direct[0] == "value" and e.abs_prec < j
+            direct = ("value", direct[1] % fld.p ** e.abs_prec)
+            via = ("value", e.lift(e.abs_prec))
         assert direct == via
 
 
@@ -287,12 +302,12 @@ def test_embeddings_claim_only_the_digits_of_the_root():
     assert lo.sigma_residue(lo.K(2, -1), 3) == x.lift(3)
     # p in the denominator lowers the cap below the field precision
     y = GAUSS.K(Fraction(1, 5), Fraction(2, 5))
-    assert GAUSS.sigma_padic(y, prec=24).abs_prec == 23
-    assert GAUSS.sigma_residue(y, 23) == GAUSS.sigma_padic(y, prec=24).lift(23)
+    assert GAUSS.sigma_padic(y).abs_prec == 23
+    assert GAUSS.sigma_residue(y, 23) == GAUSS.sigma_padic(y).lift(23)
     with pytest.raises(PrecisionUnavailable):
         GAUSS.sigma_residue(y, 24)
     with pytest.raises(PrecisionUnavailable):
-        GAUSS.sigma_padic(y, prec=24).lift(24)
+        GAUSS.sigma_padic(y).lift(24)
     # at precision 1 that element's embedding is known to no digit
     with pytest.raises(PrecisionUnavailable, match="known mod p\\^0"):
         FieldData(p=5, k_disc=-4, precision=1).sigma_padic(y)
@@ -302,8 +317,8 @@ def test_residue_with_p_in_the_denominator():
     # (1 + 2w)/5 is p-integral under the first root only
     x = GAUSS.K(Fraction(1, 5), Fraction(2, 5))
     assert GAUSS.sigma_residue(x, 3) == 73
-    assert GAUSS.sigma_padic(x, prec=3).lift(3) == 73
+    assert GAUSS.sigma_padic(x).lift(3) == 73
     with pytest.raises(DenominatorDivisibleByP):
         GAUSS.sigma_bar_residue(x, 3)
     with pytest.raises(DenominatorDivisibleByP):
-        GAUSS.sigma_bar_padic(x, prec=3)
+        GAUSS.sigma_bar_padic(x)

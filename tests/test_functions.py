@@ -32,7 +32,7 @@ from eismeasure.functions import (
     teichmuller,
     weight_twist,
 )
-from eismeasure.hermitian import CuspData, enumerate_positive
+from eismeasure.hermitian import CuspData, enumerate_positive, mat_det
 from eismeasure.padic import _vp
 from eismeasure.qexp import _sample_points
 from eismeasure.rings import QQ, PadicRing
@@ -80,18 +80,19 @@ def test_weight_twist_pointwise_oracle():
 
 
 def support_points(f):
-    """One evaluation point per table key, hitting the support exactly."""
-    from eismeasure.fields import CMElt
-    from eismeasure.padic import PadicElt
-
-    prec = f.ring.prec
+    """One exact point per table key, at that key: x = a + b*w with
+    a + b*r = x1 and a + b*rbar = x2 mod p^level, and y the key's residues."""
+    field, pj = f.field, f.field.p ** f.level
+    r, rb = field.split_roots
     pts = []
-    for (x1, x2), yk in f.values:
-        x = CMElt(f.field, PadicElt.from_int(x1, f.field.p, prec),
-                  PadicElt.from_int(x2, f.field.p, prec))
-        y = tuple(tuple(PadicElt.from_int(yk[a * f.n + b] or 1, f.field.p, prec)
-                        for b in range(f.n)) for a in range(f.n))
-        pts.append(GnPoint.from_padic(f.field, x, y))
+    for key in f.values:
+        (x1, x2), yk = key
+        b = (x1 - x2) * pow(r - rb, -1, pj) % pj
+        y = tuple(tuple(field.K(yk[i * f.n + c]) for c in range(f.n))
+                  for i in range(f.n))
+        pt = GnPoint.from_exact(field, field.K((x1 - b * r) % pj, b), y)
+        assert pt.coset_key(f.level) == key
+        pts.append(pt)
     return pts
 
 
@@ -280,20 +281,20 @@ def test_weight_twist_of_a_product_has_the_monomial_twist_s_support(ring):
 
 
 def test_padic_points_take_the_determinant_of_their_entries():
-    """A p-adic point's det(y) is the embedding of the exact det(y), for
-    n = 1 and 2; a larger y has no determinant here."""
+    """A point's p-adic det(y) is the embedding of the exact det(y) and the
+    determinant of the embedded entries, for n = 1 and 2; a larger y has no
+    determinant here."""
     K = GAUSS.K
     ys = [((K(3),),), ((K(2), K(1, 2)), (K(1, -2), K(Fraction(7, 3)))),
           ((K(1), K(1)), (K(1), K(1)))]
     for y in ys:
-        exact = GnPoint.from_exact(GAUSS, K(1), y)
-        padic = GnPoint.from_padic(GAUSS, exact.x_cm(), [
-            [GAUSS.sigma_padic(e) for e in row] for row in y])
-        assert padic.det_y_padic() == exact.det_y_padic()
-        assert exact.det_y_padic() == GAUSS.sigma_padic(exact.det_y_exact)
-    big = [[GAUSS.sigma_padic(K(1))] * 3] * 3
+        pt = GnPoint.from_exact(GAUSS, K(1), y)
+        assert pt.det_y_padic() == GAUSS.sigma_padic(pt.det_y_exact)
+        assert pt.det_y_padic() == mat_det(
+            [[GAUSS.sigma_padic(e) for e in row] for row in y])
+    big = ((K(1),) * 3,) * 3
     with pytest.raises(UnsupportedSize):
-        GnPoint.from_padic(GAUSS, exact.x_cm(), big).det_y_padic()
+        GnPoint.from_exact(GAUSS, K(1), big).det_y_padic()
 
 
 def _old_congruent(a, b, p, j):

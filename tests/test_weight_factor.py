@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from eismeasure.fields import CMElt, FieldData, Weight
+from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
     GnPoint,
     LCFunction,
@@ -190,8 +190,8 @@ def exact_points(field, n, rng):
     pts = []
     if n == 1 or field.mode != "symplectic":
         cusp = CuspData.single_term(field, n)
-        pts += _sample_points(field, cusp, enumerate_positive(field, n, 4),
-                              count=3)
+        pts += _sample_points(field, cusp,
+                              enumerate_positive(field, n, 4)[:3])
     K, target = field.K, len(pts) + 6
     irrational = field.mode != "symplectic"
     while len(pts) < target:
@@ -207,23 +207,12 @@ def exact_points(field, n, rng):
     return pts
 
 
-def padic_points(field, pts, prec):
-    out = []
-    for pt in pts:
-        x = CMElt.embed(pt.x, field, prec)
-        y = [[field.sigma_padic(e, prec) for e in row] for row in pt.y]
-        out.append(GnPoint.from_padic(field, x, y))
-    return out
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_product_twists_match_the_oracle(field):
     rng = random.Random(field.p)
     evaluated = nonzero = 0
     for n in (1, 2):
-        exact = exact_points(field, n, rng)
-        points = exact + padic_points(field, exact, 3) + padic_points(
-            field, exact, field.precision)
+        points = exact_points(field, n, rng)
         for ring in (QQ, PadicRing(field.p, 3),
                      PadicRing(field.p, field.precision),
                      PadicRing(field.p, 30)):
