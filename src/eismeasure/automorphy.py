@@ -9,11 +9,13 @@ conditioned.
 The numerical kernels take stacks of matrices, shape ``(m, ...)``, and make
 one ``np.linalg`` call per stack; the public functions on one element or one
 point run the same kernels on a stack of one.  ``selftest`` draws its samples
-in chunks of ``CHUNK`` passes, from the ``random.Random(seed)`` stream in the
-order of a pass-by-pass loop, verifies each chunk with the kernels, and folds
-the residuals pass by pass in scalar Python arithmetic.  Stacked ``det``,
-``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits as calls on single
-matrices, so a seed gives the same residuals as the pass-by-pass loop.
+in chunks of up to ``CHUNK`` passes, from the ``random.Random(seed)`` stream
+in the order of a pass-by-pass loop, verifies each chunk with the kernels,
+and folds the residuals pass by pass in scalar Python arithmetic.  Every
+pass draws the same, rejected or not, so the chunks are independent.
+Stacked ``det``, ``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits
+as calls on single matrices, so a seed gives the same residuals as the
+pass-by-pass loop.
 
 The draws call ``rng.getrandbits`` and ``rng.random`` directly and follow
 CPython's ``random`` algorithms bit for bit: ``randrange``, ``randint`` and
@@ -38,10 +40,7 @@ from .errors import NearSingularAutomorphyFactor
 
 TOL_COND = 1e8
 
-#: Most passes that ``selftest`` draws and verifies together.  A chunk is cut
-#: at its first pass rejected before drawing g, and the passes after it are
-#: drawn again, so after such a pass the next chunk is half as long, and
-#: after a chunk without one twice as long again, up to CHUNK.
+#: Most passes that ``selftest`` draws and verifies together.
 CHUNK = 64
 
 
@@ -348,20 +347,17 @@ def cocycle_check(alpha: GroupElement, beta: GroupElement,
 # rng.randint(-2, 2) (each part of an entry), rng.choice([0.5, 1.0, 2.0])
 # (lam), rng.randrange(8) (the extra generators of a word) and
 # rng.uniform(a, b).  A draw below m takes r = getrandbits(m.bit_length())
-# again while r >= m, each getrandbits(k) with k <= 32 using one 32-bit word;
-# random() uses two.  The draws count the words they use, so that the stream
-# can be put back where the pass-by-pass loop leaves it.
+# again while r >= m.
 
-def _randints(bits, count: int, out: list) -> int:
-    """Append count draws of randint(-2, 2), each plus 2, to out; return the
-    words used."""
-    used = count
+def _randints(bits, count: int) -> list:
+    """count draws of randint(-2, 2), each plus 2."""
+    out = []
     for _ in range(count):
         r = bits(3)
         while r >= 5:
-            r, used = bits(3), used + 1
+            r = bits(3)
         out.append(r)
-    return used
+    return out
 
 
 def _det_nonzero(e: list, n: int) -> bool:
@@ -382,42 +378,38 @@ def _det_nonzero(e: list, n: int) -> bool:
     return bool(abs(np.linalg.det(h)) > 0.5)
 
 
-def _draw_generator(n: int, bits, data: list) -> int:
-    """Append one generator's row to data; return the words used."""
-    kind, used = bits(2), 1  # randrange(3)
+def _draw_generator(n: int, bits, data: list):
+    """Append one generator's row to data."""
+    kind = bits(2)  # randrange(3)
     while kind == 3:
-        kind, used = bits(2), used + 1
+        kind = bits(2)
     if kind == 2:
         data += [2, 1] + [2] * (2 * n * n)
-        return used
+        return
     while True:
-        e = []
-        used += _randints(bits, 2 * n * n, e)
+        e = _randints(bits, 2 * n * n)
         # a Levi block is drawn again until it is invertible
         if kind == 1 or _det_nonzero([r - 2 for r in e], n):
             break
     lam = 1
     if kind == 0:
-        lam, used = bits(2), used + 1  # choice over the three factors
+        lam = bits(2)  # choice over the three factors
         while lam == 3:
-            lam, used = bits(2), used + 1
+            lam = bits(2)
     data += [kind, lam]
     data += e
-    return used
 
 
-def _draw_word(n: int, rng, data: list, lengths: list) -> int:
-    """Append one word's rows to data and its length (1 to 8) to lengths;
-    return the words used."""
+def _draw_word(n: int, rng, data: list, lengths: list):
+    """Append one word's rows to data and its length (1 to 8) to lengths."""
     bits = rng.getrandbits
-    used = _draw_generator(n, bits, data)
-    extra, used = bits(4), used + 1  # randrange(8)
+    _draw_generator(n, bits, data)
+    extra = bits(4)  # randrange(8)
     while extra >= 8:
-        extra, used = bits(4), used + 1
+        extra = bits(4)
     for _ in range(extra):
-        used += _draw_generator(n, bits, data)
+        _draw_generator(n, bits, data)
     lengths.append(extra + 1)
-    return used
 
 
 def random_word(n: int, rng) -> GroupElement:
@@ -443,17 +435,16 @@ def random_point(n: int, rng) -> DomainPoint:
 
 # -- the self-test ------------------------------------------------------------------
 
-def _draw_pass(n: int, rng, data: list, lengths: list):
+def _draw_pass(n: int, rng, data: list, lengths: list) -> DomainPoint:
     """One pass's draws in stream order: alpha, beta, the point, then g.
 
-    The three words go to data and lengths.  Returns the point, the words
-    used before g and the words used by g.
+    The three words go to data and lengths; returns the point.
     """
-    used = (_draw_word(n, rng, data, lengths)
-            + _draw_word(n, rng, data, lengths))
+    _draw_word(n, rng, data, lengths)
+    _draw_word(n, rng, data, lengths)
     pt = random_point(n, rng)
-    used += 2 * (2 * n * n + 1)  # 2n^2 + 1 floats of two words each
-    return pt, used, _draw_word(n, rng, data, lengths)
+    _draw_word(n, rng, data, lengths)
+    return pt
 
 
 def _verify(n: int, data: list, lengths: list, points: list,
@@ -462,11 +453,8 @@ def _verify(n: int, data: list, lengths: list, points: list,
 
     Pass i has the point points[i] and the words 3i, 3i + 1 and 3i + 2 of
     data and lengths: alpha, beta and g.  Returns the number of passes that
-    count, and the number of passes before the first one rejected at the
-    cocycle stage (all of them if none is): that pass did not draw g, so the
-    passes after it are not the loop's.  A pass rejected at the section
-    stage drew g as the loop does; it still counts its cocycle residual, and
-    the passes after it are verified too.
+    count.  A pass rejected at the cocycle stage folds nothing; one rejected
+    at the section stage folds its cocycle residual.  Neither counts.
     """
     mats, nus = _words(n, data, lengths)
     alpha, beta, g = mats[0::3], mats[1::3], mats[2::3]
@@ -484,11 +472,9 @@ def _verify(n: int, data: list, lengths: list, points: list,
         try:
             res = max(cocycle.residuals(i))
         except NearSingularAutomorphyFactor:
-            return counted, i
+            continue
         worst["cocycle"] = max(worst["cocycle"], res)
         # section factorization against the base point
-        if nu_g[i] <= 0:
-            continue
         try:
             _check_action(cond_gz[i], gz_outside[i])
             lhs = lhs_f.value(i, delta_base, k, nu, s)
@@ -500,15 +486,16 @@ def _verify(n: int, data: list, lengths: list, points: list,
         scale = max(1.0, abs(lhs), abs(rhs))
         worst["section"] = max(worst["section"], abs(lhs - rhs) / scale)
         counted += 1
-    return counted, len(points)
+    return counted
 
 
 def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
              s: float = 3.0) -> dict:
     """Random words and points; returns the worst residuals over all cases.
 
-    A pass draws alpha, beta, a point and g, and counts once both identities
-    were evaluated; a pass whose factors are near singular is drawn again.
+    A pass draws alpha, beta, a point and g, and counts if both identities
+    were evaluated.  A pass with a near-singular factor, at either stage, is
+    not counted, and the next pass goes on from the stream where it ended.
     """
     if n < 1 or cases < 1 or not math.isfinite(s):  # nan drops out of max()
         raise ValueError("the self-test needs n >= 1, at least one case and a "
@@ -518,36 +505,22 @@ def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
     rng = random.Random(seed)
     worst = {"cocycle": 0.0, "section": 0.0, "base_delta": 0.0}
     base = base_point(n)
-    done, size = 0, CHUNK
+    done = 0
     while done < cases:
-        state = rng.getstate()
-        data, lengths, points, used, pending = [], [], [], [], None
-        for _ in range(min(size, cases - done)):
+        data, lengths, points, pending = [], [], [], None
+        for _ in range(min(CHUNK, cases - done)):
             try:
-                pt, before_g, by_g = _draw_pass(n, rng, data, lengths)
+                points.append(_draw_pass(n, rng, data, lengths))
             except ValueError as exc:
                 # a point off the domain (random_point can draw one from
-                # n = 16 or so): raised once the passes before it are
-                # verified, unless one of them is rejected and redrawn
+                # n = 16 or so): raised once the passes before it are verified
                 del lengths[3 * len(points):]
                 del data[sum(lengths) * (2 + 2 * n * n):]
                 pending = exc
                 break
-            points.append(pt)
-            used.append((before_g, by_g))
-        counted, stop = (_verify(n, data, lengths, points, base, k, nu, s,
-                                 worst) if points else (0, 0))
-        done += counted
-        if stop < len(points):
-            size = max(1, size // 2)
-            # the loop goes on from the rejected pass's point: back to the
-            # chunk's start, then on by the words used until then
-            rng.setstate(state)
-            rng.getrandbits(32 * (sum(a + b for a, b in used[:stop])
-                                  + used[stop][0]))
-        elif pending is not None:
+        if points:
+            done += _verify(n, data, lengths, points, base, k, nu, s, worst)
+        if pending is not None:
             raise pending
-        else:
-            size = min(CHUNK, 2 * size)
     worst["base_delta"] = abs(delta(base.z) - 1.0)
     return worst

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import SpanNotClosed
-from .hermitian import HermitianMatrix
 
 Monomial = tuple[int, ...]  # exponents of the n*n matrix entries, row-major
 
@@ -272,18 +271,18 @@ def f_zeta(zeta: MatrixPolynomial, max_dim: int | None = None) -> MatrixPolynomi
     return out
 
 
-def eval_multiplier(mult: MatrixPolynomial, beta: HermitianMatrix, ring):
-    """Evaluate a coefficient multiplier at a lattice matrix, in the ring
-    (summed into its zero: a p-adic value keeps the ring's precision)."""
-    return ring.zero() + ring.from_knum(mult.eval_knum(beta.entries),
-                                        beta.field)
+def eval_multiplier(mult: MatrixPolynomial, m: list, field, ring):
+    """Evaluate a coefficient multiplier at the matrix with entries m over
+    the field, in the ring (summed into its zero: a p-adic value keeps the
+    ring's precision)."""
+    return ring.zero() + ring.from_knum(mult.eval_knum(m), field)
 
 
 def theta_apply(qexp, mult: MatrixPolynomial):
     """Multiply each coefficient by the multiplier value at its index."""
     out = {}
     for key, (beta, c) in qexp.terms.items():
-        v = eval_multiplier(mult, beta, qexp.ring)
+        v = eval_multiplier(mult, beta.entries, beta.field, qexp.ring)
         out[key] = (beta, c * v)
     return qexp.replace_terms(out)
 

