@@ -27,6 +27,7 @@ from .errors import (
     DenominatorDivisibleByP,
     FieldDataError,
     PrecisionUnavailable,
+    ShapeMismatch,
 )
 from .padic import DEFAULT_PRECISION, PadicElt, _vp
 
@@ -237,6 +238,22 @@ def _hensel_root(s: int, t: int, p: int, prec: int) -> tuple[int, int]:
     return r, (s - r) % pk
 
 
+def _json_int(data: dict, key: str, error=ShapeMismatch) -> int:
+    """data[key], which must be a JSON integer (no float, string or bool)."""
+    v = data[key]
+    if type(v) is not int:
+        raise error(f"{key} {v!r} is not an integer")
+    return v
+
+
+def _json_objects(data: dict, key: str) -> list[dict]:
+    """data[key], which must be a JSON list of objects."""
+    v = data[key]
+    if not (isinstance(v, list) and all(isinstance(e, dict) for e in v)):
+        raise ShapeMismatch(f"{key} is not a list of objects")
+    return v
+
+
 class FieldData:
     """Arithmetic context: prime, discriminant, precision and mode."""
 
@@ -275,13 +292,14 @@ class FieldData:
 
     @classmethod
     def from_config(cls, source) -> "FieldData":
-        """Build from a dict or a JSON config file path."""
+        """Build from a dict or a JSON config file path; p, k_disc and
+        precision must be JSON integers."""
         if isinstance(source, (str, bytes)):
             with open(source) as fh:
                 source = json.load(fh)
-        return cls(p=int(source["p"]),
-                   k_disc=int(source.get("k_disc", -4)),
-                   precision=int(source.get("precision", DEFAULT_PRECISION)),
+        source = {"k_disc": -4, "precision": DEFAULT_PRECISION, **source}
+        return cls(*(_json_int(source, key, FieldDataError)
+                     for key in ("p", "k_disc", "precision")),
                    mode=source.get("mode", "unitary"))
 
     # -- exact elements ----------------------------------------------------

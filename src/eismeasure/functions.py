@@ -3,12 +3,14 @@
 The two coordinates of a point are a completed-field unit x and a matrix y
 over the completed base ring; a ``GnPoint`` holds exact x and y over K, which
 a p-adic function reads through the split embeddings at the field's
-precision.  Functions come in several flavours:
+precision (the ring's ``monomial`` and the coset keys).  Functions come in
+several flavours:
 
 * ``LCFunction``    -- locally constant at a finite level, backed by a
                        sparse coset table or a coset rule;
-* ``MonomialFunction`` -- an exact monomial in the split components of x
-                       and det(y), evaluable over the rationals;
+* ``MonomialFunction`` -- coef times the ring's monomial in the split
+                       components of x and det(y), evaluable over the
+                       rationals and Z_p;
 * ``ProductFunction``, ``LinearCombination``, ``ContinuousFunction`` --
                        the obvious combinators.
 
@@ -18,7 +20,7 @@ bridge and the weight twist ``weight_twist`` share one weight factor, a
 norm of u = x^-1 * relnorm(x)^n * det y as exponents of (xs, xb, det y):
 monomials add it to their exponents and tables scale each coset's value by
 it; the bridge keeps a continuous function continuous, and the twist
-multiplies any other function by the factor's value.
+multiplies any other function by the factor's value, the ring's monomial.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .errors import (
     ShapeMismatch,
     SupportNotInvertible,
 )
-from .fields import CMElt, FieldData, KNum, Weight
+from .fields import FieldData, KNum, Weight, _json_int, _json_objects
 from .hermitian import Matrix, mat_det
 from .padic import PadicElt, _vp
-from .rings import CyclotomicRing, PadicRing, RationalRing, ring_from_tag
+from .rings import CyclotomicRing, PadicRing, ring_from_tag
 
 XKey = tuple[int, int]
 YKey = tuple[int, ...]
@@ -105,9 +107,6 @@ class GnPoint:
         return cls(field, len(y), x, y)
 
     # -- x accessors -------------------------------------------------------
-    def x_cm(self) -> CMElt:
-        return CMElt.embed(self.x, self.field)
-
     def x_key(self, j: int) -> XKey:
         return (self.field.sigma_residue(self.x, j),
                 self.field.sigma_bar_residue(self.x, j))
@@ -125,9 +124,6 @@ class GnPoint:
     def y_key(self, j: int) -> YKey:
         return tuple(self.field.sigma_residue(e, j)
                      for row in self.y for e in row)
-
-    def det_y_padic(self) -> PadicElt:
-        return self.field.sigma_padic(self.det_y_exact)
 
     @property
     def det_y_exact(self) -> KNum:
@@ -191,14 +187,6 @@ class GnFunction:
                                  ((1, self), (1, other)))
 
 
-def _json_int(data: dict, key: str) -> int:
-    """data[key], which must be a JSON integer (no float, string or bool)."""
-    v = data[key]
-    if type(v) is not int:
-        raise ShapeMismatch(f"{key} {v!r} is not an integer")
-    return v
-
-
 class LCFunction(GnFunction):
     """Locally constant function at a finite level.
 
@@ -250,7 +238,7 @@ class LCFunction(GnFunction):
                     and all(type(r) is int and 0 <= r < pj for r in ks))
 
         values = {}
-        for ent in data["entries"]:
+        for ent in _json_objects(data, "entries"):
             v = ring.from_json(ent["value"])
             xk, yk = ent["x_coset"], ent["y_coset"]
             # a coset no point reaches would integrate to 0; a symplectic
@@ -286,26 +274,10 @@ class MonomialFunction(GnFunction):
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
-        if isinstance(self.ring, RationalRing):  # rational x: xs = xb = x
-            x, d = pt.x, pt.det_y_exact
-            if not x.is_rational:
-                raise RingMismatch("rational-ring monomials need a rational point")
-            if not d.is_rational:
-                raise RingMismatch("determinant is not rational")
-            if not isinstance(self.coef, (int, Fraction)):
-                raise RingMismatch("rational-ring monomials need a rational "
-                                   "coefficient")
-            return (self.coef * Fraction(x.a, x.d) ** (self.e_xs + self.e_xb)
-                    * Fraction(d.a, d.d) ** self.e_det)
-        if not isinstance(self.ring, PadicRing):
-            raise RingMismatch("monomials live over the rational or p-adic ring")
-        xc, d = pt.x_cm(), pt.det_y_padic()
-        out = self.ring.coerce(self.coef) * xc.xs ** self.e_xs
-        if self.e_xb:
-            out = out * xc.xb ** self.e_xb
-        if self.e_det:
-            out = out * d ** self.e_det
-        return out
+        # the monomial first: over Q, x and det(y) are checked before coef
+        m = self.ring.monomial(pt.x, pt.det_y_exact,
+                               (self.e_xs, self.e_xb, self.e_det), pt.field)
+        return self.ring.coerce(self.coef) * m
 
     def truncate(self, j: int) -> LCFunction:
         """The level-j locally constant shadow of the monomial."""
@@ -424,16 +396,6 @@ def _coset_power(xk: XKey, d: int, e: tuple[int, int, int], pj: int) -> int:
     return pow(xk[0], e[0], pj) * pow(xk[1], e[1], pj) * pow(d, e[2], pj) % pj
 
 
-def _weight_value(pt: GnPoint, e: tuple[int, int, int], ring):
-    """xs^e0 * xb^e1 * det(y)^e2 at pt, with no ring coefficient."""
-    field = pt.field
-    if isinstance(ring, RationalRing):  # rational x: xs = xb = x
-        d = ring.from_knum(pt.det_y_exact, field)
-        return ring.from_knum(pt.x, field) ** (e[0] + e[1]) * d ** e[2]
-    xc, d = pt.x_cm(), pt.det_y_padic()
-    return xc.xs ** e[0] * xc.xb ** e[1] * d ** e[2]
-
-
 def _scale_table(g: LCFunction, e: tuple[int, int, int],
                  invert_y: bool) -> LCFunction:
     """The table g(x, y^-1) (or g(x, y)) times xs^e0 * xb^e1 * det(y)^e2,
@@ -502,7 +464,8 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
     # det(y) enters with the power kp, and the nu-part needs its inverse
     y_inv = kp < 0 or nu != 0
     return _times_weight(f, e, lambda g: ProductFunction(
-        g.field, g.n, g.ring, g, lambda pt, r: _weight_value(pt, e, r),
+        g.field, g.n, g.ring, g,
+        lambda pt, r: r.monomial(pt.x, pt.det_y_exact, e, pt.field),
         y_invertible=y_inv or g.y_invertible), invert_y=False, y_inv=y_inv)
 
 

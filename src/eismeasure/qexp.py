@@ -14,7 +14,9 @@ translates once.  A rational monomial's coefficient is a power sum of x
 over the points, reduced once (``_power_sum``).  It reads the index's
 stored view, (mult, a, d, y invertible) per point with x = a/d a rational
 unit, and takes each x-power as a pair of integer powers.  Any other
-coefficient is summed term by term in its ring (``ring.weight_factor``).
+coefficient is summed term by term in its ring, each term times the
+ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n), which is the weight
+norm of det(beta)/x over det(beta)^n (``ring.monomial``).
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .fields import FieldData, KNum, Weight
+from .fields import FieldData, KNum, Weight, _json_int, _json_objects
 from .functions import (
     GnFunction,
     GnPoint,
     MonomialFunction,
     _congruent,
-    _json_int,
     check_equivariance,
     evaluate,
 )
@@ -144,10 +145,16 @@ class QExpansion:
         ring = ring_from_tag(data["ring"], field)
         n = _json_int(data, "n")
         terms = {}
-        for t in data["terms"]:
+        for t in _json_objects(data, "terms"):
             pairs = t["beta"]
-            if len(pairs) != n or any(len(row) != n for row in pairs):
+            if not (isinstance(pairs, list) and len(pairs) == n and all(
+                    isinstance(row, list) and len(row) == n for row in pairs)):
                 raise ShapeMismatch(f"index {pairs} is not {n} x {n}")
+            if not all(isinstance(c, list) and len(c) == 2
+                       and all(type(u) is int for u in c)
+                       for row in pairs for c in row):
+                raise ShapeMismatch(f"index {pairs} is not made of [u, v] "
+                                    "pairs of integers")
             beta = HermitianMatrix.from_pairs(field, pairs)
             terms[beta.key()] = (beta, ring.from_json(t["coeff"]))
         w = data.get("weight")
@@ -217,7 +224,7 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     the other jobs are, so each expansion equals the one computed alone.
     Each job's accumulator is chosen once (``_job_coefficient``): a rational
     monomial sums x-powers (``_power_sum``), any other job its terms, each
-    weighted by ``ring.weight_factor``; a ring without one (cyclotomic) is
+    weighted by ``ring.monomial``; a ring without one (cyclotomic) is
     rejected before the sweep.
     """
     n = cusp.n
@@ -252,7 +259,9 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
 
 def _job_coefficient(f, w, n, field, precision):
     """The job's accumulator, (beta, mults, points) -> coefficient."""
-    by_term = partial(_ring_coefficient, f, w, n, field, precision)
+    # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
+    e = (-w.k - w.nu, w.nu, w.k - n)
+    by_term = partial(_ring_coefficient, f, e, field, precision)
     if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
         return by_term
@@ -293,15 +302,15 @@ def _power_sum(f, e, dexp, by_term, beta, mults, points) -> Fraction:
                     den * f.coef.denominator * dd ** abs(dexp))
 
 
-def _ring_coefficient(f, w, n, field, precision, beta, mults, points):
-    """The coefficient in the function's ring, term by term."""
+def _ring_coefficient(f, e, field, precision, beta, mults, points):
+    """The coefficient in the function's ring, term by term, each nonzero
+    term times the ring's monomial of exponents e at (x, det(beta))."""
     ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
     for mult, pt in zip(mults, points):
         fval = evaluate(f, pt, precision)
         if ring.is_zero(fval):
             continue
-        c = c + ring.coerce(mult) * fval * ring.weight_factor(
-            detb, pt.x, w, n, field)
+        c = c + ring.coerce(mult) * fval * ring.monomial(pt.x, detb, e, field)
     return c
 
 

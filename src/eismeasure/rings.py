@@ -2,10 +2,12 @@
 
 Mixing rings is an error, never a coercion; plain integers and Fractions
 are accepted everywhere as scalars.  A ring places exact field elements
-(``from_knum``), gives an expansion term's weight factor
-(``weight_factor``) and owns its JSON values; ``RINGS`` maps the tags.
-The cyclotomic ring holds character components only: it places no field
-element and writes no JSON, and says so with ``RingMismatch``.
+(``from_knum``), evaluates the one monomial xs^e0 * xb^e1 * d^e2 of an
+exact x and d (``monomial``: a function's monomial, the weight twist and an
+expansion term's weight factor) and owns its JSON values; ``RINGS`` maps
+the tags.  The cyclotomic ring holds character components only: it places
+no field element, evaluates no monomial and writes no JSON, and says so
+with ``RingMismatch``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotRational, RingMismatch
-from .fields import CMElt, norm_weight
+from .fields import CMElt, _json_int
 from .padic import PadicElt
 
 
@@ -171,14 +173,10 @@ class RationalRing:
             raise NotRational(f"{v} is not rational")
         return Fraction(v.u)
 
-    def weight_factor(self, detb, a, w, n, field) -> Fraction:
-        """(det(beta)/a)^k / det(beta)^n, one Fraction of their integers."""
-        if not a.is_rational:
-            raise RingMismatch(
-                "rational coefficients need rational norm arguments")
-        dn, dd = detb.a, detb.d
-        return Fraction((dn * a.d) ** w.k * dd ** n,
-                        (dd * a.a) ** w.k * dn ** n)
+    def monomial(self, x, d, e, field) -> Fraction:
+        """xs^e0 * xb^e1 * d^e2: a rational x has xs = xb."""
+        return (self.from_knum(x, field) ** (e[0] + e[1])
+                * self.from_knum(d, field) ** e[2])
 
     def to_json(self, v) -> str:
         return str(_checked(self, v, Fraction))
@@ -225,22 +223,28 @@ class PadicRing:
     def from_knum(self, v, field) -> PadicElt:
         return field.sigma_padic(v)  # at the field's precision
 
-    def weight_factor(self, detb, a, w, n, field) -> PadicElt:
-        """N_w(det(beta)/a) / det(beta)^n, at the field's precision."""
-        bc = CMElt.embed(detb * a.inverse(), field)
-        num = norm_weight(bc, w)
-        den = PadicElt.from_rational(detb.a, detb.d, p=field.p,
-                                     prec=field.precision) ** n
-        return self.coerce(num / den)
+    def monomial(self, x, d, e, field) -> PadicElt:
+        """xs^e0 * xb^e1 * d^e2 at the field's precision, every factor
+        multiplied in (a power 0 included)."""
+        xc = CMElt.embed(x, field)
+        return xc.xs ** e[0] * xc.xb ** e[1] * field.sigma_padic(d) ** e[2]
 
     def to_json(self, v) -> dict:
         v = _checked(self, v, PadicElt)  # val is null for zero
         return {"val": v.val, "unit": v.unit, "prec": v.prec}
 
     def from_json(self, data) -> PadicElt:
+        """The value to_json wrote: an integer val (null for zero), and
+        integers 0 <= unit < p^prec (0 for zero) and prec >= 1."""
         if not isinstance(data, dict) or data.keys() != {"val", "unit", "prec"}:
             raise RingMismatch(f"{data!r} is not a {self.tag} value")
-        return PadicElt(self.p, data["val"], data["unit"], data["prec"])
+        val = data["val"]
+        if val is not None:
+            val = _json_int(data, "val", RingMismatch)
+        unit, prec = (_json_int(data, k, RingMismatch) for k in ("unit", "prec"))
+        if prec < 1 or not 0 <= unit < self.p ** prec or (val is None and unit):
+            raise RingMismatch(f"{data!r} is not a {self.tag} value")
+        return PadicElt(self.p, val, unit, prec)
 
 
 class CyclotomicRing:
@@ -279,6 +283,9 @@ class CyclotomicRing:
     def from_knum(self, v, field):
         raise RingMismatch(f"the cyclotomic ring does not place field "
                            f"element {v}")
+
+    def monomial(self, x, d, e, field):
+        raise RingMismatch("monomials live over the rational or p-adic ring")
 
     def to_json(self, v):
         raise RingMismatch("cyclotomic values do not serialize")

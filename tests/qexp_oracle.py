@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from eismeasure.errors import EquivarianceViolation, RingMismatch
+from eismeasure.errors import EquivarianceViolation, NotRational
 from eismeasure.fields import CMElt, FieldData, Weight, norm_weight
 from eismeasure.functions import (
     GnFunction,
@@ -67,8 +67,7 @@ def oracle_qexp(f: GnFunction, w: Weight, cusp: CuspData, trace_bound: int,
                 continue
             if ring.tag == "qq":
                 if not a.is_rational:
-                    raise RingMismatch(
-                        "rational coefficients need rational norm arguments")
+                    raise NotRational(f"{a} is not rational")
                 dn, dd = detb.numerator, detb.denominator
                 factor = Fraction((dn * a.d) ** w.k * dd ** n,
                                   (dd * a.a) ** w.k * dn ** n)

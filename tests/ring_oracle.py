@@ -1,10 +1,13 @@
-"""Reference ring routes: the per-ring branches that ``from_knum`` replaced.
+"""Reference ring routes: the per-ring branches that ``from_knum`` and
+``monomial`` replaced.
 
 Before the ring protocol, a multiplier was evaluated over Z_p by embedding
 each matrix entry and summing the polynomial's terms in the ring
-(``eval_matrix``), and a unit factor was placed in a ring by a branch on its
-tag.  These copies keep those routes, so the single exact route can be
-checked against them coefficient by coefficient, precision included.
+(``eval_matrix``), a unit factor was placed in a ring by a branch on its
+tag, and a monomial function branched on its ring and multiplied in only
+the nonzero powers over Z_p.  These copies keep those routes, so the single
+exact route can be checked against them coefficient by coefficient,
+precision included.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from eismeasure.diffops import MatrixPolynomial
-from eismeasure.errors import RingMismatch, ShapeMismatch
-from eismeasure.fields import FieldData
+from eismeasure.errors import NotAUnit, RingMismatch, ShapeMismatch
+from eismeasure.fields import CMElt, FieldData
 from eismeasure.functions import GnPoint, norm_rel_exact
 from eismeasure.rings import PadicRing, RationalRing
 
@@ -44,7 +47,7 @@ def oracle_zeta_multiplier(mult: MatrixPolynomial):
             if not v.is_rational:
                 raise ShapeMismatch("multiplier value is not rational")
             return Fraction(v.u)
-        nx = pt.x_cm().norm_relative()
+        nx = CMElt.embed(pt.x, pt.field).norm_relative()
         m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
         return mult.eval_matrix(m, ring)
 
@@ -58,3 +61,32 @@ def oracle_factor_in_ring(fac, ring, field: FieldData):
     if isinstance(ring, PadicRing):
         return field.sigma_padic(fac)
     raise RingMismatch("equivariance checks support qq and zp rings")
+
+
+def oracle_monomial_value(self, pt: GnPoint, j: int | None = None):
+    """``MonomialFunction.evaluate`` with its ring branches (self is the
+    monomial)."""
+    if not pt.x_is_unit:
+        raise NotAUnit("x coordinate must be a unit")
+    if self.y_invertible and not pt.y_is_invertible:
+        return self.ring.zero()
+    if isinstance(self.ring, RationalRing):  # rational x: xs = xb = x
+        x, d = pt.x, pt.det_y_exact
+        if not x.is_rational:
+            raise RingMismatch("rational-ring monomials need a rational point")
+        if not d.is_rational:
+            raise RingMismatch("determinant is not rational")
+        if not isinstance(self.coef, (int, Fraction)):
+            raise RingMismatch("rational-ring monomials need a rational "
+                               "coefficient")
+        return (self.coef * Fraction(x.a, x.d) ** (self.e_xs + self.e_xb)
+                * Fraction(d.a, d.d) ** self.e_det)
+    if not isinstance(self.ring, PadicRing):
+        raise RingMismatch("monomials live over the rational or p-adic ring")
+    xc, d = CMElt.embed(pt.x, pt.field), pt.field.sigma_padic(pt.det_y_exact)
+    out = self.ring.coerce(self.coef) * xc.xs ** self.e_xs
+    if self.e_xb:
+        out = out * xc.xb ** self.e_xb
+    if self.e_det:
+        out = out * d ** self.e_det
+    return out

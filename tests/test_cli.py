@@ -453,7 +453,8 @@ def _table_with_zero_denominator(tmp_path):
 def test_a_zero_denominator_in_the_input_is_usage_error(
         tmp_path, capsys, rank_one_input, case):
     """'1/0' in a function expression, a table value, or an expansion's
-    coefficient or index exits 2 with an error line, not a traceback."""
+    coefficient or index exits 2 with an error line, not a traceback; in an
+    index it is refused as a coordinate that is not a JSON integer."""
     if case == "function":
         argv = ["qexp", "--k", "1", "--function", "1/0*x^1"]
     elif case in ("table", "decompose"):
@@ -468,7 +469,9 @@ def test_a_zero_denominator_in_the_input_is_usage_error(
                 "--h", "[[[1,0]]]"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: Fraction(1, 0)\n"
+    assert err == ("error: index [[['1/0', 0]]] is not made of [u, v] pairs "
+                   "of integers\n" if case == "beta"
+                   else "error: Fraction(1, 0)\n")
 
 
 def test_a_table_finer_than_the_field_precision_is_usage_error(

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,10 @@ import eismeasure
 from eismeasure.cli import build_parser
 from eismeasure.errors import RingMismatch
 from eismeasure.fields import FieldData
+from eismeasure.functions import GnPoint, MonomialFunction
+from eismeasure.hermitian import CuspData, enumerate_positive
+from eismeasure.padic import PadicElt
+from eismeasure.qexp import _sample_points
 from eismeasure.rings import (
     QQ,
     RINGS,
@@ -20,6 +25,8 @@ from eismeasure.rings import (
     PadicRing,
     ring_from_tag,
 )
+
+from ring_oracle import oracle_monomial_value
 
 GAUSS = FieldData(p=5, k_disc=-4, precision=8)
 
@@ -136,3 +143,91 @@ def test_ring_decisions_live_in_the_rings_module():
              if path.name != "rings.py"
              for hit in _literals_and_tag_comparisons(path)]
     assert found == []
+
+
+# -- one monomial per ring ---------------------------------------------------
+
+CENSUS_FIELDS = [
+    FieldData(p=5, k_disc=-4, precision=6),
+    FieldData(p=13, k_disc=-4, precision=6),
+    FieldData(p=7, k_disc=-3, precision=6),
+    FieldData(p=11, k_disc=-7, precision=6),
+    FieldData(p=5, mode="symplectic", precision=6),
+]
+#: (coefficient, (e_xs, e_xb, e_det)): 48 exponent triples with rational
+#: coefficients, and two irrational coefficients, which Z_p refuses
+CENSUS_MONOMIALS = [
+    ((Fraction(1), Fraction(-3, 2), 10)[i % 3], (a, b, c))
+    for i, (a, b, c) in enumerate((a, b, c) for a in (-2, 0, 1, 3)
+                                  for b in (-1, 0, 1, 2) for c in (-1, 0, 2))
+] + [(GAUSS.K(1, 1), (1, -1, 2)), (GAUSS.K(2, -1), (3, 2, -1))]
+
+
+def census_points(field, n, rng, count=300):
+    """The sweep's sample points, then hand-built points with a unit x up to
+    count: y rational or not, some singular mod p, some with p in a
+    denominator."""
+    cusps = []
+    if n == 1 or field.mode != "symplectic":
+        cusps.append(CuspData.single_term(field, n))
+    if n == 1:
+        cusps.append(CuspData.divisor_rule(field))
+    samples = [pt for cusp in cusps for pt in _sample_points(
+        field, cusp, enumerate_positive(field, n, 6))]
+    K, p, pts = field.K, field.p, list(samples)
+    irrational = field.mode != "symplectic"
+    while len(pts) < count:
+        x = K(Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3))),
+              rng.randrange(-3, 4) * irrational)
+        b = rng.randrange(-2, 3) * irrational * (rng.random() < 0.5)
+        y = tuple(tuple(K(Fraction(rng.randrange(-9, 10),
+                                   rng.choice((1, 1, 2, 3, p))), b)
+                        for _ in range(n)) for _ in range(n))
+        pt = GnPoint.from_exact(field, x, y)
+        if pt.x_is_unit:
+            pts.append(pt)
+    return samples, pts
+
+
+def _outcome(f, pt, evaluate):
+    """(val, unit, prec) of the value, or the type of the exception."""
+    try:
+        v = evaluate(f, pt)
+    except Exception as ex:  # the exception's type is what is compared
+        return type(ex)
+    assert isinstance(v, PadicElt)
+    return v.val, v.unit, v.prec
+
+
+def test_monomials_over_zp_match_the_ring_branches():
+    """ring.monomial multiplies in every power, xb^0 and d^0 included, where
+    the ring branches multiplied in only the nonzero ones.  Wherever det y is
+    rational, every sweep point included, each outcome is identical;
+    elsewhere the valuation and the digits agree and no more are claimed."""
+    rng = random.Random(25)
+    evaluated = nonzero = fewer = 0
+    for field in CENSUS_FIELDS:
+        for n in (1, 2):
+            samples, pts = census_points(field, n, rng)
+            assert all(pt.det_y_exact.is_rational for pt in samples)
+            for prec in (3, field.precision, 30):
+                ring = PadicRing(field.p, prec)
+                for c, e in CENSUS_MONOMIALS:
+                    f = MonomialFunction(field, n, ring, c, *e)
+                    for pt in pts:
+                        got = _outcome(f, pt, MonomialFunction.evaluate)
+                        want = _outcome(f, pt, oracle_monomial_value)
+                        evaluated += 1
+                        if got == want or pt.det_y_exact.is_rational:
+                            assert got == want, (field.p, n, prec, f.coef, pt.x)
+                            nonzero += isinstance(got, tuple) and got[0] is not None
+                            continue
+                        (val, unit, digits), (wval, wunit, wdigits) = got, want
+                        assert val == wval and digits < wdigits
+                        assert (unit - wunit) % field.p ** digits == 0
+                        fewer += 1
+    assert evaluated == 5 * 2 * 3 * 50 * 300
+    assert nonzero > evaluated // 3
+    assert 0 < fewer < evaluated // 20
+    with pytest.raises(RingMismatch, match="monomials live over the rational"):
+        CyclotomicRing(4).monomial(GAUSS.K(1), GAUSS.K(2), (1, 0, 1), GAUSS)

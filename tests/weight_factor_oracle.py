@@ -12,7 +12,7 @@ by value, precision, table keys and exceptions included.
 from __future__ import annotations
 
 from eismeasure.errors import RingMismatch, SupportNotInvertible, UnsupportedSize
-from eismeasure.fields import FieldData, Weight
+from eismeasure.fields import CMElt, FieldData, Weight
 from eismeasure.functions import (
     ContinuousFunction,
     GnFunction,
@@ -154,9 +154,9 @@ def _twist_value(pt: GnPoint, kp: int, nu: int, ring):
         d = ring.from_knum(pt.det_y_exact, field)
         u = norm_rel_exact(pt.x, field) ** n * d / ring.from_knum(pt.x, field)
         return u ** kp  # rational u: the nu-part cancels
-    xc = pt.x_cm()
+    xc = CMElt.embed(pt.x, pt.field)
     nr = xc.norm_relative()
-    d = pt.det_y_padic()
+    d = pt.field.sigma_padic(pt.det_y_exact)
     us = xc.xs.invert() * nr ** n * d
     ub = xc.xb.invert() * nr ** n * d
     return us ** (kp + nu) * ub ** (-nu)
