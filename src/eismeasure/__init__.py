@@ -36,7 +36,6 @@ from .functions import (
     UnitCharacter,
     character_decompose,
     check_equivariance,
-    check_unit_invariance,
     f_to_h,
     h_to_f,
     partition_function,

@@ -55,9 +55,6 @@ class GroupElement:
     def __init__(self, matrix: np.ndarray, nu: float):
         self.matrix, self.nu = matrix, nu
 
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix, self.nu * other.nu)
-
 
 # -- generators and words ------------------------------------------------------
 # A drawn generator is a row of 2 + 2n^2 small integers: its kind (0 a Levi
@@ -83,12 +80,9 @@ def _generators(n: int, kinds: np.ndarray, blocks: np.ndarray,
         m[levi, :n, :n] = _t(np.linalg.inv(np.conj(h)))
         m[levi, n:, n:] = lams[levi][:, None, None] * h
     trans = np.flatnonzero(kinds == 1)
-    if trans.size:
-        b = blocks[trans]
-        if not np.allclose(b, np.conj(_t(b))):
-            raise ValueError("translation block must be Hermitian")
+    if trans.size:  # _words makes each translation block exactly Hermitian
         m[trans] = np.eye(2 * n)
-        m[trans, :n, n:] = b
+        m[trans, :n, n:] = blocks[trans]
     weyl = np.flatnonzero(kinds == 2)
     if weyl.size:
         m[weyl, :n, n:] = -np.eye(n)
@@ -128,29 +122,6 @@ def _words(n: int, data: list, lengths: list):
     out[order] = prod
     # the factors are powers of two, so their products are exact in any order
     return out, np.multiply.reduceat(lams, starts).tolist()
-
-
-def _element(n: int, kind: int, block, lam) -> GroupElement:
-    """One generator as a group element."""
-    blocks = np.zeros((1, n, n), dtype=complex)
-    if block is not None:
-        blocks[0] = block
-    return GroupElement(
-        _generators(n, np.array([kind]), blocks, np.array([lam]))[0], lam)
-
-
-def levi_element(h: np.ndarray, lam: float) -> GroupElement:
-    """Block diag(conj(h)^-T, lam * h); similitude factor lam."""
-    return _element(h.shape[0], 0, h, lam)
-
-
-def translation_element(b: np.ndarray) -> GroupElement:
-    """Upper unipotent with Hermitian block b."""
-    return _element(b.shape[0], 1, b, 1.0)
-
-
-def weyl_element(n: int) -> GroupElement:
-    return _element(n, 2, None, 1.0)
 
 
 # -- points -----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import EisMeasureError, EquivarianceViolation
+from .errors import EisMeasureError, EquivarianceViolation, NotRational
 from .fields import FieldData, Weight
 from .functions import LCFunction, MonomialFunction, character_decompose
 from .hermitian import CuspData
@@ -156,7 +156,10 @@ def run_command(argv=None) -> int:
         return 1
     except (EisMeasureError, OSError, ValueError, KeyError,
             ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # only the rational ring raises NotRational
+        hint = ("; --ring qq holds only rational values, use --ring zp"
+                if isinstance(exc, NotRational) else "")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
 
 

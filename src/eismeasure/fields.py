@@ -29,7 +29,7 @@ from .errors import (
     PrecisionUnavailable,
     ShapeMismatch,
 )
-from .padic import DEFAULT_PRECISION, PadicElt, _vp
+from .padic import DEFAULT_PRECISION, MAX_PRECISION, PadicElt, _vp
 
 # discriminant -> (s, t) with w^2 = s*w + t
 _OMEGA_PARAMS = {-4: (0, -1), -3: (1, -1), -7: (1, -2)}
@@ -238,17 +238,24 @@ def _hensel_root(s: int, t: int, p: int, prec: int) -> tuple[int, int]:
     return r, (s - r) % pk
 
 
-def _json_int(data: dict, key: str, error=ShapeMismatch) -> int:
-    """data[key], which must be a JSON integer (no float, string or bool)."""
+def _json_value(data, key: str, kind=int, error=ShapeMismatch):
+    """data[key], where data must be a JSON object that has the key and the
+    value must be of type ``kind`` exactly (an integer is no float, string
+    or bool); ``kind=None`` takes any value."""
+    if not isinstance(data, dict):
+        raise error(f"expected a JSON object with {key}, got {data!r:.60}")
+    if key not in data:
+        raise error(f"{key} is missing")
     v = data[key]
-    if type(v) is not int:
-        raise error(f"{key} {v!r} is not an integer")
+    if kind is not None and type(v) is not kind:
+        raise error(f"{key} {v!r} is not "
+                    f"{'an integer' if kind is int else 'a string'}")
     return v
 
 
-def _json_objects(data: dict, key: str) -> list[dict]:
+def _json_objects(data, key: str) -> list[dict]:
     """data[key], which must be a JSON list of objects."""
-    v = data[key]
+    v = _json_value(data, key, None)
     if not (isinstance(v, list) and all(isinstance(e, dict) for e in v)):
         raise ShapeMismatch(f"{key} is not a list of objects")
     return v
@@ -265,6 +272,9 @@ class FieldData:
             raise FieldDataError(f"p = {p} is not an odd prime")
         if precision < 1:
             raise FieldDataError("precision must be >= 1")
+        if precision > MAX_PRECISION:  # before p^precision is formed
+            raise FieldDataError(f"precision {precision} is above "
+                                 f"{MAX_PRECISION}")
         self.p, self.precision, self.mode = p, precision, mode
         if mode == "symplectic":
             self.k_disc, self.omega_s, self.omega_t = 1, 0, 0
@@ -297,9 +307,10 @@ class FieldData:
         if isinstance(source, (str, bytes)):
             with open(source) as fh:
                 source = json.load(fh)
+        p = _json_value(source, "p", int, FieldDataError)
         source = {"k_disc": -4, "precision": DEFAULT_PRECISION, **source}
-        return cls(*(_json_int(source, key, FieldDataError)
-                     for key in ("p", "k_disc", "precision")),
+        return cls(p, *(_json_value(source, key, int, FieldDataError)
+                        for key in ("k_disc", "precision")),
                    mode=source.get("mode", "unitary"))
 
     # -- exact elements ----------------------------------------------------
@@ -413,12 +424,6 @@ class CMElt:
 
     def invert(self) -> "CMElt":
         return CMElt(self.field, self.xs.invert(), self.xb.invert())
-
-    def norm_relative(self) -> PadicElt:
-        """Norm down to the completed base ring (identity in symplectic mode)."""
-        if self.field.mode == "symplectic":
-            return self.xs
-        return self.xs * self.xb
 
     def __repr__(self):
         return f"CM({self.xs!r}, {self.xb!r})"

@@ -25,7 +25,7 @@ from .functions import (
     MonomialFunction,
     ProductFunction,
     _congruent,
-    check_unit_invariance,
+    check_equivariance,
     h_to_f,
     norm_rel_exact,
 )
@@ -71,7 +71,7 @@ def _require_unit_invariance(h: GnFunction, ctx: MeasureContext):
         raise ShapeMismatch(f"a rank-{h.n} function at a rank-{ctx.n} cusp")
     betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
     pts = _sample_points(ctx.field, ctx.cusp, betas)
-    rep = check_unit_invariance(h, pts, j=ctx.precision)
+    rep = check_equivariance(h, Weight(0, 0), pts, j=ctx.precision)
     if not rep.passed:
         raise EquivarianceViolation(
             f"integrand is not unit invariant at {rep.witness_text()}")

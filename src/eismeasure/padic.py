@@ -19,6 +19,8 @@ from .errors import (
 )
 
 DEFAULT_PRECISION = 24
+#: The largest precision or level that a reader or a field accepts.
+MAX_PRECISION = 1000
 
 
 def _vp(m, p: int) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .fields import FieldData, KNum, Weight, _json_int, _json_objects
+from .fields import FieldData, KNum, Weight, _json_objects, _json_value
 from .functions import (
     GnFunction,
     GnPoint,
@@ -127,7 +127,7 @@ class QExpansion:
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
         terms = []
-        for k, (beta, c) in sorted(self.terms.items()):
+        for _, (beta, c) in sorted(self.terms.items()):
             terms.append({"beta": [[[int(e.u), int(e.v)] for e in row]
                                    for row in beta.entries],
                           "coeff": self.ring.to_json(c)})
@@ -139,14 +139,14 @@ class QExpansion:
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "QExpansion":
-        if (p := _json_int(data, "p")) != field.p:
+        if (p := _json_value(data, "p")) != field.p:
             raise FieldDataError(f"an expansion over p = {p} read with "
                                  f"p = {field.p}")
-        ring = ring_from_tag(data["ring"], field)
-        n = _json_int(data, "n")
+        ring = ring_from_tag(_json_value(data, "ring", str), field)
+        n = _json_value(data, "n")
         terms = {}
         for t in _json_objects(data, "terms"):
-            pairs = t["beta"]
+            pairs = _json_value(t, "beta", None)
             if not (isinstance(pairs, list) and len(pairs) == n and all(
                     isinstance(row, list) and len(row) == n for row in pairs)):
                 raise ShapeMismatch(f"index {pairs} is not {n} x {n}")
@@ -156,13 +156,15 @@ class QExpansion:
                 raise ShapeMismatch(f"index {pairs} is not made of [u, v] "
                                     "pairs of integers")
             beta = HermitianMatrix.from_pairs(field, pairs)
-            terms[beta.key()] = (beta, ring.from_json(t["coeff"]))
+            coeff = ring.from_json(_json_value(t, "coeff", None))
+            terms[beta.key()] = (beta, coeff)
         w = data.get("weight")
         if not (isinstance(w, list) and len(w) == 2
                 and all(type(c) is int for c in w)):
             raise ShapeMismatch(f"weight {w!r} is not a pair of integers")
         return cls(field, n, Weight(*w),
-                   data["cusp"], _json_int(data, "trace_bound"), ring, terms)
+                   _json_value(data, "cusp", str),
+                   _json_value(data, "trace_bound"), ring, terms)
 
 
 def _rule_point(field: FieldData, a, beta: HermitianMatrix,
@@ -174,16 +176,16 @@ def _rule_point(field: FieldData, a, beta: HermitianMatrix,
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
     if nn == nd:
-        return GnPoint(field, beta.n, a, beta.entries,
+        return GnPoint(field, a, beta.entries,
                        det_y_exact=beta.det_exact)
     e = beta.entries[0][0]
     if ys is not None and beta.n == 1 and nn and e.a * nd % (e.d * nn) == 0:
         q = e.a * nd // (e.d * nn)
         y = ys.get(q) or ys.setdefault(q, ((KNum(q, 0, 1, e.s, e.t),),))
-        return GnPoint(field, 1, a, y)
+        return GnPoint(field, a, y)
     y = tuple([tuple([KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t)
                       for e in row]) for row in beta.entries])
-    return GnPoint(field, len(y), a, y)
+    return GnPoint(field, a, y)
 
 
 def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotRational, RingMismatch
-from .fields import CMElt, _json_int
-from .padic import PadicElt
+from .fields import CMElt, _json_value
+from .padic import MAX_PRECISION, PadicElt
 
 
 def _cyclotomic_poly(m: int) -> list[int]:
@@ -240,8 +240,11 @@ class PadicRing:
             raise RingMismatch(f"{data!r} is not a {self.tag} value")
         val = data["val"]
         if val is not None:
-            val = _json_int(data, "val", RingMismatch)
-        unit, prec = (_json_int(data, k, RingMismatch) for k in ("unit", "prec"))
+            val = _json_value(data, "val", int, RingMismatch)
+        unit, prec = (_json_value(data, k, int, RingMismatch)
+                      for k in ("unit", "prec"))
+        if prec > MAX_PRECISION:  # before p^prec is formed
+            raise RingMismatch(f"prec {prec} is above {MAX_PRECISION}")
         if prec < 1 or not 0 <= unit < self.p ** prec or (val is None and unit):
             raise RingMismatch(f"{data!r} is not a {self.tag} value")
         return PadicElt(self.p, val, unit, prec)

@@ -36,7 +36,7 @@ def oracle_sample_points(field: FieldData, cusp: CuspData, betas,
         for a, _ in cusp.rule(beta)[:2]:
             na = norm_rel_exact(a, field)
             y = tuple(tuple(e / na for e in row) for row in beta.entries)
-            pts.append(GnPoint.from_exact(field, a, y))
+            pts.append(GnPoint(field, a, y))
     return pts
 
 
@@ -61,7 +61,7 @@ def oracle_qexp(f: GnFunction, w: Weight, cusp: CuspData, trace_bound: int,
         for a, mult in cusp.rule(beta):
             na = norm_rel_exact(a, field)
             y = tuple(tuple(e / na for e in row) for row in beta.entries)
-            pt = GnPoint.from_exact(field, a, y)
+            pt = GnPoint(field, a, y)
             fval = evaluate(f, pt, precision)
             if ring.is_zero(fval):
                 continue
@@ -125,7 +125,7 @@ def oracle_power_qexp(f: MonomialFunction, w: Weight, cusp: CuspData,
         for a, _ in pairs:
             na = norm_rel_exact(a, field)
             y = tuple(tuple(c / na for c in row) for row in beta.entries)
-            points.append(GnPoint.from_exact(field, a, y))
+            points.append(GnPoint(field, a, y))
         terms[beta.key()] = (beta, oracle_power_sum(
             f, e, dexp, beta.det_exact, [m for _, m in pairs], points))
     return QExpansion(field, n, w, cusp.label, trace_bound, f.ring, terms)

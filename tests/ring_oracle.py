@@ -47,7 +47,8 @@ def oracle_zeta_multiplier(mult: MatrixPolynomial):
             if not v.is_rational:
                 raise ShapeMismatch("multiplier value is not rational")
             return Fraction(v.u)
-        nx = CMElt.embed(pt.x, pt.field).norm_relative()
+        xc = CMElt.embed(pt.x, pt.field)
+        nx = xc.xs if field.mode == "symplectic" else xc.xs * xc.xb
         m = [[field.sigma_padic(e) * nx for e in row] for row in pt.y]
         return mult.eval_matrix(m, ring)
 

@@ -60,7 +60,7 @@ def test_bridge_on_rational_monomials_is_exact():
     h = MonomialFunction(SYMPL, 1, QQ, Fraction(3), e_xs=4, e_det=1)
     f = h_to_f(h)
     # H(x, y) = 3 x^4 y gives F(x, y) = H(x, 1/y) / (x^-1 x det y) = 3 x^4 / y^2
-    pt = GnPoint.from_exact(SYMPL, SYMPL.K(7), ((SYMPL.K(Fraction(2)),),))
+    pt = GnPoint(SYMPL, SYMPL.K(7), ((SYMPL.K(Fraction(2)),),))
     assert f.evaluate(pt) == Fraction(3 * 7**4, 4)
     back = f_to_h(f)
     assert back.evaluate(pt) == h.evaluate(pt)
@@ -74,7 +74,7 @@ def test_weight_twist_pointwise_oracle():
     g = weight_twist(h, w)
     for x in (2, 3, 7):
         for y in (Fraction(3), Fraction(5, 2)):
-            pt = GnPoint.from_exact(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
+            pt = GnPoint(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
             expected = h.evaluate(pt) * (Fraction(x) ** (-1) * x * y) ** (w.k - 1)
             assert g.evaluate(pt) == expected
 
@@ -90,7 +90,7 @@ def support_points(f):
         b = (x1 - x2) * pow(r - rb, -1, pj) % pj
         y = tuple(tuple(field.K(yk[i * f.n + c]) for c in range(f.n))
                   for i in range(f.n))
-        pt = GnPoint.from_exact(field, field.K((x1 - b * r) % pj, b), y)
+        pt = GnPoint(field, field.K((x1 - b * r) % pj, b), y)
         assert pt.coset_key(f.level) == key
         pts.append(pt)
     return pts
@@ -177,7 +177,7 @@ def test_a_cyclotomic_component_refuses_the_ring_protocol_it_lacks():
     comps = character_decompose(f)
     assert len(comps) == 16
     _, g = comps[0]
-    pts = [GnPoint.from_exact(GAUSS, GAUSS.K(1), ((GAUSS.K(2),),))]
+    pts = [GnPoint(GAUSS, GAUSS.K(1), ((GAUSS.K(2),),))]
     for call in (lambda: symmetrize(g, Weight(1, 0)),
                  lambda: check_equivariance(g, Weight(1, 0), pts),
                  g.to_json):
@@ -203,7 +203,7 @@ def test_partition_function_rank_one_oracle():
     f = partition_function(spec, chi, SYMPL, 1)
     for x in (1, 2, 3, 4):
         for y in (1, 2, 3, 4):
-            pt = GnPoint.from_exact(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
+            pt = GnPoint(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
             got = f.evaluate(pt, 1)
             expected = PadicElt(5, 0, x, 1) * ch(x * y % 5)
             assert ring.eq(got, expected)
@@ -235,7 +235,7 @@ def test_rational_monomial_values(coef, e_xs, e_det):
     for x, y in ((SYMPL.K(-2), Fraction(3, 4)), (SYMPL.K(Fraction(3, 7)),
                                                   Fraction(-6)),
                  (SYMPL.K(Fraction(-1, 8)), Fraction(9, 2))):
-        pt = GnPoint.from_exact(SYMPL, x, ((SYMPL.K(y),),))
+        pt = GnPoint(SYMPL, x, ((SYMPL.K(y),),))
         want = Fraction(coef) * x.u ** e_xs * y ** e_det
         got = f.evaluate(pt)
         assert type(got) is Fraction and got == want
@@ -250,7 +250,7 @@ def test_rational_and_padic_monomials_agree_at_a_singular_y(e_det):
              (GAUSS, ((GAUSS.K(2), GAUSS.K(1, 1)), (GAUSS.K(1, -1), GAUSS.K(1))))]
     for field, y in cases:
         n, zp = len(y), PadicRing(field.p, field.precision)
-        pt = GnPoint.from_exact(field, field.K(2), y)
+        pt = GnPoint(field, field.K(2), y)
         assert pt.det_y_exact.is_zero
         qq_val, zp_val = (
             MonomialFunction(field, n, ring, Fraction(3), e_xs=2, e_xb=1,
@@ -270,7 +270,7 @@ def test_weight_twist_of_a_product_has_the_monomial_twist_s_support(ring):
     singular, unit = ((SYMPL.K(5),),), ((SYMPL.K(3),),)
     for w in (Weight(3, 1), Weight(3, 0), Weight(1, 1)):
         for y in (singular, unit):
-            pt = GnPoint.from_exact(SYMPL, SYMPL.K(1), y)
+            pt = GnPoint(SYMPL, SYMPL.K(1), y)
             got = weight_twist(prod, w).evaluate(pt)
             want = weight_twist(one, w).evaluate(pt)
             assert ring.eq(got, want)
@@ -288,12 +288,12 @@ def test_padic_points_take_the_determinant_of_their_entries():
     ys = [((K(3),),), ((K(2), K(1, 2)), (K(1, -2), K(Fraction(7, 3)))),
           ((K(1), K(1)), (K(1), K(1)))]
     for y in ys:
-        pt = GnPoint.from_exact(GAUSS, K(1), y)
+        pt = GnPoint(GAUSS, K(1), y)
         assert GAUSS.sigma_padic(pt.det_y_exact) == mat_det(
             [[GAUSS.sigma_padic(e) for e in row] for row in y])
     big = ((K(1),) * 3,) * 3
     with pytest.raises(UnsupportedSize):
-        GAUSS.sigma_padic(GnPoint.from_exact(GAUSS, K(1), big).det_y_exact)
+        GAUSS.sigma_padic(GnPoint(GAUSS, K(1), big).det_y_exact)
 
 
 def _old_congruent(a, b, p, j):
@@ -353,10 +353,10 @@ def test_unit_test_on_exact_points_matches_the_residues(field):
                     continue
                 x = field.K(Fraction(a, d), Fraction(b, d))
                 try:
-                    want = _old_x_is_unit(GnPoint.from_exact(field, x, y))
+                    want = _old_x_is_unit(GnPoint(field, x, y))
                 except DenominatorDivisibleByP:
                     want = DenominatorDivisibleByP
-                pt = GnPoint.from_exact(field, x, y)
+                pt = GnPoint(field, x, y)
                 if want is DenominatorDivisibleByP:
                     with pytest.raises(DenominatorDivisibleByP):
                         pt.x_is_unit

@@ -1,7 +1,10 @@
-"""Every name a package module or a script imports is used in it.
+"""Every name a package module or a script imports or binds is used.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included (a quoted annotation is text, and does not count).
+A name bound in a function must be read in that function, and a private
+(``_``-prefixed) function, class or method of the package must be named
+somewhere in the package besides its definition.
 """
 
 import ast
@@ -10,9 +13,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "eismeasure").glob("*.py")
-     if p.name != "__init__.py"] + list((ROOT / "scripts").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "eismeasure").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
+                 + list((ROOT / "scripts").glob("*.py")))
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -35,3 +39,54 @@ def test_every_imported_name_is_used(path):
     unused = {name: line for name, line in _imported(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _unread(fn) -> dict[str, int]:
+    """Name -> line, for every name bound in fn (nested scopes included)
+    that nothing in fn reads; parameters, augmented-assignment targets,
+    nonlocal and global names, and ``_`` are exempt."""
+    exempt = {"_"} | {a.arg for a in ast.walk(fn.args)
+                       if isinstance(a, ast.arg)}
+    bound, read = {}, set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            else:
+                bound.setdefault(node.id, node.lineno)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target,
+                                                            ast.Name):
+            exempt.add(node.target.id)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            exempt.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, DEFS) and node is not fn:
+            bound.setdefault(node.name, node.lineno)
+    return {k: v for k, v in bound.items() if k not in read | exempt}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_name_bound_in_a_function_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = {f"{fn.name}.{name}": line for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name, line in _unread(fn).items()}
+    assert not unread, f"{path.name}: names bound and never read {unread}"
+
+
+def test_every_private_definition_is_named():
+    named, private = set(), {}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif (isinstance(node, DEFS) and node.name.startswith("_")
+                  and not node.name.endswith("__")):
+                private[node.name] = f"{path.name}:{node.lineno}"
+    unnamed = {k: v for k, v in private.items() if k not in named}
+    assert not unnamed, f"private definitions nothing names: {unnamed}"

@@ -28,7 +28,6 @@ from eismeasure.functions import (
     LCFunction,
     MonomialFunction,
     check_equivariance,
-    check_unit_invariance,
     h_to_f,
     norm_rel_exact,
     random_lc_function,
@@ -58,7 +57,7 @@ def _live_points():
 def _fresh_point(field, a, beta):
     """The cusp-rule point as the oracle builds it."""
     na = norm_rel_exact(a, field)
-    return GnPoint.from_exact(
+    return GnPoint(
         field, a, tuple(tuple(e / na for e in row) for row in beta.entries))
 
 
@@ -498,6 +497,7 @@ def test_stored_points_are_lean_and_equal_fresh_points():
                                       points).witness_text() == (
                 "unit (-1+0w), x = (3+0w), y = (((1/3+0w),),): O(5^1) != "
                 "5^0*1 + O(5^1)")
-            assert check_unit_invariance(bad, points).witness_text() == (
+            assert check_equivariance(bad, Weight(0, 0),
+                                      points).witness_text() == (
                 "unit (-1+0w), x = (3+0w), y = (((1/3+0w),),): O(5^1) != "
                 "5^0*4 + O(5^1)")

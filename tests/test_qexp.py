@@ -693,7 +693,7 @@ def _outcome(fn):
 def _old_rule_point(field, a, beta):
     """The cusp-rule point as a KNum division by the Fraction norm of a."""
     na = norm_rel_exact(a, field)
-    return GnPoint.from_exact(
+    return GnPoint(
         field, a, tuple(tuple(e / na for e in row) for row in beta.entries))
 
 
@@ -751,7 +751,7 @@ def test_rule_points_and_their_flags_match_the_old_definitions(field):
     vs = range(-3, 4) if field.mode == "unitary" else (0,)
     for u, v, d in itertools.product(range(-3, 4), vs, (1, 2, p)):
         y = ((field.K(Fraction(u, d), Fraction(v, d)),),)
-        pt = GnPoint.from_exact(field, field.K(1), y)
+        pt = GnPoint(field, field.K(1), y)
         flag = _outcome(lambda: pt.y_is_invertible)
         assert flag == _old_flags(pt)[1]
         seen.add((1, flag))

@@ -1,7 +1,8 @@
 """Inputs that must be refused: a moment of an integrand that is not unit
-invariant (exit 1), and JSON files whose prime, integer fields, p-adic
-values, containers or field configs do not match what the package writes
-(exit 2)."""
+invariant (exit 1), and JSON files whose top level, keys, prime, integer
+or string fields, p-adic values, containers or field configs do not match
+what the package writes, precisions and levels above ``MAX_PRECISION``,
+and irrational values asked of the rational ring (exit 2)."""
 
 import json
 import random
@@ -14,6 +15,7 @@ from eismeasure.fields import FieldData
 from eismeasure.functions import MonomialFunction, random_lc_function
 from eismeasure.hermitian import CuspData
 from eismeasure.measure import MeasureContext, moment_detd
+from eismeasure.padic import MAX_PRECISION
 from eismeasure.rings import PadicRing
 
 GAUSS = FieldData(p=5, k_disc=-4)
@@ -43,6 +45,25 @@ def test_moment_detd_checks_unit_invariance(d):
     ctx = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 1), 4)
     with pytest.raises(EquivarianceViolation, match="not unit invariant"):
         moment_detd(h, d, ctx)
+
+
+def test_invariance_is_checked_at_the_values_precision(capsys, tmp_path):
+    """A table whose values agree under the unit -1 mod 5^4 but not mod
+    5^10 is not invariant, though the field's precision is 4: the unit's
+    factor 1 is not placed in Z_p, where it would cut the values to 4
+    digits."""
+    # i moves the x coset (1, 1) to (2, 3), and -i to (3, 2)
+    values = {(1, 1): 1, (4, 4): 1 + 5 ** 5, (2, 3): 1, (3, 2): 1}
+    table = {"level": 1, "n": 1, "support": "all", "ring": "zp", "entries": [
+        {"x_coset": list(xk), "y_coset": [1],
+         "value": {"val": 0, "unit": u, "prec": 10}}
+        for xk, u in values.items()]}
+    code, out, err = run(capsys, "integrate", "--precision", "4", "--bound",
+                         "3", "--function", "@" + _write(tmp_path, table))
+    assert code == 1 and out == ""
+    assert err == ("error: integrand is not unit invariant at unit (-1+0w), "
+                   "x = (1+0w), y = (((1+0w),),): 5^0*3126 + O(5^10) != "
+                   "5^0*1 + O(5^10)\n")
 
 
 def _expansion_file(capsys, tmp_path, p="5", **edits):
@@ -114,6 +135,8 @@ ZP_VALUES = {
     "unit-above-p^prec": ({"val": 0, "unit": 5 ** 30 + 1, "prec": 24}, None),
     "unit-negative": ({"val": 0, "unit": -1, "prec": 24}, None),
     "zero-with-a-unit": ({"val": None, "unit": 3, "prec": 24}, None),
+    "prec-above-the-bound": ({"val": 0, "unit": 1, "prec": 10 ** 40},
+                             f"prec {10 ** 40} is above {MAX_PRECISION}"),
 }
 
 
@@ -147,6 +170,7 @@ MALFORMED_TERMS = {
     "beta-row": ([[5]], "index [[5]] is not made of [u, v] pairs of integers"),
     "beta-float": ([[[1.5, 0]]], "index [[[1.5, 0]]] is not made of [u, v] "
                                  "pairs of integers"),
+    "beta-missing": (..., "beta is missing"),
 }
 
 
@@ -156,6 +180,8 @@ def test_a_malformed_expansion_is_refused(capsys, tmp_path, case):
     data = _zp_expansion(capsys)
     if beta is None:
         data["terms"] = 5
+    elif beta is ...:
+        del data["terms"][0]["beta"]
     else:
         data["terms"][0]["beta"] = beta
     code, out, err = _transform(capsys, _write(tmp_path, data))
@@ -193,3 +219,82 @@ def test_a_field_config_with_a_non_integer_is_refused(
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {key} {value!r} is not an integer\n"
+
+
+# -- readers: the top level, string fields, and integers past the bound --------
+
+
+def _reader_argv(reader, path):
+    return {"function": ["qexp", "--k", "1", "--function", "@" + path],
+            "table": ["decompose", "--table", path],
+            "config": ["qexp", "--config", path, "--k", "4", "--function",
+                       "x^4*ydet^-3"],
+            "input": ["transform-cusp", "--mode", "symplectic", "--input",
+                      path, "--h", "[[[1,0]]]", "--lam", "2"]}[reader]
+
+
+@pytest.mark.parametrize("reader, key", [
+    ("function", "level"), ("table", "level"), ("config", "p"),
+    ("input", "p")])
+def test_a_file_that_is_not_an_object_is_refused(capsys, tmp_path, reader,
+                                                 key):
+    code, out, err = run(capsys, *_reader_argv(reader, _write(tmp_path, [])))
+    assert code == 2 and out == ""
+    assert err == f"error: expected a JSON object with {key}, got []\n"
+
+
+@pytest.mark.parametrize("case", ["table-ring", "expansion-ring", "cusp"])
+def test_a_ring_or_cusp_that_is_not_a_string_is_refused(capsys, tmp_path,
+                                                        case):
+    if case == "table-ring":
+        data = random_lc_function(GAUSS, 1, 1, random.Random(1),
+                                  entries=4).to_json()
+        argv = _reader_argv("table", _write(tmp_path, {**data, "ring": []}))
+        error = "ring [] is not a string"
+    elif case == "expansion-ring":
+        argv = _reader_argv("input", _expansion_file(capsys, tmp_path,
+                                                     ring=[]))
+        error = "ring [] is not a string"
+    else:
+        argv = _reader_argv("input", _expansion_file(capsys, tmp_path,
+                                                     cusp={"a": 1}))
+        error = "cusp {'a': 1} is not a string"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("source", ["option", "config"])
+def test_a_field_precision_above_the_bound_is_refused(capsys, tmp_path,
+                                                      source):
+    """Refused before p^precision is formed; the bound itself is taken."""
+    def qexp(precision):
+        if source == "option":
+            field = ["--precision", str(precision)]
+        else:
+            field = ["--config", _write(tmp_path, {"p": 5,
+                                                   "precision": precision})]
+        return run(capsys, "qexp", *field, "--bound", "3", "--k", "4",
+                   "--function", "x^4*ydet^-3")
+
+    assert qexp(MAX_PRECISION)[0] == 0
+    code, out, err = qexp(10 ** 40)
+    assert code == 2 and out == ""
+    assert err == f"error: precision {10 ** 40} is above {MAX_PRECISION}\n"
+
+
+def test_a_table_level_above_the_bound_is_refused(capsys, tmp_path):
+    data = random_lc_function(GAUSS, 1, 1, random.Random(1),
+                              entries=4).to_json()
+    code, out, err = run(capsys, *_reader_argv(
+        "table", _write(tmp_path, {**data, "level": 10 ** 40})))
+    assert code == 2 and out == ""
+    assert err == f"error: level {10 ** 40} is above {MAX_PRECISION}\n"
+
+
+def test_an_irrational_value_over_qq_names_the_fix(capsys):
+    code, out, err = run(capsys, "integrate", "--ring", "qq", "--function",
+                         "const1", "--bound", "3")
+    assert code == 2 and out == ""
+    assert err == ("error: (0+1w) is not rational; --ring qq holds only "
+                   "rational values, use --ring zp\n")

@@ -183,7 +183,7 @@ def census_points(field, n, rng, count=300):
         y = tuple(tuple(K(Fraction(rng.randrange(-9, 10),
                                    rng.choice((1, 1, 2, 3, p))), b)
                         for _ in range(n)) for _ in range(n))
-        pt = GnPoint.from_exact(field, x, y)
+        pt = GnPoint(field, x, y)
         if pt.x_is_unit:
             pts.append(pt)
     return samples, pts

@@ -39,7 +39,7 @@ def _exact_point(field, xk, yk, j):
     n = 1 if len(yk) == 1 else 2
     y = tuple(tuple(field.K(yk[i * n + k]) for k in range(n))
               for i in range(n))
-    pt = GnPoint.from_exact(field, field.K(a, b), y)
+    pt = GnPoint(field, field.K(a, b), y)
     assert pt.coset_key(j) == (tuple(xk), tuple(yk))
     return pt
 

@@ -6,7 +6,10 @@ weight-(k - n, nu) norm.  Both are one exponent triple of (xs, xb, det y),
 applied to monomials, tables and points.  ``weight_factor_oracle`` keeps
 the routes that wrote the factor out separately; the single formula is
 compared with them value by value, precision, table keys and exception
-types included.
+types included.  Every integral unit has relative norm 1, so a unit's
+weight factor is a power of it, and unit invariance is the weight-(0, 0)
+case of unit equivariance; both are checked against the oracle's copies of
+the code they replaced.
 """
 
 import random
@@ -20,8 +23,12 @@ from eismeasure.functions import (
     LCFunction,
     MonomialFunction,
     ProductFunction,
+    check_equivariance,
     f_to_h,
     h_to_f,
+    norm_rel_exact,
+    symmetrize,
+    unit_weight_factor,
     weight_twist,
     y_det_key,
 )
@@ -199,11 +206,11 @@ def exact_points(field, n, rng):
         y = tuple(tuple(K(Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3))),
                           rng.randrange(-2, 3) * irrational)
                         for _ in range(n)) for _ in range(n))
-        pt = GnPoint.from_exact(field, x, y)
+        pt = GnPoint(field, x, y)
         if pt.x_is_unit:
             pts.append(pt)
     ones = tuple(tuple(K(1) for _ in range(n)) for _ in range(n))
-    pts.append(GnPoint.from_exact(field, K(2), ones))  # det y = 0 for n = 2
+    pts.append(GnPoint(field, K(2), ones))  # det y = 0 for n = 2
     return pts
 
 
@@ -264,3 +271,84 @@ def test_bridged_monomial_agrees_with_its_truncation(n, e_xs, e_xb, bound, e_det
         assert c.congruent_mod(shadow.terms[key][1], 2), beta
         nonzero += not c.with_abs_prec(2).is_zero
     assert nonzero
+
+
+# -- unit weight factors and unit invariance -----------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_unit_has_relative_norm_one(field):
+    """So a unit's weight factor is e^(k + 2 nu), as the old formula with
+    the norm gave; a field added with units of another norm fails here."""
+    for e in field.unit_group:
+        assert norm_rel_exact(e, field) == 1, e
+        for k in range(-3, 6):
+            for nu in range(-3, 4):
+                w = Weight(k, nu)
+                assert (unit_weight_factor(e, w)
+                        == oracle.unit_weight_factor(e, w, field)), (e, k, nu)
+
+
+def _report(check, h, points):
+    """(passed, witness unit, witness text) of a check, or the type of the
+    exception it raises."""
+    try:
+        rep = check(h, points)
+    except Exception as ex:  # the exception's type is what is compared
+        return type(ex)
+    if rep.passed:
+        return True, None, None
+    return False, rep.witness[0], rep.witness_text()
+
+
+def _integrands(field, n, points, rng):
+    """Tables valued at the points' level-2 cosets (random, and averaged
+    over the units), monomials over Q and Z_p, and sums of the two."""
+    p = field.p
+    zp = PadicRing(p, 2)
+    values = {pt.coset_key(2): PadicElt.from_int(rng.randrange(1, p * p), p, 2)
+              for pt in points}
+    table = LCFunction(field, n, zp, 2, values=values)
+    tables = [table, symmetrize(table, Weight(0, 0))]
+    monos = [MonomialFunction(field, n, ring, Fraction(3, 2), e_xs=a, e_xb=b,
+                              e_det=d)
+             for ring in (QQ, PadicRing(p, 4))
+             for a, b in ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (6, 0),
+                          (1, 1), (2, -2), (-1, 1), (3, 1))
+             for d in (0, -1)]
+    sums = [m + t for m in monos if m.ring is not QQ for t in tables]
+    return tables + monos + sums
+
+
+@pytest.mark.parametrize("field", [FIELDS[0], FIELDS[2], FIELDS[3]],
+                         ids=["gauss5", "eis7", "disc7p11"])
+def test_unit_invariance_is_weight_zero_equivariance(field):
+    """At the sample points the integration check reads, the old invariance
+    check and check_equivariance at weight (0, 0) pass and fail together
+    (or raise the same error), and name the same witness wherever the old
+    one's unit is its own inverse (it read h at e^-1 x, the new one at
+    e x)."""
+    rng = random.Random(2026)
+    runs = raised = failed = same_witness = 0
+    for n in (1, 2):
+        cusp = CuspData.single_term(field, n)
+        points = _sample_points(field, cusp, enumerate_positive(field, n, 6))
+        for h in _integrands(field, n, points, rng):
+            old = _report(oracle.check_unit_invariance, h, points)
+            new = _report(lambda h, pts: check_equivariance(
+                h, Weight(0, 0), pts), h, points)
+            runs += 1
+            if isinstance(old, type):
+                assert new is old, (n, h)
+                raised += 1
+                continue
+            assert new[0] == old[0], (n, h)
+            if not old[0]:
+                failed += 1
+                if old[1] * old[1] == field.K(1):
+                    assert new == old, (n, h)
+                    same_witness += 1
+    # neither a pass, a failure nor a witness is compared over zero cases
+    assert runs == 2 * (2 + 40 + 40)
+    assert runs - raised - failed >= 20 and failed >= 60
+    assert same_witness >= 60

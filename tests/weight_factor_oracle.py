@@ -7,14 +7,19 @@ bridge, the monomial twist, the coset factor of a bridged table, the coset
 factor of a twisted table and the value of a twisted product.  These copies
 keep those routes, so the single formula can be checked against them value
 by value, precision, table keys and exceptions included.
+
+The unit checks are kept too: the invariance check that ran beside the
+equivariance check, and the unit weight factor that divided by the unit's
+relative norm.
 """
 
 from __future__ import annotations
 
 from eismeasure.errors import RingMismatch, SupportNotInvertible, UnsupportedSize
-from eismeasure.fields import CMElt, FieldData, Weight
+from eismeasure.fields import CMElt, FieldData, KNum, Weight
 from eismeasure.functions import (
     ContinuousFunction,
+    EquivarianceReport,
     GnFunction,
     GnPoint,
     LCFunction,
@@ -155,7 +160,7 @@ def _twist_value(pt: GnPoint, kp: int, nu: int, ring):
         u = norm_rel_exact(pt.x, field) ** n * d / ring.from_knum(pt.x, field)
         return u ** kp  # rational u: the nu-part cancels
     xc = CMElt.embed(pt.x, pt.field)
-    nr = xc.norm_relative()
+    nr = xc.xs if field.mode == "symplectic" else xc.xs * xc.xb
     d = pt.field.sigma_padic(pt.det_y_exact)
     us = xc.xs.invert() * nr ** n * d
     ub = xc.xb.invert() * nr ** n * d
@@ -188,3 +193,25 @@ def _twist_table(f: LCFunction, kp: int, nu: int) -> LCFunction:
         return f.rule(xk, yk) * PadicElt(p, 0, factor(xk, yk), f.level)
 
     return LCFunction(field, n, f.ring, f.level, rule=rule, y_invertible=True)
+
+
+# -- the unit checks -------------------------------------------------------------
+
+
+def unit_weight_factor(e: KNum, w: Weight, field: FieldData) -> KNum:
+    """Weight norm of an integral unit, kept exact."""
+    return e ** (w.k + 2 * w.nu) * field.K(e.norm()) ** (-w.nu)
+
+
+def check_unit_invariance(h: GnFunction, points,
+                          j: int | None = None) -> EquivarianceReport:
+    """Integrands must satisfy h(e*x, relnorm(e)*y) = h(x, y)."""
+    field = h.field
+    for e in field.unit_group:
+        ei = e.inverse()
+        for pt in points:
+            lhs = h.evaluate(pt.unit_translate(ei), j)
+            rhs = h.evaluate(pt, j)
+            if not h.ring.eq(lhs, rhs):
+                return EquivarianceReport(False, (e, pt, lhs, rhs))
+    return EquivarianceReport(True)
