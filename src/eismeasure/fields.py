@@ -210,23 +210,59 @@ def _from_coords(u, v, s: int, t: int) -> KNum:
     return _raw(u.numerator * (d // du), v.numerator * (d // dv), d, s, t)
 
 
+#: The 13 prime bases up to 41, and the least strong pseudoprime to all of
+#: them (Sorenson and Webster, 2015): below it ``_is_prime`` is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Deterministic Miller-Rabin, exact for m < MAX_PRIME."""
+    if m < 2 or any(m % a == 0 for a in _MR_BASES):
+        return m in _MR_BASES
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):  # a strong probable prime meets -1 on the way
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero square a mod the odd prime p
+    (Tonelli-Shanks)."""
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:  # a non-square
+        z += 1
+    c, r, u = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while u != 1:  # u has order 2^i < 2^m
+        i, u2 = 1, u * u % p
+        while u2 != 1:
+            i, u2 = i + 1, u2 * u2 % p
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        r, u = r * b % p, u * c % p
+    return r
 
 
 def _hensel_root(s: int, t: int, p: int, prec: int) -> tuple[int, int]:
     """The two roots of x^2 - s*x - t mod p^prec, smaller residue mod p first."""
-    roots = [r for r in range(p) if (r * r - s * r - t) % p == 0]
-    if len(roots) != 2:
+    disc = (s * s + 4 * t) % p
+    if pow(disc, (p - 1) // 2, p) != 1:  # a zero or non-square discriminant
         raise FieldDataError(f"x^2-{s}x-{t} does not split mod {p}")
-    r = min(roots)
+    q, half = _sqrt_mod(disc, p), pow(2, -1, p)
+    r = min((s + q) * half % p, (s - q) * half % p)
     k = 1
     pk = p
     while k < prec:
@@ -268,6 +304,8 @@ class FieldData:
                  precision: int = DEFAULT_PRECISION, mode: str = "unitary"):
         if mode not in ("unitary", "symplectic"):
             raise FieldDataError(f"unknown mode {mode!r}")
+        if p >= MAX_PRIME:  # before the primality test, exact below it
+            raise FieldDataError(f"p = {p} is not below {MAX_PRIME}")
         if not _is_prime(p) or p == 2:
             raise FieldDataError(f"p = {p} is not an odd prime")
         if precision < 1:

@@ -89,8 +89,8 @@ class GnPoint:
     coset key of each level and the translate by each unit are computed on
     first use and kept in slots (None until then), so every function
     evaluated there shares them; a known det(y) can be given to the
-    constructor.  The cusp-rule points are stored with their index
-    (``qexp._rule_terms``) and live as long as the enumeration.
+    constructor.  Cusp-rule points are built and stored with their index
+    only when read (``qexp._rule_points``): a power-sum sweep builds none.
     """
 
     __slots__ = ("field", "n", "x", "y", "_det_y", "_unit", "_invertible",

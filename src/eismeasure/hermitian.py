@@ -68,14 +68,12 @@ class HermitianMatrix:
     A plain ``__slots__`` class, compared entrywise and never hashed (its
     ``key()`` is the hashable form).  The exact determinant and the key are
     computed on first use and kept in slots (None until then), so every
-    sweep over a memoised enumeration reads them.  So are the terms of the
-    last cusp rule swept here, ``_rule_terms = (rule, mults, points)``
-    (written by ``qexp._rule_terms``): one slot, replaced by a sweep with
-    another rule, which drops ``_power_view`` (read by ``qexp._power_sum``).
+    sweep over a memoised enumeration reads them.  So is what the last cusp
+    rule swept here gave, ``_rule_terms = [rule, pairs, points, view]``
+    (``qexp._rule_terms``): a sweep with another rule replaces it whole.
     """
 
-    __slots__ = ("field", "entries", "_det", "_key", "_rule_terms",
-                 "_power_view")
+    __slots__ = ("field", "entries", "_det", "_key", "_rule_terms")
 
     def __init__(self, field: FieldData, entries: Matrix):
         n = len(entries)
@@ -86,7 +84,7 @@ class HermitianMatrix:
                 if entries[i][j].conj() != entries[j][i]:
                     raise LatticeMismatch("matrix is not Hermitian")
         self.field, self.entries = field, entries
-        self._det = self._key = self._rule_terms = self._power_view = None
+        self._det = self._key = self._rule_terms = None
 
     @property
     def n(self) -> int:

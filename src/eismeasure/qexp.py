@@ -5,18 +5,14 @@ cusp rule: multiplicity times the coefficient function at the point
 (a, relnorm(a)^-1 * beta), times the weight norm of a^-1 * det(beta),
 times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
-``_expansions``, which evaluates every expansion of the same context at
-each cusp-rule point.  A memoised index stores the terms (multiplicities
-and points) of the rule last swept there, so the rule runs and each point
-is built once per enumeration and rule.  A point is built from integers
-and decides its unit and invertibility tests, coset keys and unit
-translates once.  A rational monomial's coefficient is a power sum of x
-over the points, reduced once (``_power_sum``).  It reads the index's
-stored view, (mult, a, d, y invertible) per point with x = a/d a rational
-unit, and takes each x-power as a pair of integer powers.  Any other
-coefficient is summed term by term in its ring, each term times the
-ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n), which is the weight
-norm of det(beta)/x over det(beta)^n (``ring.monomial``).
+``_expansions``, which sums every expansion of the same context at each
+index.  An index stores what the rule last swept there gave, so the rule
+runs and each point is built at most once per enumeration and rule.  A
+rational monomial's coefficient is a power sum of x over the rule's
+(a, mult) pairs with x = a/d a rational unit: it reads their integers
+and det(beta) and builds no point (``_power_sum``).  Any other
+coefficient is summed over the points in its ring, each term times the
+ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n) (``ring.monomial``).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import (
-    EisMeasureError,
     EquivarianceViolation,
     FieldDataError,
     LatticeMismatch,
@@ -188,22 +183,28 @@ def _rule_point(field: FieldData, a, beta: HermitianMatrix,
     return GnPoint(field, a, y)
 
 
-def _rule_terms(field: FieldData, rule, beta: HermitianMatrix, ys):
-    """(rule, mults, points) at beta, stored on beta for the last rule swept
-    there: a later sweep with that rule runs no rule and builds no point (a
-    point's x is its a).  Nothing is stored if the rule or a point raises."""
+def _rule_terms(rule, beta: HermitianMatrix) -> list:
+    """[rule, its (a, mult) pairs, points, view] for the last rule swept at
+    beta, stored there so that the rule runs once; points and view are None
+    until read.  Nothing is stored if the rule raises."""
     terms = beta._rule_terms
     if terms is None or terms[0] is not rule:
-        pairs = rule(beta)
-        terms = (rule, tuple([mult for _, mult in pairs]),
-                 tuple([_rule_point(field, a, beta, ys) for a, _ in pairs]))
-        beta._rule_terms, beta._power_view = terms, None
+        terms = beta._rule_terms = [rule, tuple(rule(beta)), None, None]
     return terms
 
 
+def _rule_points(field: FieldData, beta: HermitianMatrix, terms, ys):
+    """The points of beta's rule terms (x is a), built on first read and
+    stored with them; none is stored if one raises (an a of norm 0)."""
+    if terms[2] is None:
+        terms[2] = tuple([_rule_point(field, a, beta, ys)
+                          for a, _ in terms[1]])
+    return terms[2]
+
+
 def _sample_points(field: FieldData, cusp: CuspData, betas):
-    return [pt for beta in betas[:4]
-            for pt in _rule_terms(field, cusp.rule, beta, None)[2][:2]]
+    return [pt for beta in betas[:4] for pt in _rule_points(
+        field, beta, _rule_terms(cusp.rule, beta), None)[:2]]
 
 
 def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
@@ -220,14 +221,14 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 validate: bool = True) -> list[QExpansion]:
     """The expansions of several (f, w) jobs over one context, in one sweep.
 
-    The indices are enumerated once; at each index the rule's stored points
-    are read (``_rule_terms`` builds them once), then every job evaluates
-    its function there.  A job's terms are summed in cusp-rule order whatever
-    the other jobs are, so each expansion equals the one computed alone.
-    Each job's accumulator is chosen once (``_job_coefficient``): a rational
-    monomial sums x-powers (``_power_sum``), any other job its terms, each
-    weighted by ``ring.monomial``; a ring without one (cyclotomic) is
-    rejected before the sweep.
+    The indices are enumerated once; at each index the rule's stored pairs
+    are read (``_rule_terms`` runs the rule once), then every job sums over
+    them, in cusp-rule order whatever the other jobs are, so each expansion
+    equals the one computed alone.  Each job's accumulator is chosen once
+    (``_job_coefficient``): a rational monomial sums x-powers
+    (``_power_sum``), any other job its terms, each weighted by
+    ``ring.monomial``; a ring without one (cyclotomic) is rejected before
+    the sweep.
     """
     n = cusp.n
     for f, w in jobs:
@@ -247,68 +248,69 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 raise EquivarianceViolation(
                     "coefficient function fails unit equivariance at "
                     f"{report.witness_text()}")
-    coefficient = [_job_coefficient(f, w, n, field, precision) for f, w in jobs]
+    ys = {}
+    coefficient = [_job_coefficient(f, w, n, field, precision, ys)
+                   for f, w in jobs]
     terms = [{} for _ in jobs]
-    rule, ys = cusp.rule, {}
     for beta in betas:
-        key = beta.key()
-        _, mults, points = _rule_terms(field, rule, beta, ys)
+        key, rule_terms = beta.key(), _rule_terms(cusp.rule, beta)
         for coeff, out in zip(coefficient, terms):
-            out[key] = (beta, coeff(beta, mults, points))
+            out[key] = (beta, coeff(beta, rule_terms))
     return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
             for (f, w), t in zip(jobs, terms)]
 
 
-def _job_coefficient(f, w, n, field, precision):
-    """The job's accumulator, (beta, mults, points) -> coefficient."""
+def _job_coefficient(f, w, n, field, precision, ys):
+    """The job's accumulator, (beta, rule terms) -> coefficient."""
     # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
     e = (-w.k - w.nu, w.nu, w.k - n)
-    by_term = partial(_ring_coefficient, f, e, field, precision)
+    by_term = partial(_ring_coefficient, f, e, field, precision, ys)
     if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
         return by_term
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
     return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
-                   f.e_det + w.k - n, by_term)
+                   f.e_det + w.k - n, field.p, by_term)
 
 
-def _power_sum(f, e, dexp, by_term, beta, mults, points) -> Fraction:
-    """coef * det(beta)^dexp * the sum of mult * x^e over beta's view (y
-    invertible, if the monomial asks), x^e as a^e/d^e: at (x, x^-r * beta)
-    det(y) = det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k
-    / det(beta)^n.  Unless each x is a rational unit the view is False (not
-    stored, if a test raises) and ``by_term`` sums f(pt)."""
-    if (view := beta._power_view) is None:
-        try:
-            view = beta._power_view = (
-                tuple([(mult, pt.x.a, pt.x.d, pt.y_is_invertible)
-                       for mult, pt in zip(mults, points)])
-                if all(not pt.x.b and pt.x_is_unit for pt in points) else False)
-        except EisMeasureError:
-            view = False
+def _power_sum(f, e, dexp, p, by_term, beta, terms) -> Fraction:
+    """coef * det(beta)^dexp * the sum of mult * x^e, x^e as a^e/d^e, over
+    beta's view (y invertible, (mult, a, d) per pair); 0 where y is not
+    invertible and the monomial asks that: at (x, x^-r * beta) det(y) =
+    det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k /
+    det(beta)^n.  The view reads the rule's pairs, not points: x = a is a
+    rational unit iff a.b = 0 and p divides neither a.a nor a.d, and then
+    v_p(det y) = v_p(det beta).  Otherwise, or if beta is not p-integral,
+    the view is False and ``by_term`` sums f(pt)."""
+    _, pairs, _, view = terms
+    detb = beta.det_exact  # rational, so its residue at a root is a/d
+    if view is None:
+        view = terms[3] = (
+            (detb.a % p != 0, tuple([(mult, a.a, a.d) for a, mult in pairs]))
+            if all(not a.b and a.a % p and a.d % p for a, _ in pairs)
+            and all(e.d % p for row in beta.entries for e in row) else False)
     if view is False:
-        return by_term(beta, mults, points)
-    num, den, y_invertible = 0, 1, f.y_invertible
-    for mult, a, d, y_inv in view:
-        if y_invertible and not y_inv:
-            continue
+        return by_term(beta, terms)
+    (y_inv, entries), num, den = view, 0, 1
+    for mult, a, d in entries if y_inv or not f.y_invertible else ():
         tn, td = (a ** e, d ** e) if e >= 0 else (d ** -e, a ** -e)
         if td == den:  # every integral x when e >= 0
             num += mult * tn
         else:  # over the lcm of the denominators
             g = math.gcd(den, td)
             num, den = num * (td // g) + mult * tn * (den // g), den // g * td
-    detb = beta.det_exact
     dn, dd = (detb.a, detb.d) if dexp >= 0 else (detb.d, detb.a)
     return Fraction(num * f.coef.numerator * dn ** abs(dexp),
                     den * f.coef.denominator * dd ** abs(dexp))
 
 
-def _ring_coefficient(f, e, field, precision, beta, mults, points):
-    """The coefficient in the function's ring, term by term, each nonzero
-    term times the ring's monomial of exponents e at (x, det(beta))."""
+def _ring_coefficient(f, e, field, precision, ys, beta, terms):
+    """The coefficient in the function's ring, term by term over the
+    points, each nonzero term times the ring's monomial of exponents e at
+    (x, det(beta))."""
+    points = terms[2] or _rule_points(field, beta, terms, ys)
     ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
-    for mult, pt in zip(mults, points):
+    for (_, mult), pt in zip(terms[1], points):
         fval = evaluate(f, pt, precision)
         if ring.is_zero(fval):
             continue

@@ -1,6 +1,8 @@
 """Imaginary quadratic arithmetic and split-prime embeddings."""
 
 import itertools
+import math
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +14,18 @@ from eismeasure.errors import (
     FieldDataError,
     PrecisionUnavailable,
 )
-from eismeasure.fields import CMElt, FieldData, KNum, Weight, norm_weight
+from eismeasure.cli import run_command
+from eismeasure.fields import (
+    _OMEGA_PARAMS,
+    MAX_PRIME,
+    CMElt,
+    FieldData,
+    KNum,
+    Weight,
+    _hensel_root,
+    _is_prime,
+    norm_weight,
+)
 from eismeasure.padic import PadicElt, _vp
 from knum_oracle import OracleKNum
 
@@ -62,6 +75,71 @@ def test_hensel_against_direct_search():
     roots = sorted(r for r in range(125) if (r * r + 1) % 125 == 0)
     fld = FieldData(p=5, k_disc=-4, precision=3)
     assert sorted(r % 125 for r in fld.split_roots) == roots
+
+
+def _scan_roots(s, t, p, prec):
+    """The roots by scanning every residue mod p, then Newton's lift."""
+    roots = [r for r in range(p) if (r * r - s * r - t) % p == 0]
+    if len(roots) != 2:
+        raise FieldDataError(f"x^2-{s}x-{t} does not split mod {p}")
+    r, k = min(roots), 1
+    while k < prec:
+        k = min(2 * k, prec)
+        pk = p**k
+        r = (r - (r * r - s * r - t) * pow(2 * r - s, -1, pk)) % pk
+    return r, (s - r) % p**prec
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except FieldDataError as exc:
+        return str(exc)
+
+
+def test_hensel_roots_match_the_residue_scan():
+    """The roots from a square root of the discriminant equal the scan's,
+    smaller residue first, or raise its error, for every odd prime below
+    500, the three discriminants' (s, t) and symplectic mode's (0, 0)."""
+    raised = 0
+    for p in (m for m in range(3, 500, 2) if _is_prime(m)):
+        for (s, t), prec in itertools.product(
+                [*_OMEGA_PARAMS.values(), (0, 0)], (1, 2, 7)):
+            want = _outcome(lambda: _scan_roots(s, t, p, prec))
+            assert _outcome(lambda: _hensel_root(s, t, p, prec)) == want
+            raised += isinstance(want, str)
+    assert raised > 0
+
+
+def test_is_prime_is_exact_and_refuses_p_it_cannot_decide():
+    """Miller-Rabin agrees with trial division below 20,000, rejects strong
+    pseudoprimes (the last, to the bases up to 37, needs 41), and p at or
+    above its exact bound is refused before any test."""
+    def trial(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+    assert [m for m in range(20000) if _is_prime(m)] == \
+        [m for m in range(20000) if trial(m)]
+    for m in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+    # the largest prime below the bound, and the composites between
+    assert _is_prime(1000000000000000003) and _is_prime(MAX_PRIME - 168)
+    assert not any(_is_prime(m) for m in range(MAX_PRIME - 167, MAX_PRIME))
+    for p in (MAX_PRIME, MAX_PRIME + 2, 10**40):
+        with pytest.raises(FieldDataError, match=f"p = {p} is not below "):
+            FieldData(p=p, mode="symplectic")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--p", "1000000009"], 0),
+    (["--mode", "symplectic", "--p", "1000000000000000003"], 0),
+    (["--mode", "symplectic", "--p", str(MAX_PRIME)], 2)])
+def test_a_large_prime_ends_quickly(capsys, argv, code):
+    """A unitary field at a large split prime finds its roots without a
+    scan, and a large p is tested or refused without trial division."""
+    start = time.perf_counter()
+    assert run_command(["qexp", *argv, "--k", "4", "--function", "x^4",
+                        "--bound", "2"]) == code
+    assert time.perf_counter() - start < 2.0
 
 
 def test_two_plus_i_embeddings():

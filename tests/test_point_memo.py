@@ -1,11 +1,14 @@
 """Cusp-rule points stored on the memoised enumeration.
 
-Every index keeps the terms of the cusp rule it was last swept with, one
-slot ``(rule, mults, points)``: each point is built once per enumeration and
-rule and keeps its flags, coset keys and unit translates.  These tests hold
-the sweeps that reuse them to ``tests/qexp_oracle.py``, which builds fresh
-points on every call, check that an error is never stored, and bound what
-the memo keeps.
+Every index keeps what the cusp rule it was last swept with gave, one slot
+``[rule, pairs, points, view]``: the rule's (a, mult) pairs, its points once
+a term-by-term job or validation reads them, and the power-sum view, read
+from the pairs' integers.  Each point is built at most once per enumeration
+and rule and keeps its flags, coset keys and unit translates; a power-sum
+sweep builds none.  These tests hold the sweeps that reuse them to
+``tests/qexp_oracle.py``, which builds fresh points on every call, hold the
+view to one built from fresh points' flags, check that an error is never
+stored, and bound what the memo keeps.
 """
 
 import collections
@@ -38,7 +41,7 @@ from eismeasure.functions import (
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
 from eismeasure.measure import kummer_check
 from eismeasure.padic import PadicElt
-from eismeasure.qexp import _expansions
+from eismeasure.qexp import _expansions, _job_coefficient, _rule_terms
 from eismeasure.rings import QQ, PadicRing
 from qexp_oracle import oracle_qexp
 
@@ -239,35 +242,47 @@ def test_a_key_that_raises_raises_on_every_sweep():
 
 
 def _slot_counts(rule, betas):
-    """(indices, points) of the slots on betas, each checked against rule:
-    the slot's rule is rule, its multiplicities are the rule's, and each
-    point's x is the rule's a itself."""
+    """(indices, built points) of the slots on betas, each checked against
+    rule: the slot's rule is rule, its pairs are the rule's, and each built
+    point's x is its pair's a itself (points are None until read)."""
     points = 0
     for b in betas:
-        slot_rule, mults, pts = b._rule_terms
-        pairs = rule(b)
+        slot_rule, pairs, pts, _ = b._rule_terms
         assert slot_rule is rule
-        assert mults == tuple(mult for _, mult in pairs)
-        assert len(pts) == len(pairs)
-        assert all(pt.x is a for pt, (a, _) in zip(pts, pairs))
-        points += len(pts)
+        assert pairs == tuple(rule(b))
+        if pts is not None:
+            assert len(pts) == len(pairs)
+            assert all(pt.x is a for pt, (a, _) in zip(pts, pairs))
+            points += len(pts)
     return len(betas), points
 
 
+#: a term-by-term job at any rank-one point with a unit x
+X_TABLE = {field: LCFunction(field, 1, QQ, 1,
+                             rule=lambda xk, yk: Fraction(xk[0]))
+           for field in (G3, G12, GAUSS, SYMPL)}
+
+
 def test_each_index_keeps_one_slot_for_as_long_as_its_enumeration():
-    """After the Kummer check and a rank-two single-term sweep every index
-    keeps one slot: the rule it was swept with and all of that rule's
-    points, the divisor rule's d > 1 points included.  The built-in cusps
-    are made once per argument tuple, so the Kummer check's rule is the
-    divisor rule.  The old points go with the old memo entry, and a new
-    enumeration stores none."""
+    """After the Kummer check, a term-by-term sweep of its cusp and a
+    rank-two single-term sweep every index keeps one slot: the rule it was
+    swept with, its pairs and all of its points, the divisor rule's d > 1
+    points included.  The Kummer check alone stores the pairs and builds no
+    point.  The built-in cusps are made once per argument tuple, so the
+    Kummer check's rule is the divisor rule.  The old points go with the old
+    memo entry, and a new enumeration stores none."""
     enumerate_positive.cache_clear()
     assert kummer_check(SYMPL, 4, 24, 1, 200).passed
-    single = CuspData.single_term(GAUSS, 2)
-    mono = MonomialFunction(GAUSS, 2, QQ, Fraction(1), e_det=-1)
-    _expansions([(mono, Weight(2, 0))], single, 6, GAUSS, validate=False)
     divisor = CuspData.divisor_rule(SYMPL)
     assert divisor is CuspData.divisor_rule(SYMPL)
+    assert _slot_counts(divisor.rule,
+                        enumerate_positive(SYMPL, 1, 200)) == (200, 0)
+    _expansions([(X_TABLE[SYMPL], Weight(1, 0))], divisor, 200, SYMPL,
+                validate=False)
+    single = CuspData.single_term(GAUSS, 2)
+    mono = MonomialFunction(GAUSS, 2, PadicRing(5, 24), Fraction(1),
+                            e_det=-1)
+    _expansions([(mono, Weight(2, 0))], single, 6, GAUSS, validate=False)
     assert single is CuspData.single_term(GAUSS, 2)
     assert single is not CuspData.single_term(GAUSS, 1)
     indices, points = _slot_counts(divisor.rule,
@@ -285,13 +300,13 @@ def test_each_index_keeps_one_slot_for_as_long_as_its_enumeration():
 
 
 def test_a_new_rule_per_sweep_keeps_one_slot_per_index():
-    """Twenty Kummer-style sweeps, each with a new rule closure (as a traced
-    run makes one per job): each index keeps one slot, the last rule's, the
-    earlier rules' points are collected, and every sweep gives the same
-    expansions as the oracle."""
+    """Twenty Kummer-style sweeps with a term-by-term job, each with a new
+    rule closure (as a traced run makes one per job): each index keeps one
+    slot, the last rule's, the earlier rules' points are collected, and
+    every sweep gives the same expansions as the oracle."""
     divisor = CuspData.divisor_rule(SYMPL)
     jobs = [(h_to_f(MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=e)),
-             Weight(1, 0)) for e in (3, 23)]
+             Weight(1, 0)) for e in (3, 23)] + [(X_TABLE[SYMPL], Weight(1, 0))]
     enumerate_positive.cache_clear()
     betas = enumerate_positive(SYMPL, 1, 200)
     base = _live_points()
@@ -328,19 +343,24 @@ def _zero_at_seven(beta):
 ])
 def test_errors_are_never_stored(rule, error, text):
     """A rule that raises, or whose element of norm 0 gives no point,
-    raises on every sweep, with and without validation, and leaves no slot
-    at that index; the indices before it keep their complete slots.  The
-    oracle raises the same error type."""
+    raises on every sweep, with and without validation.  A rule that raises
+    leaves no slot at that index; an element of norm 0 leaves the rule's
+    pairs and no view and no point.  The indices before it keep their
+    complete slots.  The oracle raises the same error type."""
     cusp = CuspData("broken", 1, rule)
     mono = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
     enumerate_positive.cache_clear()
     betas = enumerate_positive(SYMPL, 1, 12)
+    rule_runs_at_seven = error is ZeroDivisionError
     for validate in (False, True, False):
         with pytest.raises(error, match=text):
             _expansions([(mono, Weight(3, 0))], cusp, 12, SYMPL,
                         validate=validate)
         assert [b._rule_terms is not None for b in betas] == \
-            [m < 7 for m in range(1, 13)]
+            [m < 7 or m == 7 and rule_runs_at_seven for m in range(1, 13)]
+        if rule_runs_at_seven:
+            _slot_counts(rule, betas[6:7])
+            assert betas[6]._rule_terms[2:] == [None, False]
         _slot_counts(rule, betas[:6])
     with pytest.raises(error):
         oracle_qexp(mono, Weight(3, 0), cusp, 12, SYMPL, validate=False)
@@ -390,27 +410,42 @@ def _counting_tests(monkeypatch):
 
 
 def _view_of(beta):
-    """The power view ``qexp._power_view`` stores, from beta's points."""
-    _, mults, points = beta._rule_terms
-    return tuple((mult, pt.x.a, pt.x.d, pt.y_is_invertible)
-                 for mult, pt in zip(mults, points))
+    """The power view ``qexp._power_sum`` stores, from fresh points' unit
+    and invertibility tests: False unless every point can be built and its
+    x is a rational unit, else (y invertible, (mult, a, d) per pair), where
+    every point's y, and beta itself, is invertible alike."""
+    field, pairs = beta.field, beta._rule_terms[1]
+    try:
+        points = [_fresh_point(field, a, beta) for a, _ in pairs]
+        if not all(not pt.x.b and pt.x_is_unit for pt in points):
+            return False
+        flags = {pt.y_is_invertible
+                 for pt in points + [GnPoint(field, field.K(1), beta.entries)]}
+    except (ZeroDivisionError, EisMeasureError):
+        return False
+    assert len(flags) == 1
+    return flags.pop(), tuple((mult, pt.x.a, pt.x.d)
+                              for (_, mult), pt in zip(pairs, points))
 
 
 def test_a_warm_kummer_sweep_tests_no_point(monkeypatch):
-    """The first Kummer check stores each index's power view from its
-    points' unit and invertibility tests; the second reads the views and
-    calls neither test."""
+    """The first Kummer check stores each index's power view from the rule's
+    integers, with no unit or invertibility test, equal to the view from
+    fresh points' tests; the second reads the views and calls neither
+    test."""
     calls = _counting_tests(monkeypatch)
     enumerate_positive.cache_clear()
     assert kummer_check(SYMPL, 4, 24, 1, 200).passed
-    assert calls["x_is_unit"] > 0 and calls["y_is_invertible"] > 0
+    assert not calls
     betas = enumerate_positive(SYMPL, 1, 200)
-    views = [b._power_view for b in betas]
+    views = [b._rule_terms[3] for b in betas]
     assert views == [_view_of(b) for b in betas]
+    assert calls["x_is_unit"] > 0 and calls["y_is_invertible"] > 0
+    assert {v[0] for v in views} == {True, False}
     calls.clear()
     assert kummer_check(SYMPL, 6, 26, 1, 200).passed
     assert not calls
-    assert all(b._power_view is v for b, v in zip(betas, views))
+    assert all(b._rule_terms[3] is v for b, v in zip(betas, views))
 
 
 def test_a_new_rule_drops_the_power_view():
@@ -425,27 +460,29 @@ def test_a_new_rule_drops_the_power_view():
     enumerate_positive.cache_clear()
     betas = enumerate_positive(SYMPL, 1, 30)
     _expansions([(mono, w)], divisor, 30, SYMPL, validate=False)
-    assert all(b._power_view for b in betas)
+    assert all(b._rule_terms[3] for b in betas)
     _expansions([(table, Weight(1, 0))], single, 30, SYMPL, validate=False)
-    assert all(b._power_view is None for b in betas)
+    assert all(b._rule_terms[3] is None for b in betas)
     for cusp in (single, divisor):
         got, = _expansions([(mono, w)], cusp, 30, SYMPL, validate=False)
         _assert_same(got, oracle_qexp(mono, w, cusp, 30, SYMPL,
                                       validate=False))
-        assert [b._power_view for b in betas] == [_view_of(b) for b in betas]
+        assert [b._rule_terms[3] for b in betas] == \
+            [_view_of(b) for b in betas]
 
 
 def _fifth_at_seven(beta):
-    """The divisor rule, with x = 1/5 after 1 and 7 at trace 7: the unit
-    test of that x raises."""
+    """The divisor rule, with x = 1/5 after 1 and 7 at trace 7: a point's
+    unit test of that x raises."""
     extra = [(SYMPL.K(Fraction(1, 5)), 1)] if beta.entries[0][0].a == 7 else []
     return CuspData.divisor_rule(SYMPL).rule(beta) + extra
 
 
 def test_a_unit_test_that_raises_leaves_no_view():
-    """At trace 7 the view's unit test raises: that index stores no view,
-    the sweep raises the oracle's error on every run, and the indices
-    before it keep theirs."""
+    """At trace 7 x = 1/5 is no rational unit, so that index's view is
+    False (the point's unit test raises there); the sweep raises the
+    oracle's error on every run, and the indices before it keep their
+    views."""
     cusp = CuspData("fifth", 1, _fifth_at_seven)
     mono = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
     w = Weight(3, 0)
@@ -457,9 +494,10 @@ def test_a_unit_test_that_raises_leaves_no_view():
     for _ in range(3):
         assert _outcome(lambda: _expansions([(mono, w)], cusp, 12, SYMPL,
                                             validate=False)) == want
-        assert [b._power_view is not None for b in betas] == \
-            [m < 7 for m in range(1, 13)]
-        assert betas[6]._rule_terms is not None
+        views = [b._rule_terms and b._rule_terms[3] for b in betas]
+        assert views[:6] == [_view_of(b) for b in betas[:6]] and all(views[:6])
+        assert views[6] is False is _view_of(betas[6])
+        assert views[7:] == [None] * 5
 
 
 def test_stored_points_are_lean_and_equal_fresh_points():
@@ -467,13 +505,14 @@ def test_stored_points_are_lean_and_equal_fresh_points():
     the oracle's fresh point in x, y, det(y), flags and coset keys; its unit
     translates have no ``__dict__`` either.  At rank one, stored points at
     norm other than 1 with one integral y share it.  A failing check names
-    a stored d > 1 point in the pinned witness text."""
+    a stored d > 1 point in the pinned witness text.  The points are built
+    by a term-by-term job swept with a power sum."""
     for field, bound in ((G3, 20), (G12, 20), (GAUSS, 12), (SYMPL, 30)):
         cusp = CuspData.divisor_rule(field)
         mono = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
         enumerate_positive.cache_clear()
-        _expansions([(mono, Weight(3, 0))], cusp, bound, field,
-                    validate=False)
+        _expansions([(mono, Weight(3, 0)), (X_TABLE[field], Weight(3, 0))],
+                    cusp, bound, field, validate=False)
         ys = {}
         for b in enumerate_positive(field, 1, bound):
             for pt in b._rule_terms[2]:
@@ -501,3 +540,107 @@ def test_stored_points_are_lean_and_equal_fresh_points():
                                       points).witness_text() == (
                 "unit (-1+0w), x = (3+0w), y = (((1/3+0w),),): O(5^1) != "
                 "5^0*4 + O(5^1)")
+
+
+VIEW_FIELDS = [GAUSS, FieldData(p=7, k_disc=-3), FieldData(p=11, k_disc=-7),
+               SYMPL]
+
+
+def _view_cusps(field):
+    """(cusp, n) for the view oracle: the single-term, two-unit and divisor
+    cusps, and hand rules that add x = 1/p, p, 0, 2/3, an irrational unit
+    or 1 + w (a p-adic unit, not rational) after x = 1 at every other
+    trace."""
+    K, ranks = field.K, (1, 2) if field.mode == "unitary" else (1,)
+    irrational = [e for e in field.unit_group if e.b]
+    second = (irrational or [K(-1)])[0]  # i, or -1 where no unit is irrational
+    extras = [K(Fraction(1, field.p)), K(field.p), K(0), K(Fraction(2, 3))]
+    if field.mode == "unitary":
+        extras += [irrational[0], K(1, 1)] if irrational else [K(1, 1)]
+    cusps = [(CuspData.divisor_rule(field), 1)]
+    for n in ranks:
+        cusps.append((CuspData.single_term(field, n), n))
+        cusps.append((CuspData("units", n, lambda beta, u=second: [
+            (K(1), 1), (u, 2)]), n))
+        cusps += [(CuspData("hand", n, lambda beta, x=x: [(K(1), 1)] + (
+            [(x, 3)] if beta.trace() % 2 else [])), n)
+                  for x in extras]
+    return cusps
+
+
+def _p_denominator_indices(field, n):
+    """Hermitian indices with p in a denominator (no sweep enumerates one)."""
+    p, K = field.p, field.K
+    if n == 1:
+        return [HermitianMatrix(field, ((K(Fraction(m, p)),),))
+                for m in (1, 2, p + 1)]
+    b = K(Fraction(1, p), Fraction(1, p))
+    return [HermitianMatrix(field, ((K(3), b), (b.conj(), K(2)))),
+            HermitianMatrix(field, ((K(Fraction(1, p)), K(0)),
+                                    (K(0), K(1))))]
+
+
+@pytest.mark.parametrize("field", VIEW_FIELDS,
+                         ids=["gauss", "eisenstein", "disc-7", "symplectic"])
+def test_the_view_from_the_rules_integers_equals_the_one_from_points(field):
+    """At every index of each cusp, the view the power sum reads from the
+    rule's pairs and det(beta), or False, equals the one built from fresh
+    points' unit and invertibility tests (``_view_of``), on the enumerated
+    indices and on indices with p in a denominator.  Each kind of view
+    occurs: y invertible, y not invertible, and False."""
+    kinds = collections.Counter()
+    for cusp, n in _view_cusps(field):
+        mono = MonomialFunction(field, n, QQ, Fraction(1), e_xs=2, e_det=-1)
+        coefficient = _job_coefficient(mono, Weight(n + 2, 0), n, field,
+                                       None, {})
+        enumerate_positive.cache_clear()
+        betas = [*enumerate_positive(field, n, 12 if n == 1 else 5)]
+        if cusp.label != "divisor":  # it needs an integral trace
+            betas += _p_denominator_indices(field, n)
+        for beta in betas:
+            terms = _rule_terms(cusp.rule, beta)
+            try:  # False views sum term by term, where x = 1/p or 0 raise
+                coefficient(beta, terms)
+            except (ZeroDivisionError, EisMeasureError):
+                pass
+            view = terms[3]
+            assert view == _view_of(beta)
+            kinds["none" if view is False
+                  else "invertible" if view[0] else "singular"] += 1
+    assert set(kinds) == {"none", "invertible", "singular"}
+
+
+@pytest.mark.parametrize("field, n, bound", [(SYMPL, 1, 200), (GAUSS, 1, 40),
+                                             (GAUSS, 2, 5)])
+def test_a_power_sum_sweep_builds_no_point(monkeypatch, field, n, bound):
+    """A cold sweep of rational monomials only, such as the Kummer check's,
+    constructs no GnPoint.  With a term-by-term job in the same sweep each
+    rule point is built exactly once, and a warm sweep builds none."""
+    built = collections.Counter()
+    init = GnPoint.__init__
+
+    def counted(pt, *args, **kwargs):
+        built["points"] += 1
+        init(pt, *args, **kwargs)
+
+    monkeypatch.setattr(GnPoint, "__init__", counted)
+    cusp = (CuspData.divisor_rule(field) if n == 1
+            else CuspData.single_term(field, n))
+    monos = [(MonomialFunction(field, n, QQ, Fraction(1), e_xs=e, e_det=-1),
+              Weight(n + 2, 0)) for e in (2, 6)]
+    enumerate_positive.cache_clear()
+    if field is SYMPL:
+        assert kummer_check(field, 4, 24, 1, bound).passed
+        assert not built
+    _expansions(monos, cusp, bound, field, validate=False)
+    assert not built
+    by_term = (MonomialFunction(field, n, PadicRing(field.p, 12), Fraction(1),
+                                e_xs=2, e_det=-1), Weight(n + 2, 0))
+    enumerate_positive.cache_clear()
+    _expansions(monos + [by_term], cusp, bound, field, validate=False)
+    pairs = sum(len(b._rule_terms[1])
+                for b in enumerate_positive(field, n, bound))
+    assert built["points"] == pairs > 0
+    built.clear()
+    _expansions([by_term] + monos, cusp, bound, field, validate=False)
+    assert not built
