@@ -62,8 +62,9 @@ def _pair_matrix(text: str) -> list:
 def _field_from_args(args) -> FieldData:
     if getattr(args, "config", None):
         return FieldData.from_config(args.config)
-    return FieldData(p=args.p, k_disc=args.k_disc, mode=args.mode,
-                     precision=args.precision)
+    # an option left out takes FieldData's own default
+    return FieldData(p=args.p, **{key: getattr(args, key) for key in (
+        "k_disc", "mode", "precision") if getattr(args, key) is not None})
 
 
 def _emit(data: dict, out: str | None):
@@ -78,9 +79,9 @@ def _emit(data: dict, out: str | None):
 def _add_field_opts(sp):
     sp.add_argument("--config", help="JSON field config file")
     sp.add_argument("--p", type=int, default=5)
-    sp.add_argument("--k-disc", type=int, default=-4, dest="k_disc")
-    sp.add_argument("--mode", choices=["unitary", "symplectic"], default="unitary")
-    sp.add_argument("--precision", type=int, default=24)
+    sp.add_argument("--k-disc", type=int, dest="k_disc")
+    sp.add_argument("--mode", choices=["unitary", "symplectic"])
+    sp.add_argument("--precision", type=int)
 
 
 def _add_expansion_opts(sp):

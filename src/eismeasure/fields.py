@@ -57,9 +57,6 @@ class KNum:
     def __delattr__(self, name):
         raise AttributeError("KNum is immutable")
 
-    def __reduce__(self):
-        return (KNum, (self.a, self.b, self.d, self.s, self.t))
-
     # -- rational coordinates in the basis (1, w), for cold callers ---------
     @property
     def u(self) -> Fraction:
@@ -341,15 +338,17 @@ class FieldData:
     @classmethod
     def from_config(cls, source) -> "FieldData":
         """Build from a dict or a JSON config file path; p, k_disc and
-        precision must be JSON integers."""
+        precision must be JSON integers, and a key left out takes the
+        constructor's default."""
         if isinstance(source, (str, bytes)):
             with open(source) as fh:
                 source = json.load(fh)
         p = _json_value(source, "p", int, FieldDataError)
-        source = {"k_disc": -4, "precision": DEFAULT_PRECISION, **source}
-        return cls(p, *(_json_value(source, key, int, FieldDataError)
-                        for key in ("k_disc", "precision")),
-                   mode=source.get("mode", "unitary"))
+        given = {key: _json_value(source, key, int, FieldDataError)
+                 for key in ("k_disc", "precision") if key in source}
+        if "mode" in source:
+            given["mode"] = source["mode"]
+        return cls(p, **given)
 
     # -- exact elements ----------------------------------------------------
     def K(self, u, v=0) -> KNum:
@@ -445,26 +444,18 @@ class Weight:
 
 
 class CMElt:
-    """A completed-field element as its pair of split components."""
+    """A completed-field element as its split components xs and xb (first
+    and second root); ``PadicRing.monomial`` and ``norm_weight`` read them."""
 
-    __slots__ = ("field", "xs", "xb")  # xs, xb: first- and second-root components
+    __slots__ = ("xs", "xb")
 
-    def __init__(self, field: FieldData, xs: PadicElt, xb: PadicElt):
-        self.field, self.xs, self.xb = field, xs, xb
+    def __init__(self, xs: PadicElt, xb: PadicElt):
+        self.xs, self.xb = xs, xb
 
     @classmethod
     def embed(cls, a: KNum, field: FieldData) -> "CMElt":
         """Split embedding of an exact p-integral element."""
-        return cls(field, field.sigma_padic(a), field.sigma_bar_padic(a))
-
-    def __mul__(self, o: "CMElt") -> "CMElt":
-        return CMElt(self.field, self.xs * o.xs, self.xb * o.xb)
-
-    def invert(self) -> "CMElt":
-        return CMElt(self.field, self.xs.invert(), self.xb.invert())
-
-    def __repr__(self):
-        return f"CM({self.xs!r}, {self.xb!r})"
+        return cls(field.sigma_padic(a), field.sigma_bar_padic(a))
 
 
 def norm_weight(b: CMElt, w: Weight) -> PadicElt:

@@ -85,12 +85,13 @@ class GnPoint:
     """A point of the pair domain, with exact coordinates x and y.
 
     A plain ``__slots__`` class, never hashed or compared (equality is
-    identity).  ``x_is_unit``, ``y_is_invertible``, ``det_y_exact``, the
-    coset key of each level and the translate by each unit are computed on
-    first use and kept in slots (None until then), so every function
-    evaluated there shares them; a known det(y) can be given to the
-    constructor.  Cusp-rule points are built and stored with their index
-    only when read (``qexp._rule_points``): a power-sum sweep builds none.
+    identity).  ``x_is_unit`` (x's split residues mod p), ``y_is_invertible``,
+    ``det_y_exact``, the coset key of each level and the translate by each
+    unit are computed on first use and kept in slots (None until then), so
+    every function evaluated there shares them; a known det(y) can be given
+    to the constructor.  Cusp-rule points are built and stored with their
+    index only when read (``qexp._rule_points``): a power-sum sweep builds
+    none.
     """
 
     __slots__ = ("field", "n", "x", "y", "_det_y", "_unit", "_invertible",
@@ -143,11 +144,7 @@ class GnPoint:
     @property
     def x_is_unit(self) -> bool:
         if self._unit is None:
-            x, (r, rb), p = self.x, self.field.split_roots, self.field.p
-            # (a + b*r)/d with d prime to p is a unit iff p misses each a + b*r
-            xk = ((x.a + x.b * r, x.a + x.b * rb) if x.d % p
-                  else self.x_key(1))
-            self._unit = xk[0] % p != 0 and xk[1] % p != 0
+            self._unit = 0 not in self.x_key(1)
         return self._unit
 
     @property

@@ -162,22 +162,15 @@ class QExpansion:
                    _json_value(data, "trace_bound"), ring, terms)
 
 
-def _rule_point(field: FieldData, a, beta: HermitianMatrix,
-                ys: dict | None = None) -> GnPoint:
-    """The point (a, relnorm(a)^-1 * beta); relnorm(a) = nn/nd, unreduced.
-
-    At norm 1 y is beta itself, with its stored det; at rank one an integral
-    y is shared through ``ys`` (if given), keyed by its value."""
+def _rule_point(field: FieldData, a, beta: HermitianMatrix) -> GnPoint:
+    """The point (a, relnorm(a)^-1 * beta), relnorm(a) = nn/nd unreduced:
+    y is beta itself at norm 1, with its stored det, else each entry times
+    nd/nn (an a of norm 0 raises ZeroDivisionError)."""
     nn, nd = ((a.a, a.d) if field.mode == "symplectic"
               else (a._norm_num(), a.d * a.d))
     if nn == nd:
         return GnPoint(field, a, beta.entries,
                        det_y_exact=beta.det_exact)
-    e = beta.entries[0][0]
-    if ys is not None and beta.n == 1 and nn and e.a * nd % (e.d * nn) == 0:
-        q = e.a * nd // (e.d * nn)
-        y = ys.get(q) or ys.setdefault(q, ((KNum(q, 0, 1, e.s, e.t),),))
-        return GnPoint(field, a, y)
     y = tuple([tuple([KNum(e.a * nd, e.b * nd, e.d * nn, e.s, e.t)
                       for e in row]) for row in beta.entries])
     return GnPoint(field, a, y)
@@ -193,18 +186,17 @@ def _rule_terms(rule, beta: HermitianMatrix) -> list:
     return terms
 
 
-def _rule_points(field: FieldData, beta: HermitianMatrix, terms, ys):
+def _rule_points(field: FieldData, beta: HermitianMatrix, terms):
     """The points of beta's rule terms (x is a), built on first read and
     stored with them; none is stored if one raises (an a of norm 0)."""
     if terms[2] is None:
-        terms[2] = tuple([_rule_point(field, a, beta, ys)
-                          for a, _ in terms[1]])
+        terms[2] = tuple([_rule_point(field, a, beta) for a, _ in terms[1]])
     return terms[2]
 
 
 def _sample_points(field: FieldData, cusp: CuspData, betas):
     return [pt for beta in betas[:4] for pt in _rule_points(
-        field, beta, _rule_terms(cusp.rule, beta), None)[:2]]
+        field, beta, _rule_terms(cusp.rule, beta))[:2]]
 
 
 def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
@@ -248,8 +240,7 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
                 raise EquivarianceViolation(
                     "coefficient function fails unit equivariance at "
                     f"{report.witness_text()}")
-    ys = {}
-    coefficient = [_job_coefficient(f, w, n, field, precision, ys)
+    coefficient = [_job_coefficient(f, w, n, field, precision)
                    for f, w in jobs]
     terms = [{} for _ in jobs]
     for beta in betas:
@@ -260,11 +251,11 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
             for (f, w), t in zip(jobs, terms)]
 
 
-def _job_coefficient(f, w, n, field, precision, ys):
+def _job_coefficient(f, w, n, field, precision):
     """The job's accumulator, (beta, rule terms) -> coefficient."""
     # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
     e = (-w.k - w.nu, w.nu, w.k - n)
-    by_term = partial(_ring_coefficient, f, e, field, precision, ys)
+    by_term = partial(_ring_coefficient, f, e, field, precision)
     if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
         return by_term
@@ -304,11 +295,11 @@ def _power_sum(f, e, dexp, p, by_term, beta, terms) -> Fraction:
                     den * f.coef.denominator * dd ** abs(dexp))
 
 
-def _ring_coefficient(f, e, field, precision, ys, beta, terms):
+def _ring_coefficient(f, e, field, precision, beta, terms):
     """The coefficient in the function's ring, term by term over the
     points, each nonzero term times the ring's monomial of exponents e at
     (x, det(beta))."""
-    points = terms[2] or _rule_points(field, beta, terms, ys)
+    points = terms[2] or _rule_points(field, beta, terms)
     ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
     for (_, mult), pt in zip(terms[1], points):
         fval = evaluate(f, pt, precision)

@@ -243,8 +243,9 @@ class PadicRing:
             val = _json_value(data, "val", int, RingMismatch)
         unit, prec = (_json_value(data, k, int, RingMismatch)
                       for k in ("unit", "prec"))
-        if prec > MAX_PRECISION:  # before p^prec is formed
-            raise RingMismatch(f"prec {prec} is above {MAX_PRECISION}")
+        for name, v in (("val", val or 0), ("prec", prec)):
+            if v > MAX_PRECISION:  # before p^val or p^prec is formed
+                raise RingMismatch(f"{name} {v} is above {MAX_PRECISION}")
         if prec < 1 or not 0 <= unit < self.p ** prec or (val is None and unit):
             raise RingMismatch(f"{data!r} is not a {self.tag} value")
         return PadicElt(self.p, val, unit, prec)

@@ -537,9 +537,9 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
     function over the same context, run no rule, build no point, make no
     unit or invertibility test and take no split residue, at norm one and
     at the divisor rule's d > 1 points alike; over the rationals they build
-    no KNum either.  x and y have denominators prime to p at every point
-    here, so the unit and invertibility tests never take a split residue,
-    in any sweep."""
+    no KNum either.  The unit test takes x's two split residues mod p, so a
+    cold sweep takes two test residues per point; y has denominators prime
+    to p at every point here, so the invertibility test takes none."""
     counts = collections.Counter()
     testing = []  # the unit or invertibility tests under way
 
@@ -605,13 +605,13 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
             _expansions(sweep, cusp, bound, field, validate=False)
             seen.append(dict(counts))
         first, *later, renewed = seen
-        assert all(again.get("test residue", 0) == 0 for again in seen)
         for cold in (first, renewed):
             assert cold["rule"] == len(betas)
             assert cold["point"] == cold["unit"] == cold["invertible"] == points
+            assert cold["test residue"] == 2 * points
             assert cold["residue"] > 0
         zero = dict.fromkeys(("rule", "point", "unit", "invertible",
-                              "residue"), 0)
+                              "residue", "test residue"), 0)
         for again in later:
             assert {name: again.get(name, 0) for name in zero} == zero
             if field is SYMPL:  # rational jobs: integers only
@@ -724,29 +724,26 @@ def _flag_test_betas(field):
 def test_rule_points_and_their_flags_match_the_old_definitions(field):
     """The integer-built point and its unit and invertibility tests equal
     the point built by dividing by the Fraction norm with the flags read
-    from the split residues: value, or exception type.  So does the point
-    built with a y shared among rank-one points (``ys``)."""
+    from the split residues: value, or exception type."""
     p = field.p
     trace_12 = HermitianMatrix(field, ((field.K(12),),))
     alphas = (list(field.unit_group)
               + [a for a, _ in CuspData.divisor_rule(field).rule(trace_12)]
               + [field.K(p), field.K(Fraction(1, p)), field.K(0)])
-    seen, ys = set(), {}
+    seen = set()
     for beta in _flag_test_betas(field):
         for a in alphas:
             old = _outcome(lambda: _old_rule_point(field, a, beta))
-            for new in (_outcome(lambda: _rule_point(field, a, beta)),
-                        _outcome(lambda: _rule_point(field, a, beta, ys))):
-                if isinstance(old, type):
-                    assert new is old
-                    seen.add(("point", old))
-                    continue
-                assert (new.n, new.x, new.y) == (old.n, old.x, old.y)
-                flags = (_outcome(lambda: new.x_is_unit),
-                         _outcome(lambda: new.y_is_invertible))
-                assert flags == _old_flags(old)
-                seen.update(enumerate(flags))
-    assert len(ys) > 1
+            new = _outcome(lambda: _rule_point(field, a, beta))
+            if isinstance(old, type):
+                assert new is old
+                seen.add(("point", old))
+                continue
+            assert (new.n, new.x, new.y) == (old.n, old.x, old.y)
+            flags = (_outcome(lambda: new.x_is_unit),
+                     _outcome(lambda: new.y_is_invertible))
+            assert flags == _old_flags(old)
+            seen.update(enumerate(flags))
     # a y that is not Hermitian can have a determinant off the rationals
     vs = range(-3, 4) if field.mode == "unitary" else (0,)
     for u, v, d in itertools.product(range(-3, 4), vs, (1, 2, p)):

@@ -137,6 +137,8 @@ ZP_VALUES = {
     "zero-with-a-unit": ({"val": None, "unit": 3, "prec": 24}, None),
     "prec-above-the-bound": ({"val": 0, "unit": 1, "prec": 10 ** 40},
                              f"prec {10 ** 40} is above {MAX_PRECISION}"),
+    "val-above-the-bound": ({"val": 10 ** 40, "unit": 1, "prec": 24},
+                            f"val {10 ** 40} is above {MAX_PRECISION}"),
 }
 
 
@@ -161,6 +163,18 @@ def test_a_table_value_with_a_float_precision_is_refused(capsys, tmp_path):
                          _write(tmp_path, data))
     assert code == 2 and out == ""
     assert err == "error: prec 1.5 is not an integer\n"
+
+
+def test_a_table_value_with_a_valuation_above_the_bound_is_refused(
+        capsys, tmp_path):
+    """Refused before p^val is formed, which would not end at 10^40."""
+    data = random_lc_function(GAUSS, 1, 1, random.Random(1),
+                              entries=4).to_json()
+    data["entries"][0]["value"]["val"] = 10 ** 40
+    code, out, err = run(capsys, "decompose", "--table",
+                         _write(tmp_path, data))
+    assert code == 2 and out == ""
+    assert err == f"error: val {10 ** 40} is above {MAX_PRECISION}\n"
 
 
 #: case -> (the first term's new index, or None for no list of terms,
