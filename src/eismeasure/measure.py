@@ -4,7 +4,7 @@ The defining property: integrating a unit-invariant integrand h equals the
 base-weight expansion attached to the bridged coefficient function
 ``h_to_f(h)``.  Moments against polynomial multipliers are computed through
 two independent routes (a product integrand, and coefficientwise
-multiplication) and cross-checked.
+multiplication) and cross-checked; the sweep ``qexp._expansions`` validates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .diffops import (
     eval_multiplier,
     theta_apply,
 )
-from .errors import EquivarianceViolation, HypothesisViolation, ShapeMismatch
+from .errors import HypothesisViolation, ShapeMismatch
 from .fields import FieldData, Weight
 from .functions import (
     GnFunction,
@@ -25,13 +25,12 @@ from .functions import (
     MonomialFunction,
     ProductFunction,
     _congruent,
-    check_equivariance,
     h_to_f,
     norm_rel_exact,
 )
-from .hermitian import CuspData, enumerate_positive
+from .hermitian import CuspData
 from .padic import _vp
-from .qexp import QExpansion, _expansions, _sample_points, eisenstein_qexp
+from .qexp import QExpansion, _expansions
 from .rings import QQ
 
 
@@ -52,29 +51,12 @@ class MeasureContext:
         return cls(field, CuspData.divisor_rule(field), trace_bound)
 
 
-def integrate(h: GnFunction, ctx: MeasureContext,
-              validate: bool = True) -> QExpansion:
-    """Integrate a unit-invariant function; returns the base-weight expansion."""
-    f = h_to_f(h)
-    if validate:
-        _require_unit_invariance(h, ctx)
-    return eisenstein_qexp(f, Weight(ctx.n, 0), ctx.cusp, ctx.trace_bound,
-                           ctx.field, precision=ctx.precision,
-                           validate=validate)
-
-
-def _require_unit_invariance(h: GnFunction, ctx: MeasureContext):
-    """Raise ``EquivarianceViolation`` unless h is unit invariant at the
-    context's sample points (``ShapeMismatch`` first if its rank is not the
-    cusp's)."""
-    if h.n != ctx.n:
-        raise ShapeMismatch(f"a rank-{h.n} function at a rank-{ctx.n} cusp")
-    betas = enumerate_positive(ctx.field, ctx.n, ctx.trace_bound)
-    pts = _sample_points(ctx.field, ctx.cusp, betas)
-    rep = check_equivariance(h, Weight(0, 0), pts, j=ctx.precision)
-    if not rep.passed:
-        raise EquivarianceViolation(
-            f"integrand is not unit invariant at {rep.witness_text()}")
+def integrate(h: GnFunction, ctx: MeasureContext) -> QExpansion:
+    """The base-weight expansion of h_to_f(h); the sweep checks that h is
+    unit invariant and h_to_f(h) equivariant."""
+    return _expansions([(h_to_f(h), Weight(ctx.n, 0))], ctx.cusp,
+                       ctx.trace_bound, ctx.field, ctx.precision,
+                       integrand=h)[0]
 
 
 def _zeta_multiplier(mult: MatrixPolynomial):
@@ -94,17 +76,17 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial,
 
     Equals coefficientwise multiplication of integrate(h) by the multiplier
     value at each index; both routes are computed, in one sweep, and must
-    agree exactly.  h must be unit invariant, as for ``integrate``.
+    agree exactly.  The sweep checks that h is unit invariant, as for
+    ``integrate``, but not the bridged function.
     """
     f = h_to_f(h)
-    _require_unit_invariance(h, ctx)
     # on the coefficient side the multiplier argument y^-1 turns back into y
     f2 = ProductFunction(f.field, f.n, f.ring, f, _zeta_multiplier(mult),
                          y_invertible=f.y_invertible)
     w = Weight(ctx.n, 0)
-    # the second job is integrate(h, ctx, validate=False)
+    # the second job is integrate(h, ctx) without the bridged check
     qs = _expansions([(f2, w), (f, w)], ctx.cusp, ctx.trace_bound, ctx.field,
-                     precision=ctx.precision, validate=False)
+                     ctx.precision, validate=False, integrand=h)
     if not qs[0] == theta_apply(qs[1], mult):
         raise ShapeMismatch("moment routes disagree")
     return qs[0]
@@ -167,7 +149,7 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     ctx = MeasureContext.rank_one(field, trace_bound)
     h1 = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=k - 1)
     h2 = MonomialFunction(field, 1, QQ, Fraction(1), e_xs=k2 - 1)
-    # both integrals, integrate(h, ctx, validate=False), in one sweep
+    # both integrals, integrate(h, ctx) unchecked, in one sweep
     w = Weight(1, 0)
     q1, q2 = _expansions([(h_to_f(h1), w), (h_to_f(h2), w)], ctx.cusp,
                          trace_bound, field, validate=False)

@@ -200,18 +200,19 @@ def _sample_points(field: FieldData, cusp: CuspData, betas):
 
 
 def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
-                    trace_bound: int, field: FieldData,
-                    precision: int | None = None,
-                    validate: bool = True) -> QExpansion:
-    """Expansion of weight (k, nu) attached to an equivariant coefficient function."""
-    return _expansions([(f, w)], cusp, trace_bound, field, precision,
-                       validate)[0]
+                    trace_bound: int, field: FieldData) -> QExpansion:
+    """Expansion of weight (k, nu) of an equivariant f, checked by the sweep."""
+    return _expansions([(f, w)], cusp, trace_bound, field)[0]
 
 
 def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
-                precision: int | None = None,
-                validate: bool = True) -> list[QExpansion]:
+                precision: int | None = None, validate: bool = True,
+                integrand: GnFunction | None = None) -> list[QExpansion]:
     """The expansions of several (f, w) jobs over one context, in one sweep.
+
+    The one validation step: the integrand's unit invariance and, with
+    ``validate``, each job's equivariance, on one ``_sample_points`` set; a
+    bound that leaves the set empty is a ``ValueError``.
 
     The indices are enumerated once; at each index the rule's stored pairs
     are read (``_rule_terms`` runs the rule once), then every job sums over
@@ -232,14 +233,16 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
             raise RingMismatch("expansions need rational or p-adic "
                                f"coefficients, not {f.ring.tag}")
     betas = enumerate_positive(field, n, trace_bound)
-    if validate:
-        pts = _sample_points(field, cusp, betas)
-        for f, w in jobs:
-            report = check_equivariance(f, w, pts, j=precision)
-            if not report.passed:
-                raise EquivarianceViolation(
-                    "coefficient function fails unit equivariance at "
-                    f"{report.witness_text()}")
+    checks = [] if integrand is None else [
+        (integrand, Weight(0, 0), "integrand is not unit invariant")]
+    checks += [(f, w, "coefficient function fails unit equivariance")
+               for f, w in jobs if validate]
+    if checks and not (pts := _sample_points(field, cusp, betas)):
+        raise ValueError(f"trace bound {trace_bound} leaves no point to check")
+    for g, w, failure in checks:
+        report = check_equivariance(g, w, pts, j=precision)
+        if not report.passed:
+            raise EquivarianceViolation(f"{failure} at {report.witness_text()}")
     coefficient = [_job_coefficient(f, w, n, field, precision)
                    for f, w in jobs]
     terms = [{} for _ in jobs]
@@ -341,12 +344,16 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
     not be every index up to any trace, so the result keeps the source's
     trace bound: its terms are the images of the source indices of trace
     at most that bound.  An h that is not n x n is rejected, and so is a
-    singular h or lam = 0, because it would merge distinct indices.
+    singular h or lam = 0, because it would merge distinct indices, and a
+    lam < 0, because its images are negative definite and index nothing.
     """
     if len(h) != q.n or any(len(row) != q.n for row in h):
         raise ShapeMismatch(f"h is not {q.n} x {q.n}")
     if mat_det(h).is_zero or lam == 0:
         raise LatticeMismatch("the Levi element (h, lam) is singular")
+    if lam < 0:
+        raise LatticeMismatch(f"lam = {lam} is negative: it maps positive "
+                              "definite indices to negative definite ones")
     chi_data = chi_data or ChiData()
     pre = q.ring.coerce(chi_data.prefactor(h, lam))
     terms = {}

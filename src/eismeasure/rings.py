@@ -13,14 +13,17 @@ with ``RingMismatch``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import NotRational, RingMismatch
 from .fields import CMElt, _json_value
 from .padic import MAX_PRECISION, PadicElt
 
 
+@cache
 def _cyclotomic_poly(m: int) -> list[int]:
-    """Coefficients of the m-th cyclotomic polynomial (ascending)."""
+    """Coefficients of the m-th cyclotomic polynomial (ascending); the
+    cached list is shared, so callers do not mutate it."""
     # divide x^m - 1 by the cyclotomic polynomials of the proper divisors
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
@@ -50,13 +53,13 @@ class CycloElt:
 
     @classmethod
     def scalar(cls, m: int, c) -> "CycloElt":
-        deg = len(_phi(m)) - 1
+        deg = len(_cyclotomic_poly(m)) - 1
         return cls(m, (Fraction(c),) + (Fraction(0),) * (deg - 1))
 
     @classmethod
     def root_power(cls, m: int, e: int) -> "CycloElt":
         """zeta_m ** e."""
-        deg = len(_phi(m)) - 1
+        deg = len(_cyclotomic_poly(m)) - 1
         vec = [Fraction(0)] * m
         vec[e % m] = Fraction(1)
         return cls(m, tuple(_reduce(vec, m)[:deg]))
@@ -103,17 +106,8 @@ class CycloElt:
         return self.m == o.m and self.coeffs == o.coeffs
 
 
-_PHI_CACHE: dict[int, list[int]] = {}
-
-
-def _phi(m: int) -> list[int]:
-    if m not in _PHI_CACHE:
-        _PHI_CACHE[m] = _cyclotomic_poly(m)
-    return _PHI_CACHE[m]
-
-
 def _reduce(vec: list[Fraction], m: int) -> list[Fraction]:
-    phi = _phi(m)
+    phi = _cyclotomic_poly(m)
     deg = len(phi) - 1
     vec = list(vec) + [Fraction(0)] * deg
     for i in range(len(vec) - 1, deg - 1, -1):

@@ -27,9 +27,11 @@ from eismeasure.functions import (
 )
 from eismeasure.hermitian import CuspData, enumerate_positive
 from eismeasure.measure import MeasureContext, integrate, kummer_check, moment_detd, moment_zeta
-from eismeasure.qexp import _sample_points, eisenstein_qexp
+from eismeasure.qexp import _expansions, _sample_points, eisenstein_qexp
 from eismeasure.rings import QQ
 from eismeasure.automorphy import selftest
+from eismeasure import functions
+from point_tables import WS_WEIGHTS, one_plus_w_cusp, table_at_points
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL5 = FieldData(p=5, mode="symplectic")
@@ -86,7 +88,31 @@ def test_acceptance_03_bridge_bijection_roundtrip():
     report(3, "100 level-p^2 tables, both compositions, n=1 and n=2")
 
 
+def _on_coset_weight_shift(n, bound):
+    """direct == shifted on tables nonzero at the points of the 1 + w cusp,
+    for each of the 15 weights: the weights where it fails, and the number
+    of nonzero direct coefficients."""
+    cusp, unequal, nonzero = one_plus_w_cusp(GAUSS, n), [], 0
+    for i, (k, nu) in enumerate(WS_WEIGHTS):
+        w = Weight(k, nu)
+        f = table_at_points(GAUSS, n, cusp, bound, w, 100 + i)
+        direct = eisenstein_qexp(f, w, cusp, bound, GAUSS)
+        if not direct == eisenstein_qexp(weight_twist(f, w), Weight(n, 0),
+                                         cusp, bound, GAUSS):
+            unequal.append((k, nu))
+        nonzero += sum(not c.is_zero for _, c in direct.terms.values())
+    return unequal, nonzero
+
+
+#: rank -> (trace bound, floor of nonzero coefficients over the 15 weights)
+ON_COSET = {1: (20, 200), 2: (6, 2000)}
+
+
 def test_acceptance_04_weight_shift_identity():
+    # on-coset tables at x = 1 + w, where the twist's nu does not cancel
+    for n, (bound, floor) in ON_COSET.items():
+        unequal, nonzero = _on_coset_weight_shift(n, bound)
+        assert unequal == [] and nonzero >= floor, (n, unequal, nonzero)
     rng = random.Random(77)
     done = 0
     cases = []
@@ -106,7 +132,19 @@ def test_acceptance_04_weight_shift_identity():
             assert direct.ring.eq(direct.terms[key][1],
                                   shifted.terms[key][1]), (n, k, nu, key)
         done += 1
-    report(4, "50 symmetrized tables across k in [n, n+4], nu in {-1,0,1}")
+    report(4, "15 on-coset tables per rank at x = 1 + w and 50 symmetrized "
+              "tables across k in [n, n+4], nu in {-1,0,1}")
+
+
+def test_acceptance_04_sees_nu(monkeypatch):
+    """With nu negated in the weight twist, the on-coset comparison fails
+    at every weight with nu != 0, at each rank."""
+    exponents = functions._weight_exponents
+    monkeypatch.setattr(functions, "_weight_exponents",
+                        lambda n, mode, kp, nu: exponents(n, mode, kp, -nu))
+    for n, (bound, _) in ON_COSET.items():
+        unequal, _ = _on_coset_weight_shift(n, bound)
+        assert unequal == [(k, nu) for k, nu in WS_WEIGHTS if nu], n
 
 
 def test_acceptance_05_theta_moments():
@@ -203,8 +241,8 @@ def test_acceptance_10_depletion_and_rank_deficiency():
     # determinant drops rank mod p get coefficient zero
     rng = random.Random(55)
     f = random_lc_function(GAUSS, 2, 1, rng, entries=40)
-    q2 = eisenstein_qexp(f, Weight(2, 0), CuspData.single_term(GAUSS, 2), 5,
-                         GAUSS, validate=False)
+    q2 = _expansions([(f, Weight(2, 0))], CuspData.single_term(GAUSS, 2), 5,
+                     GAUSS, validate=False)[0]
     degenerate = 0
     for key, (beta, c) in q2.terms.items():
         if int(beta.det_exact.u) % 5 == 0:

@@ -219,6 +219,19 @@ def test_transform_cusp_with_a_singular_levi_element_is_usage_error(
     assert "singular" in err
 
 
+@pytest.mark.parametrize("lam", ["-1", "-1/3"])
+def test_transform_cusp_with_a_negative_lambda_is_usage_error(
+        capsys, rank_one_input, lam):
+    """lam * conj(h)^T * gamma * h is negative definite for lam < 0, so it
+    indexes no expansion."""
+    code, out, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                         "--p", "5", "--input", rank_one_input,
+                         "--h", "[[[1,0]]]", f"--lam={lam}")
+    assert code == 2 and out == ""
+    assert err == (f"error: lam = {lam} is negative: it maps positive "
+                   "definite indices to negative definite ones\n")
+
+
 def test_transform_cusp_keeps_the_source_bound(capsys, rank_one_input):
     code, out, _ = run(capsys, "transform-cusp", "--mode", "symplectic",
                        "--p", "5", "--input", rank_one_input,

@@ -48,6 +48,7 @@ from eismeasure.qexp import (
     normalization_constant,
 )
 from eismeasure.rings import QQ, PadicRing
+from point_tables import WS_WEIGHTS, table_at_points
 from qexp_oracle import oracle_power_qexp, oracle_qexp
 
 GAUSS = FieldData(p=5, k_disc=-4)
@@ -57,7 +58,8 @@ SYMPL = FieldData(p=5, mode="symplectic")
 def rank_one_qexp(k, bound=12):
     cusp = CuspData.divisor_rule(SYMPL)
     f = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=k, e_det=1 - k)
-    return eisenstein_qexp(f, Weight(k, 0), cusp, bound, SYMPL, validate=False)
+    return _expansions([(f, Weight(k, 0))], cusp, bound, SYMPL,
+                       validate=False)[0]
 
 
 def test_rank_one_divisor_sums():
@@ -83,7 +85,7 @@ def test_lookup_above_the_trace_bound_raises():
     # rank two: a zero coefficient inside the bound still reads as 0
     cusp = CuspData.single_term(GAUSS, 2)
     f = MonomialFunction(GAUSS, 2, QQ, Fraction(1))
-    q2 = eisenstein_qexp(f, Weight(2, 0), cusp, 3, GAUSS, validate=False)
+    q2 = _expansions([(f, Weight(2, 0))], cusp, 3, GAUSS, validate=False)[0]
     inside = HermitianMatrix.from_pairs(GAUSS, [[(1, 0), (0, 0)],
                                                 [(0, 0), (2, 0)]])
     assert q2.coeff(inside) == q2.terms[inside.key()][1]
@@ -97,8 +99,8 @@ def test_lookup_above_the_trace_bound_raises():
 def test_weight_below_rank_rejected():
     f = MonomialFunction(GAUSS, 2, QQ, Fraction(1))
     with pytest.raises(ValueError):
-        eisenstein_qexp(f, Weight(1, 0), CuspData.single_term(GAUSS, 2), 3,
-                        GAUSS, validate=False)
+        _expansions([(f, Weight(1, 0))], CuspData.single_term(GAUSS, 2), 3,
+                    GAUSS, validate=False)
 
 
 def test_equivariance_validated_at_build_time():
@@ -114,8 +116,8 @@ def test_equivariance_validated_at_build_time():
 def test_json_roundtrip_preserves_everything():
     rng = random.Random(4)
     f = random_lc_function(GAUSS, 2, 2, rng, entries=8)
-    q = eisenstein_qexp(f, Weight(2, 0), CuspData.single_term(GAUSS, 2), 4,
-                        GAUSS, validate=False)
+    q = _expansions([(f, Weight(2, 0))], CuspData.single_term(GAUSS, 2), 4,
+                    GAUSS, validate=False)[0]
     q2 = QExpansion.from_json(q.to_json(), GAUSS)
     assert q == q2
     assert q2.weight == q.weight and q2.cusp_label == q.cusp_label
@@ -141,8 +143,8 @@ def test_congruent_mod_detects_differences():
 def test_cusp_transform_group_law():
     rng = random.Random(8)
     f = random_lc_function(GAUSS, 2, 2, rng, entries=8)
-    q = eisenstein_qexp(f, Weight(2, 0), CuspData.single_term(GAUSS, 2), 4,
-                        GAUSS, validate=False)
+    q = _expansions([(f, Weight(2, 0))], CuspData.single_term(GAUSS, 2), 4,
+                    GAUSS, validate=False)[0]
     h1 = ((GAUSS.K(0, 1), GAUSS.K(0)), (GAUSS.K(1), GAUSS.K(1)))
     h2 = ((GAUSS.K(1), GAUSS.K(1, 1)), (GAUSS.K(0), GAUSS.K(0, -1)))
     chi1 = ChiData(Fraction(2), 1, 0)
@@ -212,26 +214,10 @@ def _rational_jobs(field, cusp, bound):
             (table, Weight(1, 0)), (prod, Weight(3, 0))]
 
 
-def _table_at_points(field, n, cusp, bound, w, seed):
-    """A symmetrized level-2 table with unit values at the sweep's points
-    (a random sparse table is zero at almost all of them)."""
-    rng = random.Random(seed)
-    values = {}
-    for beta in enumerate_positive(field, n, bound):
-        for a, _ in cusp.rule(beta):
-            pt = _rule_point(field, a, beta)
-            if pt.y_is_invertible:
-                values[(pt.x_key(2), pt.y_key(2))] = PadicElt(
-                    5, 0, rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 11, 12]), 2)
-    table = LCFunction(field, n, PadicRing(5, 2), 2, values=values,
-                       y_invertible=True)
-    return symmetrize(table, w)
-
-
 def _padic_rank_one_jobs(field, cusp, bound):
     """zp jobs, n = 1, with mixed weights."""
     w = Weight(5, 1)
-    table = _table_at_points(field, 1, cusp, bound, w, 11)
+    table = table_at_points(field, 1, cusp, bound, w, 11)
     mono = MonomialFunction(field, 1, ZP5, Fraction(2), e_xs=3, e_det=-2)
     rule = LCFunction(field, 1, ZP5, 2, rule=lambda xk, yk: PadicElt.from_int(
         (7 * xk[0] + 3 * yk[0]) % 25, 5, 2))
@@ -246,7 +232,7 @@ def _padic_rank_two_jobs(field, cusp, bound):
     """zp jobs, n = 2, including the moment's product integrand and a
     weight twist."""
     w = Weight(3, 1)
-    table = _table_at_points(field, 2, cusp, bound, w, 12)
+    table = table_at_points(field, 2, cusp, bound, w, 12)
     mono = MonomialFunction(field, 2, ZP5, Fraction(1), e_xs=2, e_xb=1,
                             e_det=-1)
     prod = ProductFunction(field, 2, table.ring, table,
@@ -327,8 +313,8 @@ def test_sweep_matches_the_per_function_oracle(case):
             assert_same_expansion(
                 q, oracle_power_qexp(f, w, cusp, bound, field))
         assert_same_expansion(
-            eisenstein_qexp(f, w, cusp, bound, field, precision,
-                            validate=False), want)
+            _expansions([(f, w)], cusp, bound, field, precision,
+                        validate=False)[0], want)
         assert any(not f.ring.is_zero(c) for _, c in q.terms.values())
 
 
@@ -451,9 +437,9 @@ def test_a_cyclotomic_sweep_is_a_ring_mismatch(validate):
     assert component.ring.tag == "cyclo"
     with pytest.raises(RingMismatch, match="rational or p-adic coefficients,"
                                            " not cyclo"):
-        eisenstein_qexp(component, Weight(1, 0),
-                        CuspData.single_term(GAUSS, 1), 6, GAUSS,
-                        validate=validate)
+        _expansions([(component, Weight(1, 0))],
+                    CuspData.single_term(GAUSS, 1), 6, GAUSS,
+                    validate=validate)[0]
 
 
 def test_expansions_of_different_weights_do_not_add():
@@ -471,9 +457,9 @@ def test_expansions_of_different_weights_do_not_add():
 
 def test_expansions_over_different_rings_are_not_comparable():
     cusp, w = CuspData.divisor_rule(SYMPL), Weight(3, 0)
-    qq, zp = (eisenstein_qexp(MonomialFunction(SYMPL, 1, ring, Fraction(1),
-                                               e_xs=3, e_det=-2),
-                              w, cusp, 10, SYMPL, validate=False)
+    qq, zp = (_expansions([(MonomialFunction(SYMPL, 1, ring, Fraction(1),
+                                             e_xs=3, e_det=-2), w)],
+                          cusp, 10, SYMPL, validate=False)[0]
               for ring in (QQ, ZP5))
     for a, b in ((qq, zp), (zp, qq)):
         text = f"expansions over {a.ring.tag} and {b.ring.tag} are not"
@@ -618,10 +604,6 @@ def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
                 assert again.get("knum", 0) == 0
 
 
-#: The weights of the weight-shift benchmark, as in acceptance 04.
-WS_WEIGHTS = tuple((k, nu) for k in range(2, 7) for nu in (-1, 0, 1))
-
-
 @pytest.mark.parametrize("n, bound, floor", [(1, 20, 16), (2, 6, 170)])
 def test_weight_shift_on_the_sweep_points_matches_the_oracle(n, bound, floor):
     """Acceptance 04's identity direct == shifted on tables that are nonzero
@@ -630,7 +612,7 @@ def test_weight_shift_on_the_sweep_points_matches_the_oracle(n, bound, floor):
     cusp = CuspData.single_term(GAUSS, n)
     for i, (k, nu) in enumerate(WS_WEIGHTS):
         w = Weight(k, nu)
-        f = _table_at_points(GAUSS, n, cusp, bound, w, 100 + i)
+        f = table_at_points(GAUSS, n, cusp, bound, w, 100 + i)
         twisted, base = weight_twist(f, w), Weight(n, 0)
         direct = eisenstein_qexp(f, w, cusp, bound, GAUSS)
         shifted = eisenstein_qexp(twisted, base, cusp, bound, GAUSS)
@@ -807,6 +789,7 @@ def test_kummer_failure_matches_the_oracle(monkeypatch):
 @pytest.mark.parametrize("h, lam", [
     (((SYMPL.K(0),),), Fraction(1)),
     (((SYMPL.K(1),),), Fraction(0)),
+    (((SYMPL.K(1),),), Fraction(-1)),
 ])
 def test_cusp_transform_rejects_singular_levi_elements(h, lam):
     q = rank_one_qexp(4, bound=6)
@@ -817,8 +800,8 @@ def test_cusp_transform_rejects_singular_levi_elements(h, lam):
 def test_cusp_transform_rejects_a_singular_rank_two_h():
     rng = random.Random(8)
     f = random_lc_function(GAUSS, 2, 2, rng, entries=8)
-    q = eisenstein_qexp(f, Weight(2, 0), CuspData.single_term(GAUSS, 2), 4,
-                        GAUSS, validate=False)
+    q = _expansions([(f, Weight(2, 0))], CuspData.single_term(GAUSS, 2), 4,
+                    GAUSS, validate=False)[0]
     h = ((GAUSS.K(1), GAUSS.K(0, 1)), (GAUSS.K(0, -1), GAUSS.K(1)))
     with pytest.raises(LatticeMismatch):
         cusp_transform(q, h, Fraction(1))

@@ -1,8 +1,9 @@
 """Inputs that must be refused: a moment of an integrand that is not unit
-invariant (exit 1), and JSON files whose top level, keys, prime, integer
-or string fields, p-adic values, containers or field configs do not match
-what the package writes, precisions and levels above ``MAX_PRECISION``,
-and irrational values asked of the rational ring (exit 2)."""
+invariant (exit 1), and a trace bound that leaves no point to check,
+JSON files whose top level, keys, prime, integer or string fields, p-adic
+values, containers or field configs do not match what the package
+writes, precisions and levels above ``MAX_PRECISION``, and irrational
+values asked of the rational ring (exit 2)."""
 
 import json
 import random
@@ -45,6 +46,19 @@ def test_moment_detd_checks_unit_invariance(d):
     ctx = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 1), 4)
     with pytest.raises(EquivarianceViolation, match="not unit invariant"):
         moment_detd(h, d, ctx)
+
+
+@pytest.mark.parametrize("command", ["qexp", "integrate", "moment"])
+@pytest.mark.parametrize("n, bound", [(1, "0"), (1, "-3"), (2, "1")])
+def test_a_bound_with_no_index_to_check_is_refused(capsys, command, n, bound):
+    """No index of rank n has trace at most the bound, so the sweep has no
+    point to check x^3 at (not unit invariant at rank one): a check over no
+    point does not pass."""
+    extra = ["--k", "4"] if command == "qexp" else []
+    code, out, err = run(capsys, command, "--n", str(n), "--function", "x^3",
+                         "--bound", bound, *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: trace bound {bound} leaves no point to check\n"
 
 
 def test_invariance_is_checked_at_the_values_precision(capsys, tmp_path):
