@@ -10,12 +10,13 @@ The numerical kernels take stacks of matrices, shape ``(m, ...)``, and make
 one ``np.linalg`` call per stack; the public functions on one element or one
 point run the same kernels on a stack of one.  ``selftest`` draws its samples
 in chunks of up to ``CHUNK`` passes, from the ``random.Random(seed)`` stream
-in the order of a pass-by-pass loop, verifies each chunk with the kernels,
-and folds the residuals pass by pass in scalar Python arithmetic.  Every
-pass draws the same, rejected or not, so the chunks are independent.
-Stacked ``det``, ``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits
-as calls on single matrices, so a seed gives the same residuals as the
-pass-by-pass loop.
+in the order of a pass-by-pass loop, checks the chunk's points against the
+domain in one call, verifies the chunk with the kernels, and folds the
+residuals pass by pass in scalar Python arithmetic.  Every pass draws the
+same, rejected or not, so the chunks are independent.  Stacked ``det``,
+``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits as calls on
+single matrices, so a seed gives the same residuals as the pass-by-pass
+loop; ``_ill`` asks LAPACK's ``cond`` only where det and norm cannot settle it.
 
 The draws call ``rng.getrandbits`` and ``rng.random`` directly and follow
 CPython's ``random`` algorithms bit for bit: ``randrange``, ``randint`` and
@@ -156,40 +157,58 @@ def base_point(n: int) -> DomainPoint:
 # -- stacked kernels ---------------------------------------------------------------
 # m is a stack of 2n-by-2n matrices, z a stack of points or one point.
 
-def _act(m: np.ndarray, z: np.ndarray):
-    """The points m.z and the condition numbers of their denominators.
+def _ill(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, with det its determinants: cond(m) > TOL_COND?
 
-    A row whose denominator has cond above TOL_COND is rejected by the caller;
-    its point is computed from the identity so the stacked inverse cannot fail.
+    cond(m) = s_1 / s_n <= s_1^n / |det m| <= |m|_F^n / |det m|.  Where that
+    bound is under TOL_COND / 2, cond is far below TOL_COND whatever the
+    rounding (cond and det are both good to about n eps cond); every other
+    matrix, a singular one included, goes to LAPACK's cond.
+    """
+    with np.errstate(over="ignore"):  # an overflowing bound decides nothing
+        ill = ~(np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
+                < TOL_COND / 2 * np.abs(det))
+    rest = np.flatnonzero(ill)
+    if rest.size:
+        ill[rest] = np.linalg.cond(m[rest]) > TOL_COND
+    return ill
+
+
+def _act(m: np.ndarray, z: np.ndarray):
+    """The points m.z and whether each denominator is ill conditioned.
+
+    An ill-conditioned row is rejected by the caller; its point is computed
+    from the identity so the stacked inverse cannot fail.
     """
     n = z.shape[-1]
     a, b, c, d = m[:, :n, :n], m[:, :n, n:], m[:, n:, :n], m[:, n:, n:]
     den = c @ z + d
-    cond = np.linalg.cond(den)
-    den = np.where((cond > TOL_COND)[:, None, None], np.eye(n), den)
-    return (a @ z + b) @ np.linalg.inv(den), cond
+    ill = _ill(den, np.linalg.det(den))
+    den = np.where(ill[:, None, None], np.eye(n), den)
+    return (a @ z + b) @ np.linalg.inv(den), ill
 
 
 def _factors(m: np.ndarray, z: np.ndarray):
-    """lambda, mu, det mu and cond mu at the points."""
+    """lambda, mu, det mu and whether mu is ill conditioned, at the points."""
     n = z.shape[-1]
     c, d = m[:, n:, :n], m[:, n:, n:]
     lam = np.conj(c) @ _t(z) + np.conj(d)
     mu = c @ z + d
-    return lam, mu, np.linalg.det(mu), np.linalg.cond(mu)
+    det = np.linalg.det(mu)
+    return lam, mu, det, _ill(mu, det)
 
 
-def _check_action(cond: float, outside: bool):
+def _check_action(ill: bool, outside: bool):
     """Raise as act does: an ill-conditioned denominator, then a point off
     the domain."""
-    if cond > TOL_COND:
+    if ill:
         raise NearSingularAutomorphyFactor("denominator block is ill conditioned")
     if outside:
         raise ValueError("point is not in the tube domain")
 
 
-def _check_factor(jj: complex, cond: float):
-    if abs(jj) < 1e-12 or cond > TOL_COND:
+def _check_factor(jj: complex, ill: bool):
+    if abs(jj) < 1e-12 or ill:
         raise NearSingularAutomorphyFactor("factor of automorphy is near singular")
 
 
@@ -216,14 +235,14 @@ class _Cocycle:
     def __init__(self, alpha, nu_alpha, beta, z):
         self.n = z.shape[-1]
         self.nu_alpha = nu_alpha
-        az, cond_act = _act(alpha, z)
-        self.cond_act = cond_act.tolist()
+        az, ill_act = _act(alpha, z)
+        self.ill_act = ill_act.tolist()
         self.az_outside = _outside(az).tolist()
-        lam_a, mu_a, j_a, cond_a = _factors(alpha, z)
-        lam_b, mu_b, j_b, cond_b = _factors(beta, az)
-        lam_ba, mu_ba, j_ba, cond_ba = _factors(beta @ alpha, z)
-        self.factors = list(zip(j_a.tolist(), cond_a.tolist(), j_b.tolist(),
-                                cond_b.tolist(), j_ba.tolist(), cond_ba.tolist()))
+        lam_a, mu_a, j_a, ill_a = _factors(alpha, z)
+        lam_b, mu_b, j_b, ill_b = _factors(beta, az)
+        lam_ba, mu_ba, j_ba, ill_ba = _factors(beta @ alpha, z)
+        self.factors = list(zip(j_a.tolist(), ill_a.tolist(), j_b.tolist(),
+                                ill_b.tolist(), j_ba.tolist(), ill_ba.tolist()))
         self.lam = _rel_parts(lam_ba, lam_b @ lam_a)
         self.mu = _rel_parts(mu_ba, mu_b @ mu_a)
         self.det_lam_a = np.linalg.det(lam_a).tolist()
@@ -238,11 +257,11 @@ class _Cocycle:
         ill-conditioned action, a point off the domain, then a near-singular
         factor of alpha, of beta at alpha.z, or of beta alpha.
         """
-        _check_action(self.cond_act[i], self.az_outside[i])
-        j_a, cond_a, j_b, cond_b, j_ba, cond_ba = self.factors[i]
-        _check_factor(j_a, cond_a)
-        _check_factor(j_b, cond_b)
-        _check_factor(j_ba, cond_ba)
+        _check_action(self.ill_act[i], self.az_outside[i])
+        j_a, ill_a, j_b, ill_b, j_ba, ill_ba = self.factors[i]
+        _check_factor(j_a, ill_a)
+        _check_factor(j_b, ill_b)
+        _check_factor(j_ba, ill_ba)
         lam_ba, lam_prod, lam_diff = self.lam[i]
         mu_ba, mu_prod, mu_diff = self.mu[i]
         r1 = lam_diff / max(1.0, lam_ba, lam_prod)
@@ -262,13 +281,13 @@ class _Section:
 
     def __init__(self, alpha, nu_alpha, z):
         scaled = alpha / np.sqrt(np.array(nu_alpha))[:, None, None]
-        lam, _, jj, cond = _factors(scaled, z)
+        lam, _, jj, ill = _factors(scaled, z)
         self.rows = list(zip(jj.tolist(), np.linalg.det(lam).tolist(),
-                             cond.tolist()))
+                             ill.tolist()))
 
     def value(self, i: int, delta_z: float, k: int, nu: int, s: float) -> complex:
-        jj, det_lam, cond = self.rows[i]
-        _check_factor(jj, cond)
+        jj, det_lam, ill = self.rows[i]
+        _check_factor(jj, ill)
         # the weighted factor j^(k+nu) * det(lambda)^(-nu)
         jkv = jj ** (k + nu) * det_lam ** (-nu)
         return (1 / jkv) * abs(jj ** (-2)) ** (s - k / 2) * delta_z ** (s - k / 2)
@@ -277,16 +296,16 @@ class _Section:
 # -- single elements: stacks of one ----------------------------------------------------
 
 def act(alpha: GroupElement, pt: DomainPoint) -> DomainPoint:
-    az, cond = _act(alpha.matrix[None], pt.z[None])
-    _check_action(cond[0], False)  # DomainPoint checks the domain
+    az, ill = _act(alpha.matrix[None], pt.z[None])
+    _check_action(ill[0], False)  # DomainPoint checks the domain
     return DomainPoint(az[0])
 
 
 def factors(alpha: GroupElement, pt: DomainPoint):
     """(lambda, mu, j) at the point: conj-linear factor, linear factor, det mu."""
-    lam, mu, jj, cond = _factors(alpha.matrix[None], pt.z[None])
+    lam, mu, jj, ill = _factors(alpha.matrix[None], pt.z[None])
     jj = complex(jj[0])
-    _check_factor(jj, cond[0])
+    _check_factor(jj, ill[0])
     return lam[0], mu[0], jj
 
 
@@ -390,9 +409,10 @@ def random_word(n: int, rng) -> GroupElement:
     return GroupElement(mats[0], nus[0])
 
 
-def random_point(n: int, rng) -> DomainPoint:
+def random_point(n: int, rng) -> np.ndarray:
     """z = x + iy with x = (u + u^T) / 2 and y = (v + v^T) / 2 + t I, for u,
-    v and t uniform in [-1, 1], [-0.3, 0.3] and [1, 2]."""
+    v and t uniform in [-1, 1], [-0.3, 0.3] and [1, 2]; not checked against
+    the domain, which ``selftest`` does for a chunk's points at once."""
     rand = rng.random
     # rng.uniform(a, b) is a + (b - a) * rng.random()
     u = [-1 + (1 - -1) * rand() for _ in range(n * n)]
@@ -401,12 +421,12 @@ def random_point(n: int, rng) -> DomainPoint:
     z = [complex((u[i * n + j] + u[j * n + i]) / 2,
                  (v[i * n + j] + v[j * n + i]) / 2 + (t if i == j else 0.0))
          for i in range(n) for j in range(n)]
-    return DomainPoint(np.array(z).reshape(n, n))
+    return np.array(z).reshape(n, n)
 
 
 # -- the self-test ------------------------------------------------------------------
 
-def _draw_pass(n: int, rng, data: list, lengths: list) -> DomainPoint:
+def _draw_pass(n: int, rng, data: list, lengths: list) -> np.ndarray:
     """One pass's draws in stream order: alpha, beta, the point, then g.
 
     The three words go to data and lengths; returns the point.
@@ -418,7 +438,7 @@ def _draw_pass(n: int, rng, data: list, lengths: list) -> DomainPoint:
     return pt
 
 
-def _verify(n: int, data: list, lengths: list, points: list,
+def _verify(n: int, data: list, lengths: list, points: np.ndarray,
             base: DomainPoint, k: int, nu: int, s: float, worst: dict):
     """Fold the passes' residuals into ``worst`` in pass order.
 
@@ -430,9 +450,9 @@ def _verify(n: int, data: list, lengths: list, points: list,
     mats, nus = _words(n, data, lengths)
     alpha, beta, g = mats[0::3], mats[1::3], mats[2::3]
     nu_a, nu_g = nus[0::3], nus[2::3]
-    cocycle = _Cocycle(alpha, nu_a, beta, np.array([p.z for p in points]))
-    gz, cond_gz = _act(g, base.z)
-    cond_gz, gz_outside = cond_gz.tolist(), _outside(gz).tolist()
+    cocycle = _Cocycle(alpha, nu_a, beta, points)
+    gz, ill_gz = _act(g, base.z)
+    ill_gz, gz_outside = ill_gz.tolist(), _outside(gz).tolist()
     delta_gz = delta(gz)
     lhs_f = _Section(alpha @ g, [a * b for a, b in zip(nu_a, nu_g)], base.z)
     alpha_f = _Section(alpha, nu_a, gz)
@@ -447,7 +467,7 @@ def _verify(n: int, data: list, lengths: list, points: list,
         worst["cocycle"] = max(worst["cocycle"], res)
         # section factorization against the base point
         try:
-            _check_action(cond_gz[i], gz_outside[i])
+            _check_action(ill_gz[i], gz_outside[i])
             lhs = lhs_f.value(i, delta_base, k, nu, s)
             rhs = (alpha_f.value(i, delta_gz[i], k, nu, s)
                    * g_f.value(i, delta_base, k, nu, s)
@@ -478,20 +498,18 @@ def selftest(n: int, cases: int, seed: int, k: int = 4, nu: int = 1,
     base = base_point(n)
     done = 0
     while done < cases:
-        data, lengths, points, pending = [], [], [], None
-        for _ in range(min(CHUNK, cases - done)):
-            try:
-                points.append(_draw_pass(n, rng, data, lengths))
-            except ValueError as exc:
-                # a point off the domain (random_point can draw one from
-                # n = 16 or so): raised once the passes before it are verified
-                del lengths[3 * len(points):]
-                del data[sum(lengths) * (2 + 2 * n * n):]
-                pending = exc
-                break
-        if points:
-            done += _verify(n, data, lengths, points, base, k, nu, s, worst)
-        if pending is not None:
-            raise pending
+        data, lengths = [], []
+        points = np.array([_draw_pass(n, rng, data, lengths)
+                           for _ in range(min(CHUNK, cases - done))])
+        # a point off the domain is raised once the passes before it are
+        # verified, as the pass-by-pass loop would
+        outside = _outside(points).tolist()
+        m = outside.index(True) if True in outside else len(outside)
+        if m:
+            del lengths[3 * m:]
+            del data[sum(lengths) * (2 + 2 * n * n):]
+            done += _verify(n, data, lengths, points[:m], base, k, nu, s, worst)
+        if m < len(outside):
+            raise ValueError("point is not in the tube domain")
     worst["base_delta"] = abs(delta(base.z) - 1.0)
     return worst

@@ -124,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True, dest="infile")
     sp.add_argument("--h", required=True, type=_pair_matrix,
                     help="JSON matrix of [u, v] basis pairs")
-    sp.add_argument("--lam", type=_fraction, default="1")
-    sp.add_argument("--scalar", type=_fraction, default="1")
+    sp.add_argument("--lam", type=_fraction, default="1",
+                    help="similitude factor; a negative one as --lam=-1/3")
+    sp.add_argument("--scalar", type=_fraction, default="1",
+                    help="rational scalar; a negative one as --scalar=-1/3")
     sp.add_argument("--lam-power", type=int, default=0, dest="lam_power")
     sp.add_argument("--deth-power", type=int, default=0, dest="deth_power")
     _add_field_opts(sp)
@@ -215,9 +217,9 @@ def _dispatch(args) -> int:
         try:
             worst = selftest(args.n, args.cases, args.seed, args.k, args.nu, args.s)
         except ArithmeticError as exc:  # overflow, or underflow to 0 then 1/0
-            raise ValueError(f"--k {args.k}, --nu {args.nu}, --s {args.s} take the "
-                             "self-test out of float range "
-                             f"({type(exc).__name__}: {exc})") from exc
+            raise ValueError(f"--n {args.n}, --k {args.k}, --nu {args.nu}, "
+                             f"--s {args.s} take the self-test out of float "
+                             f"range ({type(exc).__name__}: {exc})") from exc
         _emit({"residuals": worst, "tolerance": args.tol}, args.out)
         return 0 if max(worst.values()) < args.tol else 1
     raise EisMeasureError(f"unknown command {cmd}")

@@ -43,7 +43,7 @@ def test_action_stays_in_the_domain():
     rng = random.Random(3)
     for _ in range(100):
         g = random_word(2, rng)
-        pt = random_point(2, rng)
+        pt = DomainPoint(random_point(2, rng))
         try:
             z2 = act(g, pt)
         except NearSingularAutomorphyFactor:
@@ -62,7 +62,7 @@ def test_cocycle_relations():
     while done < 200:
         try:
             rep = cocycle_check(random_word(2, rng), random_word(2, rng),
-                                random_point(2, rng))
+                                DomainPoint(random_point(2, rng)))
         except NearSingularAutomorphyFactor:
             continue
         assert rep.residual < TOL, rep.details
@@ -155,19 +155,17 @@ def test_forced_rejections_match_the_oracle(monkeypatch):
 def test_point_off_the_domain_raises_where_the_loop_would(monkeypatch):
     # a point drawn after a rejected pass of the same chunk must not raise:
     # the loop never draws it
-    def strict(mod):
-        draw = mod.random_point
+    def off_domain(z):
+        # eta(conj(z)) = -eta(z) is negative definite
+        return np.conj(z) if z[0, 0].real > 0.9 else z
 
-        def random_point(n, rng):
-            pt = draw(n, rng)
-            if pt.z[0, 0].real > 0.9:
-                raise ValueError(f"point is not in the tube domain: {pt.z[0, 0]}")
-            return pt
-        return random_point
-
+    draw, oracle_draw = automorphy.random_point, oracle.random_point
+    monkeypatch.setattr(automorphy, "random_point",
+                        lambda n, rng: off_domain(draw(n, rng)))
+    monkeypatch.setattr(oracle, "random_point", lambda n, rng: oracle.DomainPoint(
+        off_domain(oracle_draw(n, rng).z)))
     for mod in (automorphy, oracle):
         monkeypatch.setattr(mod, "TOL_COND", 20.0)
-        monkeypatch.setattr(mod, "random_point", strict(mod))
     for seed in range(8):
         outcomes = []
         for run in (selftest, oracle.selftest):
@@ -176,6 +174,23 @@ def test_point_off_the_domain_raises_where_the_loop_would(monkeypatch):
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], seed
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_real_off_domain_draws_end_as_the_loop_does(n):
+    # at n = 16 some seeds draw a point off the domain before any pass
+    # overflows, others overflow first; every seed at n = 20 overflows first
+    ends = set()
+    for seed in range(6):
+        outcomes = []
+        for run in (selftest, oracle.selftest):
+            try:
+                outcomes.append(run(n, 30, seed))
+            except (ValueError, ArithmeticError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], seed
+        ends.add(outcomes[0][0])
+    assert ends == ({ValueError, OverflowError} if n == 16 else {OverflowError})
 
 
 def test_selftest_draws_one_point_per_pass(monkeypatch):
@@ -221,7 +236,8 @@ def test_single_sample_functions_match_the_oracle():
         for _ in range(40):
             a, a0 = random_word(n, rng), oracle.random_word(n, ref)
             b, b0 = random_word(n, rng), oracle.random_word(n, ref)
-            pt, pt0 = random_point(n, rng), oracle.random_point(n, ref)
+            pt = DomainPoint(random_point(n, rng))
+            pt0 = oracle.random_point(n, ref)
             assert np.array_equal(a.matrix, a0.matrix) and a.nu == a0.nu
             assert np.array_equal(b.matrix, b0.matrix) and b.nu == b0.nu
             assert np.array_equal(pt.z, pt0.z)
@@ -248,6 +264,53 @@ def test_single_sample_functions_match_the_oracle():
             assert section_infty(a, pt, 4, 1, 3.0) == ref_section
 
 
+# -- conditioning from det and norm against LAPACK --------------------------------
+
+
+@pytest.mark.parametrize("tol", [20.0, 1e8])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ill_matches_lapack_cond(monkeypatch, n, tol):
+    # U diag(1, ..., 1, 1/c) V has cond c: c spread over [tol/20, 20 tol] and
+    # bunched within 1e-9 of tol and of tol/2, at scales from 1e-6 to 1e6,
+    # then zero and rank-deficient matrices
+    monkeypatch.setattr(automorphy, "TOL_COND", tol)
+    rng = np.random.default_rng(n)
+
+    def unitary(k):
+        return np.linalg.qr(rng.normal(size=(k, n, n))
+                            + 1j * rng.normal(size=(k, n, n)))[0]
+
+    near = rng.uniform(-1e-9, 1e-9, 1000)
+    c = np.concatenate([np.exp(rng.uniform(np.log(tol / 20),
+                                           np.log(20 * tol), 2000)),
+                        tol * (1 + near), tol / 2 * (1 + near)])
+    sv = np.ones((len(c) + 200, n))
+    sv[:len(c), -1] = 1 / c
+    sv[len(c):len(c) + 100] = 0
+    sv[len(c) + 100:, -1] = 0
+    sv *= 10.0 ** rng.uniform(-6, 6, (len(sv), 1))
+    m = unitary(len(sv)) @ (sv[:, :, None] * unitary(len(sv)))
+    ill = automorphy._ill(m, np.linalg.det(m))
+    assert ill.tolist() == (np.linalg.cond(m) > tol).tolist()
+    assert 0 < np.count_nonzero(ill) < len(ill)
+
+
+def test_ill_settles_a_default_chunk_by_the_bound(monkeypatch):
+    # at the default TOL_COND no matrix of a chunk reaches LAPACK's cond
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(m):
+        calls.append(len(m))
+        return cond(m)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    worst = selftest(2, automorphy.CHUNK, 0)
+    assert calls == []
+    monkeypatch.undo()
+    assert worst == oracle.selftest(2, automorphy.CHUNK, 0)
+
+
 # -- the draws against random.Random's own calls ------------------------------------
 
 
@@ -266,7 +329,7 @@ def test_draws_leave_the_stream_where_random_random_does(n):
             ref_pt = oracle.random_point(n, ref)
             words.append(oracle.random_word(n, ref))
             assert rng.getstate() == ref.getstate(), seed
-            assert pt.z.tobytes() == ref_pt.z.tobytes()
+            assert pt.tobytes() == ref_pt.z.tobytes()
             mats, nus = automorphy._words(n, data, lengths)
             assert [m.tobytes() for m in mats] == [
                 w.matrix.tobytes() for w in words]

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,15 +145,19 @@ def test_automorphy_selftest_over_no_cases_is_usage_error(capsys, cases):
                   " range (OverflowError: "),
     ("--k=100000", "--k 100000, --nu 1, --s 3.0 take the self-test out of "
                    "float range (ZeroDivisionError: complex division by zero)"),
+    # at the default weights it is the rank that overflows
+    ("--n=12 --seed=1", "--n 12, --k 4, --nu 1, --s 3.0 take the self-test "
+                        "out of float range (OverflowError: complex "
+                        "exponentiation)"),
 ])
 def test_automorphy_selftest_with_a_bad_number_is_usage_error(capsys, option,
                                                                text):
     """A non-finite s left every section residual out of the worst case (a
     nan never wins max), a nan tolerance printed non-JSON, a huge s ended in
-    a traceback and then in bare Python text, as did a huge k: each is an
-    error line naming the numbers, and exit 2, no output."""
+    a traceback and then in bare Python text, as did a huge k or n: each is
+    an error line naming the numbers, and exit 2, no output."""
     code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
-                         "--cases", "50", option)
+                         "--cases", "50", *option.split())
     assert (code, out) == (2, "")
     assert err.startswith("error:") and text in err
 
@@ -253,6 +258,27 @@ def test_transform_cusp_with_a_zero_denominator_is_usage_error(
     out = capsys.readouterr()
     assert out.out == ""
     assert f"error: argument {option}: not a rational number: '1/0'" in out.err
+
+
+def test_transform_cusp_help_names_the_negative_fraction_form(capsys,
+                                                            rank_one_input):
+    """argparse reads a separate "-1/3" as an option, so --help names the
+    --scalar=-1/3 and --lam=-1/3 forms; the first scales every coefficient."""
+    with pytest.raises(SystemExit) as exc:
+        run_command(["transform-cusp", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--scalar=-1/3" in text and "--lam=-1/3" in text
+    argv = ["transform-cusp", "--mode", "symplectic", "--p", "5",
+            "--input", rank_one_input, "--h", "[[[1,0]]]"]
+    plain = json.loads(run(capsys, *argv)[1])["terms"]
+    code, out, _ = run(capsys, *argv, "--scalar=-1/3")
+    assert code == 0
+    scaled = json.loads(out)["terms"]
+    assert [t["beta"] for t in scaled] == [t["beta"] for t in plain]
+    assert [Fraction(t["coeff"]) for t in scaled] == [
+        -Fraction(t["coeff"]) / 3 for t in plain]
+    assert sum(Fraction(t["coeff"]) != 0 for t in plain) >= 5
 
 
 @pytest.mark.parametrize("h, message", [
