@@ -165,9 +165,8 @@ def _ill(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     rounding (cond and det are both good to about n eps cond); every other
     matrix, a singular one included, goes to LAPACK's cond.
     """
-    with np.errstate(over="ignore"):  # an overflowing bound decides nothing
-        ill = ~(np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
-                < TOL_COND / 2 * np.abs(det))
+    ill = ~(np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
+            < TOL_COND / 2 * np.abs(det))
     rest = np.flatnonzero(ill)
     if rest.size:
         ill[rest] = np.linalg.cond(m[rest]) > TOL_COND

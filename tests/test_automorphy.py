@@ -162,8 +162,9 @@ def test_point_off_the_domain_raises_where_the_loop_would(monkeypatch):
     draw, oracle_draw = automorphy.random_point, oracle.random_point
     monkeypatch.setattr(automorphy, "random_point",
                         lambda n, rng: off_domain(draw(n, rng)))
-    monkeypatch.setattr(oracle, "random_point", lambda n, rng: oracle.DomainPoint(
-        off_domain(oracle_draw(n, rng).z)))
+    monkeypatch.setattr(
+        oracle, "random_point",
+        lambda n, rng: oracle.DomainPoint(off_domain(oracle_draw(n, rng).z)))
     for mod in (automorphy, oracle):
         monkeypatch.setattr(mod, "TOL_COND", 20.0)
     for seed in range(8):
@@ -189,7 +190,7 @@ def test_real_off_domain_draws_end_as_the_loop_does(n):
             except (ValueError, ArithmeticError) as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1], seed
-        ends.add(outcomes[0][0])
+        ends.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else dict)
     assert ends == ({ValueError, OverflowError} if n == 16 else {OverflowError})
 
 
