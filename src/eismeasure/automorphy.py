@@ -161,8 +161,8 @@ def _ill(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Per matrix of a stack, with det its determinants: cond(m) > TOL_COND?
 
     cond(m) = s_1 / s_n <= s_1^n / |det m| <= |m|_F^n / |det m|.  Where that
-    bound is under TOL_COND / 2, cond is far below TOL_COND whatever the
-    rounding (cond and det are both good to about n eps cond); every other
+    bound is under TOL_COND / 2, LAPACK's cond is under TOL_COND too (it and
+    det are good to about n eps cond, far inside the factor 2); every other
     matrix, a singular one included, goes to LAPACK's cond.
     """
     ill = ~(np.linalg.norm(m, axis=(-2, -1)) ** m.shape[-1]
