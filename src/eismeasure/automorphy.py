@@ -173,18 +173,16 @@ def _ill(m: np.ndarray, det: np.ndarray) -> np.ndarray:
     return ill
 
 
-def _act(m: np.ndarray, z: np.ndarray):
-    """The points m.z and whether each denominator is ill conditioned.
+def _act(m: np.ndarray, z: np.ndarray, mu: np.ndarray, ill: np.ndarray):
+    """The points m.z, with mu = c z + d and its ill flags from ``_factors``.
 
     An ill-conditioned row is rejected by the caller; its point is computed
     from the identity so the stacked inverse cannot fail.
     """
     n = z.shape[-1]
-    a, b, c, d = m[:, :n, :n], m[:, :n, n:], m[:, n:, :n], m[:, n:, n:]
-    den = c @ z + d
-    ill = _ill(den, np.linalg.det(den))
-    den = np.where(ill[:, None, None], np.eye(n), den)
-    return (a @ z + b) @ np.linalg.inv(den), ill
+    a, b = m[:, :n, :n], m[:, :n, n:]
+    den = np.where(ill[:, None, None], np.eye(n), mu)
+    return (a @ z + b) @ np.linalg.inv(den)
 
 
 def _factors(m: np.ndarray, z: np.ndarray):
@@ -234,10 +232,10 @@ class _Cocycle:
     def __init__(self, alpha, nu_alpha, beta, z):
         self.n = z.shape[-1]
         self.nu_alpha = nu_alpha
-        az, ill_act = _act(alpha, z)
-        self.ill_act = ill_act.tolist()
-        self.az_outside = _outside(az).tolist()
         lam_a, mu_a, j_a, ill_a = _factors(alpha, z)
+        az = _act(alpha, z, mu_a, ill_a)
+        self.ill_act = ill_a.tolist()
+        self.az_outside = _outside(az).tolist()
         lam_b, mu_b, j_b, ill_b = _factors(beta, az)
         lam_ba, mu_ba, j_ba, ill_ba = _factors(beta @ alpha, z)
         self.factors = list(zip(j_a.tolist(), ill_a.tolist(), j_b.tolist(),
@@ -295,7 +293,8 @@ class _Section:
 # -- single elements: stacks of one ----------------------------------------------------
 
 def act(alpha: GroupElement, pt: DomainPoint) -> DomainPoint:
-    az, ill = _act(alpha.matrix[None], pt.z[None])
+    _, mu, _, ill = _factors(alpha.matrix[None], pt.z[None])
+    az = _act(alpha.matrix[None], pt.z[None], mu, ill)
     _check_action(ill[0], False)  # DomainPoint checks the domain
     return DomainPoint(az[0])
 
@@ -450,7 +449,8 @@ def _verify(n: int, data: list, lengths: list, points: np.ndarray,
     alpha, beta, g = mats[0::3], mats[1::3], mats[2::3]
     nu_a, nu_g = nus[0::3], nus[2::3]
     cocycle = _Cocycle(alpha, nu_a, beta, points)
-    gz, ill_gz = _act(g, base.z)
+    _, mu_g, _, ill_gz = _factors(g, base.z)
+    gz = _act(g, base.z, mu_g, ill_gz)
     ill_gz, gz_outside = ill_gz.tolist(), _outside(gz).tolist()
     delta_gz = delta(gz)
     lhs_f = _Section(alpha @ g, [a * b for a, b in zip(nu_a, nu_g)], base.z)

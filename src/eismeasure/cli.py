@@ -12,7 +12,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import EisMeasureError, EquivarianceViolation, NotRational
+from .errors import (EisMeasureError, EquivarianceViolation, FieldDataError,
+                     NotRational)
 from .fields import FieldData, Weight
 from .functions import LCFunction, MonomialFunction, character_decompose
 from .hermitian import CuspData
@@ -60,11 +61,15 @@ def _pair_matrix(text: str) -> list:
 
 
 def _field_from_args(args) -> FieldData:
-    if getattr(args, "config", None):
+    given = {key: getattr(args, key) for key in (
+        "p", "k_disc", "mode", "precision") if getattr(args, key) is not None}
+    if args.config is not None:
+        if given:
+            raise FieldDataError("--config does not combine with " + ", ".join(
+                "--" + key.replace("_", "-") for key in given))
         return FieldData.from_config(args.config)
-    # an option left out takes FieldData's own default
-    return FieldData(p=args.p, **{key: getattr(args, key) for key in (
-        "k_disc", "mode", "precision") if getattr(args, key) is not None})
+    # an option left out takes FieldData's own default, and p is 5
+    return FieldData(**{"p": 5, **given})
 
 
 def _emit(data: dict, out: str | None):
@@ -77,8 +82,9 @@ def _emit(data: dict, out: str | None):
 
 
 def _add_field_opts(sp):
-    sp.add_argument("--config", help="JSON field config file")
-    sp.add_argument("--p", type=int, default=5)
+    sp.add_argument("--config", help="JSON field config file; it takes the "
+                    "place of --p, --k-disc, --mode and --precision")
+    sp.add_argument("--p", type=int, help="default 5")
     sp.add_argument("--k-disc", type=int, dest="k_disc")
     sp.add_argument("--mode", choices=["unitary", "symplectic"])
     sp.add_argument("--precision", type=int)

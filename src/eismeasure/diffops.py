@@ -115,7 +115,7 @@ class MatrixPolynomial:
     def eval_matrix(self, m, ring):
         """Evaluate at a matrix of ring elements (row-major nested)."""
         return self._evaluate([e for row in m for e in row], ring.zero(),
-                              ring.scalar)
+                              ring.coerce)
 
     def eval_knum(self, m):
         """Evaluate at a matrix of exact field elements."""

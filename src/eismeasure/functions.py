@@ -527,7 +527,7 @@ def check_equivariance(f: GnFunction, w: Weight, points,
             else:
                 if not one:
                     rhs = fac * rhs
-                ok = f.ring.eq(lhs, rhs)
+                ok = lhs == rhs
             if not ok:
                 return EquivarianceReport(False, (e, pt, lhs, rhs))
     return EquivarianceReport(True)
@@ -540,17 +540,16 @@ def symmetrize(f: LCFunction, w: Weight) -> LCFunction:
         raise RingMismatch("symmetrize needs a table")
     pj = p ** f.level
     units = field.unit_group
-    inv_order = f.ring.scalar(Fraction(1, len(units)))
+    inv_order = f.ring.coerce(Fraction(1, len(units)))
     out: dict = {}
     for e in units:
-        fac = f.ring.from_knum(unit_weight_factor(e, w), field)
-        fac_inv = f.ring.invert(fac)
+        c = inv_order / f.ring.from_knum(unit_weight_factor(e, w), field)
         es = field.sigma_residue(e, f.level)
         eb = field.sigma_bar_residue(e, f.level)
         ei_s, ei_b = pow(es, -1, pj), pow(eb, -1, pj)
         for (xk, yk), v in f.values.items():
             key = ((xk[0] * ei_s % pj, xk[1] * ei_b % pj), yk)
-            add = inv_order * fac_inv * v
+            add = c * v
             key_v = out.get(key)
             out[key] = add if key_v is None else key_v + add
     out = {k: v for k, v in out.items() if not f.ring.is_zero(v)}
@@ -605,7 +604,7 @@ class UnitCharacter:
     def trivial(cls, p: int, level: int, ring) -> "UnitCharacter":
         pj = p ** level
         return cls(p, level, ring,
-                   {r: ring.one() for r in range(1, pj) if r % p})
+                   {r: ring.coerce(1) for r in range(1, pj) if r % p})
 
     @classmethod
     def teichmuller_power(cls, t: int, p: int, level: int,
@@ -648,7 +647,7 @@ def character_decompose(f: LCFunction):
         out_ring = CyclotomicRing(order)
         root_pow = {e: out_ring.root(e) for e in range(order)}
     # each value over |group| once; a root times a rational is a scalar product
-    inv_size = ring.scalar(Fraction(1, gsize))
+    inv_size = ring.coerce(Fraction(1, gsize))
     table = {k: inv_size * ring.coerce(v) for k, v in f.values.items()}
     inverse = {u: pow(u, -1, pj) for u in dlog}
     labels = ([(t,) for t in range(order)] if sympl

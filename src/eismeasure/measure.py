@@ -76,20 +76,21 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial,
 
     Equals coefficientwise multiplication of integrate(h) by the multiplier
     value at each index; both routes are computed, in one sweep, and must
-    agree exactly.  The sweep checks that h is unit invariant, as for
-    ``integrate``, but not the bridged function.
+    agree exactly.  The sweep checks what ``integrate`` checks, h unit
+    invariant and then the bridged function equivariant, so a failure has
+    ``integrate``'s witness; then the product function.
     """
     f = h_to_f(h)
     # on the coefficient side the multiplier argument y^-1 turns back into y
     f2 = ProductFunction(f.field, f.n, f.ring, f, _zeta_multiplier(mult),
                          y_invertible=f.y_invertible)
     w = Weight(ctx.n, 0)
-    # the second job is integrate(h, ctx) without the bridged check
-    qs = _expansions([(f2, w), (f, w)], ctx.cusp, ctx.trace_bound, ctx.field,
-                     ctx.precision, validate=False, integrand=h)
-    if not qs[0] == theta_apply(qs[1], mult):
+    # the first job is integrate(h, ctx)
+    q, q2 = _expansions([(f, w), (f2, w)], ctx.cusp, ctx.trace_bound,
+                        ctx.field, ctx.precision, integrand=h)
+    if not q2 == theta_apply(q, mult):
         raise ShapeMismatch("moment routes disagree")
-    return qs[0]
+    return q2
 
 
 def moment_detd(h: GnFunction, d: int, ctx: MeasureContext) -> QExpansion:

@@ -104,7 +104,7 @@ class QExpansion:
             return NotImplemented
         if self.terms.keys() != other.terms.keys():
             return False
-        return all(self.ring.eq(c, other.terms[k][1])
+        return all(c == other.terms[k][1]
                    for k, (_, c) in self.terms.items())
 
     def congruent_mod(self, other: "QExpansion", j: int,

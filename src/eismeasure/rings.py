@@ -1,13 +1,17 @@
 """Coefficient rings: exact rationals, p-adic integers, cyclotomic rationals.
 
-Mixing rings is an error, never a coercion; plain integers and Fractions
-are accepted everywhere as scalars.  A ring places exact field elements
+The protocol has one name per operation: ``tag``, ``zero``, ``is_zero``,
+``coerce``, ``from_knum``, ``monomial``, ``to_json`` and ``from_json``.  A
+rational (an int or a Fraction) enters a ring only through ``coerce`` (so 1
+is ``coerce(1)``), and ring values compare with their own ``==``.  Mixing
+rings is an error, never a coercion; plain integers and Fractions are
+accepted everywhere as scalars.  A ring places exact field elements
 (``from_knum``), evaluates the one monomial xs^e0 * xb^e1 * d^e2 of an
 exact x and d (``monomial``: a function's monomial, the weight twist and an
 expansion term's weight factor) and owns its JSON values; ``RINGS`` maps
 the tags.  The cyclotomic ring holds character components only: it places
 no field element, evaluates no monomial and writes no JSON, and says so
-with ``RingMismatch``.
+with ``RingMismatch``; it reads none (no ``from_json``) and adds ``root``.
 """
 
 from __future__ import annotations
@@ -137,30 +141,16 @@ def _checked(ring, v, kind):
 class RationalRing:
     tag = "qq"
 
-    def one(self):
-        return Fraction(1)
-
     def zero(self):
         return Fraction(0)
 
-    def scalar(self, c):
-        return Fraction(c)
-
     def is_zero(self, x) -> bool:
         return x == 0
-
-    def invert(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(x)
 
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise RingMismatch(f"cannot place {type(x).__name__} in the rational ring")
-
-    def eq(self, x, y) -> bool:
-        return x == y
 
     def from_knum(self, v, field) -> Fraction:
         if not v.is_rational:
@@ -187,20 +177,11 @@ class PadicRing:
         # one zero per ring: a PadicElt is immutable, so it can be shared
         self._zero = PadicElt.zero(p, prec)
 
-    def one(self):
-        return PadicElt.one(self.p, self.prec)
-
     def zero(self):
         return self._zero
 
-    def scalar(self, c):
-        return PadicElt.from_rational(Fraction(c), p=self.p, prec=self.prec)
-
     def is_zero(self, x) -> bool:
         return x.is_zero
-
-    def invert(self, x):
-        return x.invert()
 
     def coerce(self, x):
         if isinstance(x, PadicElt):
@@ -208,11 +189,8 @@ class PadicRing:
                 raise RingMismatch("wrong residue characteristic")
             return x
         if isinstance(x, (int, Fraction)):
-            return self.scalar(x)
+            return PadicElt.from_rational(Fraction(x), p=self.p, prec=self.prec)
         raise RingMismatch(f"cannot place {type(x).__name__} in the p-adic ring")
-
-    def eq(self, x, y) -> bool:
-        return x == y
 
     def from_knum(self, v, field) -> PadicElt:
         return field.sigma_padic(v)  # at the field's precision
@@ -251,14 +229,8 @@ class CyclotomicRing:
     def __init__(self, m: int):
         self.m = m
 
-    def one(self):
-        return CycloElt.scalar(self.m, 1)
-
     def zero(self):
         return CycloElt.scalar(self.m, 0)
-
-    def scalar(self, c):
-        return CycloElt.scalar(self.m, c)
 
     def root(self, e: int = 1):
         return CycloElt.root_power(self.m, e)
@@ -272,11 +244,8 @@ class CyclotomicRing:
                 raise RingMismatch("cyclotomic orders differ")
             return x
         if isinstance(x, (int, Fraction)):
-            return self.scalar(x)
+            return CycloElt.scalar(self.m, x)
         raise RingMismatch(f"cannot place {type(x).__name__} in the cyclotomic ring")
-
-    def eq(self, x, y) -> bool:
-        return self.coerce(x) == self.coerce(y)
 
     def from_knum(self, v, field):
         raise RingMismatch(f"the cyclotomic ring does not place field "

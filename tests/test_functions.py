@@ -53,7 +53,7 @@ def test_bridge_roundtrip_on_tables(n, bound):
         f = random_lc_function(GAUSS, n, 2, rng, entries=10)
         g = f_to_h(h_to_f(f))
         for pt in sample_points(GAUSS, n, bound):
-            assert f.ring.eq(f.evaluate(pt, 2), g.evaluate(pt, 2))
+            assert f.evaluate(pt, 2) == g.evaluate(pt, 2)
 
 
 def test_bridge_on_rational_monomials_is_exact():
@@ -114,7 +114,7 @@ def test_symmetrize_fixes_equivariant_input():
     pts = sample_points(GAUSS, 1, 6)
     s2 = symmetrize(s, w)
     for pt in pts:
-        assert s.ring.eq(s.evaluate(pt, 1), s2.evaluate(pt, 1))
+        assert s.evaluate(pt, 1) == s2.evaluate(pt, 1)
 
 
 def test_teichmuller_character_values():
@@ -137,7 +137,7 @@ def test_character_decompose_reconstructs_and_transforms():
             got = g.values.get(key)
             if got is not None:
                 total = total + got
-        assert ring.eq(total, v)
+        assert total == v
     # each component transforms by its character under unit translation
     for label, g in comps:
         for u in range(2, 5):
@@ -147,7 +147,7 @@ def test_character_decompose_reconstructs_and_transforms():
             for ((x1, x2), yk), v in g.values.items():
                 moved = g.values.get(((x1 * u % pj, x2 * u % pj), yk))
                 lhs = ring.zero() if moved is None else moved
-                assert ring.eq(lhs, e1 * e2 * v)
+                assert lhs == e1 * e2 * v
 
 
 def test_character_decompose_qq_promotes_to_cyclotomic():
@@ -164,7 +164,7 @@ def test_character_decompose_qq_promotes_to_cyclotomic():
             got = g.values.get(key)
             if got is not None:
                 total = total + got
-        assert ring.eq(total, ring.coerce(v))
+        assert total == ring.coerce(v)
 
 
 def test_a_cyclotomic_component_refuses_the_ring_protocol_it_lacks():
@@ -206,7 +206,7 @@ def test_partition_function_rank_one_oracle():
             pt = GnPoint(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
             got = f.evaluate(pt, 1)
             expected = PadicElt(5, 0, x, 1) * ch(x * y % 5)
-            assert ring.eq(got, expected)
+            assert got == expected
 
 
 def test_continuous_function_consistency_and_level_requirement():
@@ -257,7 +257,7 @@ def test_rational_and_padic_monomials_agree_at_a_singular_y(e_det):
                              e_det=e_det).evaluate(pt)
             for ring in (QQ, zp))
         assert qq_val == (Fraction(24) if e_det == 0 else 0)
-        assert zp.eq(zp_val, zp.coerce(qq_val))
+        assert zp_val == zp.coerce(qq_val)
 
 
 @pytest.mark.parametrize("ring", [QQ, PadicRing(5, 24)])
@@ -266,14 +266,14 @@ def test_weight_twist_of_a_product_has_the_monomial_twist_s_support(ring):
     with nu != 0 both read 0 at the singular y = (5), and with nu = 0 and a
     non-negative power of det(y) both read the same value there."""
     one = MonomialFunction(SYMPL, 1, ring, Fraction(1))
-    prod = ProductFunction(SYMPL, 1, ring, one, lambda pt, r: r.one())
+    prod = ProductFunction(SYMPL, 1, ring, one, lambda pt, r: r.coerce(1))
     singular, unit = ((SYMPL.K(5),),), ((SYMPL.K(3),),)
     for w in (Weight(3, 1), Weight(3, 0), Weight(1, 1)):
         for y in (singular, unit):
             pt = GnPoint(SYMPL, SYMPL.K(1), y)
             got = weight_twist(prod, w).evaluate(pt)
             want = weight_twist(one, w).evaluate(pt)
-            assert ring.eq(got, want)
+            assert got == want
             if y is singular and w.nu != 0:
                 assert ring.is_zero(got)
             else:  # 5^2 at the singular y for Weight(3, 0)

@@ -223,7 +223,7 @@ def _padic_rank_one_jobs(field, cusp, bound):
         (7 * xk[0] + 3 * yk[0]) % 25, 5, 2))
     prod = ProductFunction(field, 1, ZP5, rule,
                            lambda pt, ring: CMElt.embed(pt.x, pt.field).xs
-                           + ring.one())
+                           + ring.coerce(1))
     return [(mono, Weight(3, 0)), (table, w), (rule, Weight(1, 0)),
             (prod, Weight(2, 0)), (weight_twist(table, w), Weight(1, 0))]
 

@@ -1,5 +1,6 @@
 """Inputs that must be refused: a moment of an integrand that is not unit
-invariant (exit 1), and a trace bound that leaves no point to check,
+invariant or whose bridged function is not equivariant (exit 1), a field
+option beside a config, a trace bound that leaves no point to check,
 JSON files whose top level, keys, prime, integer or string fields, p-adic
 values, containers or field configs do not match what the package
 writes, precisions and levels above ``MAX_PRECISION``, and irrational
@@ -38,6 +39,25 @@ def test_a_moment_of_an_integrand_that_is_not_unit_invariant_fails(capsys, d):
                          "4", "--det-power", d)
     assert code == 1 and out == ""
     assert err.startswith(NOT_INVARIANT)
+
+
+def test_moment_checks_the_bridged_function_as_integrate_does(capsys,
+                                                               tmp_path):
+    """A table on one x coset is not unit invariant, but at bound 6 the
+    integrand check reads it at the y cosets 1 to 4 mod 25, where it is
+    zero; the bridged function reads it at y^-1, and 2^-1 = 13 mod 25.
+    Both commands refuse it with the bridged check's witness."""
+    table = {"level": 2, "n": 1, "support": "all", "ring": "zp", "entries": [
+        {"x_coset": [1, 1], "y_coset": [13],
+         "value": {"val": 0, "unit": 3, "prec": 2}}]}
+    path = "@" + _write(tmp_path, table)
+    for command in ("integrate", "moment"):
+        code, out, err = run(capsys, command, "--p", "5", "--ring", "zp",
+                             "--bound", "6", "--function", path)
+        assert code == 1 and out == ""
+        assert err == ("error: coefficient function fails unit equivariance "
+                       "at unit (-1+0w), x = (1+0w), y = (((2+0w),),): "
+                       "O(5^24) != 5^0*11 + O(5^2)\n")
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -290,6 +310,31 @@ def test_a_ring_or_cusp_that_is_not_a_string_is_refused(capsys, tmp_path,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--mode", "symplectic", "--p", "11"], "--p, --mode"),
+    (["--p", "5"], "--p"), (["--k-disc", "-3"], "--k-disc"),
+    (["--precision", "6"], "--precision")])
+def test_a_field_option_beside_a_config_is_refused(capsys, tmp_path, options,
+                                                   named):
+    """A config sets the whole field, so a field option beside it is not
+    silently dropped, even one that repeats the config's value."""
+    path = _write(tmp_path, {"p": 7, "k_disc": -3})
+    argv = ["qexp", "--config", path, "--k", "4", "--function", "x^4",
+            "--bound", "2"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, *options)
+    assert code == 2 and out == ""
+    assert err == f"error: --config does not combine with {named}\n"
+
+
+def test_an_empty_config_path_is_refused(capsys):
+    """An empty --config is a file that cannot be opened, not no config."""
+    code, out, err = run(capsys, "qexp", "--config", "", "--k", "4",
+                         "--function", "x^4", "--bound", "2")
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize("source", ["option", "config"])

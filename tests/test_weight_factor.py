@@ -224,7 +224,7 @@ def test_product_twists_match_the_oracle(field):
                      PadicRing(field.p, field.precision),
                      PadicRing(field.p, 30)):
             base = MonomialFunction(field, n, ring, Fraction(3), e_xs=1)
-            prod = ProductFunction(field, n, ring, base, lambda pt, r: r.one())
+            prod = ProductFunction(field, n, ring, base, lambda pt, r: r.coerce(1))
             for w in weights(n):
                 new, old = weight_twist(prod, w), oracle.weight_twist(prod, w)
                 assert new.y_invertible == old.y_invertible
