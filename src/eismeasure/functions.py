@@ -11,15 +11,15 @@ several flavours:
 * ``MonomialFunction`` -- coef times the ring's monomial in the split
                        components of x and det(y), evaluable over the
                        rationals and Z_p;
-* ``ProductFunction``, ``LinearCombination``, ``ContinuousFunction`` --
-                       the obvious combinators.
+* ``ProductFunction``, ``LinearCombination`` -- the obvious combinators;
+* ``ContinuousFunction`` -- read only through its truncations ``truncate(j)``.
 
 The bridge between the integrand side (unit-invariant H) and the
 coefficient side (equivariant F) is the pair ``h_to_f`` / ``f_to_h``.  The
 bridge and the weight twist ``weight_twist`` share one weight factor, a
 norm of u = x^-1 * relnorm(x)^n * det y as exponents of (xs, xb, det y):
 monomials add it to their exponents and tables scale each coset's value by
-it; the bridge keeps a continuous function continuous, and the twist
+it; both map each truncation of a continuous function, and the twist
 multiplies any other function by the factor's value, the ring's monomial.
 """
 
@@ -30,6 +30,7 @@ from itertools import accumulate
 from typing import Callable
 
 from .errors import (
+    FieldDataError,
     GroupOrderNotInvertible,
     LevelMismatch,
     NotAUnit,
@@ -165,13 +166,13 @@ class GnPoint:
 
 
 class GnFunction:
-    """Base class; subclasses implement evaluate(pt, j)."""
+    """Base class; subclasses implement evaluate(pt), the value at pt."""
 
     def __init__(self, field: FieldData, n: int, ring, y_invertible=False):
         self.field, self.n, self.ring = field, n, ring
         self.y_invertible = y_invertible
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
+    def evaluate(self, pt: GnPoint):
         raise NotImplementedError
 
     def __add__(self, other: "GnFunction") -> "LinearCombination":
@@ -196,7 +197,7 @@ class LCFunction(GnFunction):
         super().__init__(field, n, ring, y_invertible)
         self.level, self.values, self.rule = level, values, rule
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
+    def evaluate(self, pt: GnPoint):
         if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
@@ -215,13 +216,16 @@ class LCFunction(GnFunction):
         for (xk, yk), v in sorted(self.values.items()):
             entries.append({"x_coset": list(xk), "y_coset": list(yk),
                             "value": self.ring.to_json(v)})
-        return {"level": self.level, "n": self.n,
+        return {"p": self.field.p, "level": self.level, "n": self.n,
                 "support": "y_invertible" if self.y_invertible else "all",
                 "ring": self.ring.tag, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict, field: FieldData) -> "LCFunction":
         level, n = _json_value(data, "level"), _json_value(data, "n")
+        if (p := _json_value(data, "p", error=FieldDataError)) != field.p:
+            raise FieldDataError(f"a table over p = {p} read with "
+                                 f"p = {field.p}")
         if level > MAX_PRECISION:  # before p^level is formed
             raise LevelMismatch(f"level {level} is above {MAX_PRECISION}")
         ring = ring_from_tag(_json_value(data, "ring", str), field)
@@ -263,7 +267,7 @@ class MonomialFunction(GnFunction):
             e_xs, e_xb = e_xs + e_xb, 0
         self.coef, self.e_xs, self.e_xb, self.e_det = coef, e_xs, e_xb, e_det
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
+    def evaluate(self, pt: GnPoint):
         if not pt.x_is_unit:
             raise NotAUnit("x coordinate must be a unit")
         if self.y_invertible and not pt.y_is_invertible:
@@ -301,10 +305,10 @@ class ProductFunction(GnFunction):
         super().__init__(field, n, ring, y_invertible)
         self.base, self.multiplier = base, multiplier
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
+    def evaluate(self, pt: GnPoint):
         if self.y_invertible and not pt.y_is_invertible:
             return self.ring.zero()
-        v = self.base.evaluate(pt, j)
+        v = self.base.evaluate(pt)
         if self.ring.is_zero(v):
             return v
         return v * self.multiplier(pt, self.ring)
@@ -317,15 +321,15 @@ class LinearCombination(GnFunction):
         super().__init__(field, n, ring, all(f.y_invertible for _, f in terms))
         self.terms = terms
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
+    def evaluate(self, pt: GnPoint):
         out = self.ring.zero()
         for c, f in self.terms:
-            out = out + self.ring.coerce(c) * f.evaluate(pt, j)
+            out = out + self.ring.coerce(c) * f.evaluate(pt)
         return out
 
 
 class ContinuousFunction(GnFunction):
-    """A continuous function given through its truncation oracle."""
+    """A continuous function, read (and integrated mod p^j) as truncate(j)."""
 
     def __init__(self, field, n, ring, oracle: Callable[[int], GnFunction],
                  y_invertible=False):
@@ -335,10 +339,8 @@ class ContinuousFunction(GnFunction):
     def truncate(self, j: int) -> GnFunction:
         return self.oracle(j)
 
-    def evaluate(self, pt: GnPoint, j: int | None = None):
-        if j is None:
-            raise LevelMismatch("continuous functions need a precision level")
-        return self.oracle(j).evaluate(pt, j)
+    def evaluate(self, pt: GnPoint):
+        raise LevelMismatch("a continuous function is evaluated as truncate(j)")
 
     def check_consistency(self, points, levels) -> bool:
         """Truncations must agree mod p^j for j <= j'."""
@@ -349,8 +351,8 @@ class ContinuousFunction(GnFunction):
                     continue
                 fj, fj2 = self.oracle(j), self.oracle(j2)
                 for pt in points:
-                    a = fj.evaluate(pt, j)
-                    b = fj2.evaluate(pt, j2)
+                    a = fj.evaluate(pt)
+                    b = fj2.evaluate(pt)
                     if not _congruent(a, b, p, j):
                         return False
         return True
@@ -366,12 +368,9 @@ def _congruent(a, b, p: int, j: int) -> bool:
     return a.congruent_mod(b, j)
 
 
-def evaluate(f: GnFunction, pt: GnPoint, j: int | None = None):
-    """Evaluate f at pt; p-adic results are truncated to absolute precision j."""
-    v = f.evaluate(pt, j)
-    if j is not None and isinstance(v, PadicElt):
-        return v.with_abs_prec(j)
-    return v
+def evaluate(f: GnFunction, pt: GnPoint):
+    """The value of f at pt, as the sweep reads it."""
+    return f.evaluate(pt)
 
 
 # -- the weight factor: the bridge and the weight twist ----------------------
@@ -439,13 +438,9 @@ def f_to_h(f: GnFunction) -> GnFunction:
 
 
 def _bridge(g: GnFunction, e: tuple[int, int, int]) -> GnFunction:
-    def other(g):  # a continuous function stays continuous
-        if not isinstance(g, ContinuousFunction):
-            raise RingMismatch(f"no bridge for {type(g).__name__}")
-        return ContinuousFunction(g.field, g.n, g.ring,
-                                  lambda j: _bridge(g.oracle(j), e),
-                                  y_invertible=True)
-    return _times_weight(g, e, other, invert_y=True, y_inv=True)
+    def refuse(g):
+        raise RingMismatch(f"no bridge for {type(g).__name__}")
+    return _times_weight(g, e, refuse, invert_y=True, y_inv=True)
 
 
 def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
@@ -466,8 +461,8 @@ def weight_twist(f: GnFunction, w: Weight) -> GnFunction:
 def _times_weight(g: GnFunction, e: tuple[int, int, int], other, *,
                   invert_y: bool, y_inv: bool) -> GnFunction:
     """g(x, y^-1) (or g(x, y)) times xs^e0 * xb^e1 * det(y)^e2 for a
-    monomial (y-invertible if g is or y_inv is), a combination or a table;
-    ``other`` takes any other function."""
+    monomial (y-invertible if g is or y_inv is), a combination, a table or
+    each truncation of a continuous function; ``other`` takes the rest."""
     field, n, ring = g.field, g.n, g.ring
     if isinstance(g, MonomialFunction):
         e_det = -g.e_det if invert_y else g.e_det
@@ -480,6 +475,10 @@ def _times_weight(g: GnFunction, e: tuple[int, int, int], other, *,
             for c, f in g.terms))
     if isinstance(g, LCFunction):
         return _scale_table(g, e, invert_y)
+    if isinstance(g, ContinuousFunction):
+        return ContinuousFunction(field, n, ring, lambda j: _times_weight(
+            g.oracle(j), e, other, invert_y=invert_y, y_inv=y_inv),
+            y_invertible=y_inv or g.y_invertible)
     return other(g)
 
 
@@ -504,11 +503,10 @@ def unit_weight_factor(e: KNum, w: Weight) -> KNum:
     return e ** (w.k + 2 * w.nu)
 
 
-def check_equivariance(f: GnFunction, w: Weight, points,
-                       j: int | None = None) -> EquivarianceReport:
+def check_equivariance(f: GnFunction, w: Weight, points) -> EquivarianceReport:
     """Does f transform under integral units with the weight-(k, nu) norm?
 
-    Unit invariance is the case w = (0, 0)."""
+    Unit invariance is w = (0, 0); a continuous f is checked as truncate(j)."""
     field = f.field
     for e in field.unit_group:
         factor = unit_weight_factor(e, w)
@@ -520,8 +518,8 @@ def check_equivariance(f: GnFunction, w: Weight, points,
         except NotRational:  # an irrational factor: only zero transforms by it
             fac = None
         for pt in points:
-            lhs = f.evaluate(pt.unit_translate(e), j)
-            rhs = f.evaluate(pt, j)
+            lhs = f.evaluate(pt.unit_translate(e))
+            rhs = f.evaluate(pt)
             if fac is None:
                 ok = f.ring.is_zero(lhs) and f.ring.is_zero(rhs)
             else:

@@ -1,9 +1,10 @@
-"""Integration of locally constant and continuous functions against the measure.
+"""Integration of locally constant functions against the measure.
 
 The defining property: integrating a unit-invariant integrand h equals the
 base-weight expansion attached to the bridged coefficient function
-``h_to_f(h)``.  Moments against polynomial multipliers are computed through
-two independent routes (a product integrand, and coefficientwise
+``h_to_f(h)``; a continuous h is integrated mod p^j as ``h.truncate(j)``.
+Moments against polynomial multipliers are computed through two
+independent routes (a product integrand, and coefficientwise
 multiplication) and cross-checked; the sweep ``qexp._expansions`` validates.
 """
 
@@ -35,12 +36,10 @@ from .rings import QQ
 
 
 class MeasureContext:
-    """Everything needed to integrate: field, rank, cusp and bounds."""
+    """What integrating needs: the field, the cusp (so the rank), the bound."""
 
-    def __init__(self, field: FieldData, cusp: CuspData, trace_bound: int,
-                 precision: int | None = None):
-        self.field, self.cusp = field, cusp
-        self.trace_bound, self.precision = trace_bound, precision
+    def __init__(self, field: FieldData, cusp: CuspData, trace_bound: int):
+        self.field, self.cusp, self.trace_bound = field, cusp, trace_bound
 
     @property
     def n(self) -> int:
@@ -53,10 +52,10 @@ class MeasureContext:
 
 def integrate(h: GnFunction, ctx: MeasureContext) -> QExpansion:
     """The base-weight expansion of h_to_f(h); the sweep checks that h is
-    unit invariant and h_to_f(h) equivariant."""
+    unit invariant and h_to_f(h) equivariant.  A continuous h is integrated
+    mod p^j as its truncation: integrate(h.truncate(j), ctx)."""
     return _expansions([(h_to_f(h), Weight(ctx.n, 0))], ctx.cusp,
-                       ctx.trace_bound, ctx.field, ctx.precision,
-                       integrand=h)[0]
+                       ctx.trace_bound, ctx.field, integrand=h)[0]
 
 
 def _zeta_multiplier(mult: MatrixPolynomial):
@@ -87,7 +86,7 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial,
     w = Weight(ctx.n, 0)
     # the first job is integrate(h, ctx)
     q, q2 = _expansions([(f, w), (f2, w)], ctx.cusp, ctx.trace_bound,
-                        ctx.field, ctx.precision, integrand=h)
+                        ctx.field, integrand=h)
     if not q2 == theta_apply(q, mult):
         raise ShapeMismatch("moment routes disagree")
     return q2

@@ -206,9 +206,10 @@ def eisenstein_qexp(f: GnFunction, w: Weight, cusp: CuspData,
 
 
 def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
-                precision: int | None = None, validate: bool = True,
+                validate: bool = True,
                 integrand: GnFunction | None = None) -> list[QExpansion]:
-    """The expansions of several (f, w) jobs over one context, in one sweep.
+    """The expansions of several (f, w) jobs over one context, in one sweep;
+    a continuous function is swept through a truncation, ``truncate(j)``.
 
     The one validation step: the integrand's unit invariance and, with
     ``validate``, each job's equivariance, on one ``_sample_points`` set; a
@@ -240,11 +241,10 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     if checks and not (pts := _sample_points(field, cusp, betas)):
         raise ValueError(f"trace bound {trace_bound} leaves no point to check")
     for g, w, failure in checks:
-        report = check_equivariance(g, w, pts, j=precision)
+        report = check_equivariance(g, w, pts)
         if not report.passed:
             raise EquivarianceViolation(f"{failure} at {report.witness_text()}")
-    coefficient = [_job_coefficient(f, w, n, field, precision)
-                   for f, w in jobs]
+    coefficient = [_job_coefficient(f, w, n, field) for f, w in jobs]
     terms = [{} for _ in jobs]
     for beta in betas:
         key, rule_terms = beta.key(), _rule_terms(cusp.rule, beta)
@@ -254,11 +254,11 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
             for (f, w), t in zip(jobs, terms)]
 
 
-def _job_coefficient(f, w, n, field, precision):
+def _job_coefficient(f, w, n, field):
     """The job's accumulator, (beta, rule terms) -> coefficient."""
     # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
     e = (-w.k - w.nu, w.nu, w.k - n)
-    by_term = partial(_ring_coefficient, f, e, field, precision)
+    by_term = partial(_ring_coefficient, f, e, field)
     if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
         return by_term
@@ -298,14 +298,14 @@ def _power_sum(f, e, dexp, p, by_term, beta, terms) -> Fraction:
                     den * f.coef.denominator * dd ** abs(dexp))
 
 
-def _ring_coefficient(f, e, field, precision, beta, terms):
+def _ring_coefficient(f, e, field, beta, terms):
     """The coefficient in the function's ring, term by term over the
     points, each nonzero term times the ring's monomial of exponents e at
     (x, det(beta))."""
     points = terms[2] or _rule_points(field, beta, terms)
     ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
     for (_, mult), pt in zip(terms[1], points):
-        fval = evaluate(f, pt, precision)
+        fval = evaluate(f, pt)
         if ring.is_zero(fval):
             continue
         c = c + ring.coerce(mult) * fval * ring.monomial(pt.x, detb, e, field)

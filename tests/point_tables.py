@@ -14,17 +14,21 @@ from eismeasure.rings import PadicRing
 WS_WEIGHTS = tuple((k, nu) for k in range(2, 7) for nu in (-1, 0, 1))
 
 
+def sweep_points(field, n, cusp, bound):
+    """The sweep's points with invertible y, in sweep order."""
+    return [pt for beta in enumerate_positive(field, n, bound)
+            for pt in (_rule_point(field, a, beta) for a, _ in cusp.rule(beta))
+            if pt.y_is_invertible]
+
+
 def table_at_points(field, n, cusp, bound, w, seed):
     """A symmetrized level-2 table over Z_5 with unit values at the
     sweep's points."""
     rng = random.Random(seed)
     values = {}
-    for beta in enumerate_positive(field, n, bound):
-        for a, _ in cusp.rule(beta):
-            pt = _rule_point(field, a, beta)
-            if pt.y_is_invertible:
-                values[(pt.x_key(2), pt.y_key(2))] = PadicElt(
-                    5, 0, rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 11, 12]), 2)
+    for pt in sweep_points(field, n, cusp, bound):
+        values[(pt.x_key(2), pt.y_key(2))] = PadicElt(
+            5, 0, rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 11, 12]), 2)
     table = LCFunction(field, n, PadicRing(5, 2), 2, values=values,
                        y_invertible=True)
     return symmetrize(table, w)

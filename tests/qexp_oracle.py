@@ -41,15 +41,14 @@ def oracle_sample_points(field: FieldData, cusp: CuspData, betas,
 
 
 def oracle_qexp(f: GnFunction, w: Weight, cusp: CuspData, trace_bound: int,
-                field: FieldData, precision: int | None = None,
-                validate: bool = True) -> QExpansion:
+                field: FieldData, validate: bool = True) -> QExpansion:
     n = cusp.n
     if w.k < n:
         raise ValueError(f"weight {w.k} below the rank {n}")
     betas = enumerate_positive(field, n, trace_bound)
     if validate:
         report = check_equivariance(
-            f, w, oracle_sample_points(field, cusp, betas), j=precision)
+            f, w, oracle_sample_points(field, cusp, betas))
         if not report.passed:
             raise EquivarianceViolation("coefficient function fails unit "
                                         f"equivariance at {report.witness_text()}")
@@ -62,7 +61,7 @@ def oracle_qexp(f: GnFunction, w: Weight, cusp: CuspData, trace_bound: int,
             na = norm_rel_exact(a, field)
             y = tuple(tuple(e / na for e in row) for row in beta.entries)
             pt = GnPoint(field, a, y)
-            fval = evaluate(f, pt, precision)
+            fval = evaluate(f, pt)
             if ring.is_zero(fval):
                 continue
             if ring.tag == "qq":

@@ -53,7 +53,7 @@ def test_bridge_roundtrip_on_tables(n, bound):
         f = random_lc_function(GAUSS, n, 2, rng, entries=10)
         g = f_to_h(h_to_f(f))
         for pt in sample_points(GAUSS, n, bound):
-            assert f.evaluate(pt, 2) == g.evaluate(pt, 2)
+            assert f.evaluate(pt) == g.evaluate(pt)
 
 
 def test_bridge_on_rational_monomials_is_exact():
@@ -101,10 +101,10 @@ def test_symmetrize_gives_equivariant_tables():
     w = Weight(3, 1)
     f = random_lc_function(GAUSS, 1, 2, rng, entries=8)
     pts = support_points(f)
-    assert not check_equivariance(f, w, pts, j=2).passed
+    assert not check_equivariance(f, w, pts).passed
     s = symmetrize(f, w)
-    assert check_equivariance(s, w, pts, j=2).passed
-    assert check_equivariance(s, w, support_points(s), j=2).passed
+    assert check_equivariance(s, w, pts).passed
+    assert check_equivariance(s, w, support_points(s)).passed
 
 
 def test_symmetrize_fixes_equivariant_input():
@@ -114,7 +114,7 @@ def test_symmetrize_fixes_equivariant_input():
     pts = sample_points(GAUSS, 1, 6)
     s2 = symmetrize(s, w)
     for pt in pts:
-        assert s.evaluate(pt, 1) == s2.evaluate(pt, 1)
+        assert s.evaluate(pt) == s2.evaluate(pt)
 
 
 def test_teichmuller_character_values():
@@ -204,7 +204,7 @@ def test_partition_function_rank_one_oracle():
     for x in (1, 2, 3, 4):
         for y in (1, 2, 3, 4):
             pt = GnPoint(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
-            got = f.evaluate(pt, 1)
+            got = f.evaluate(pt)
             expected = PadicElt(5, 0, x, 1) * ch(x * y % 5)
             assert got == expected
 

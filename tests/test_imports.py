@@ -2,9 +2,10 @@
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included (a quoted annotation is text, and does not count).
-A name bound in a function must be read in that function, and a private
-(``_``-prefixed) function, class or method of the package must be named
-somewhere in the package besides its definition.
+A name bound in a function must be read in that function, every parameter
+of a package function must be read in it, and a private (``_``-prefixed)
+function, class or method of the package must be named somewhere in the
+package besides its definition.
 """
 
 import ast
@@ -73,6 +74,56 @@ def test_every_name_bound_in_a_function_is_read(path):
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for name, line in _unread(fn).items()}
     assert not unread, f"{path.name}: names bound and never read {unread}"
+
+
+#: parameters a protocol fixes but an implementation has no use for
+PROTOCOL_SLOTS = {("RationalRing.from_knum", "field"),
+                  ("CuspData.single_term.rule", "beta")}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, def) for every function under node, nested ones
+    included."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, DEFS):
+            yield from _functions(child, prefix)
+            continue
+        name = prefix + child.name
+        if not isinstance(child, ast.ClassDef):
+            yield name, child
+        yield from _functions(child, name + ".")
+
+
+def _only_raises(fn) -> bool:
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]  # the docstring
+    return bool(body) and all(isinstance(st, ast.Raise) for st in body)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_parameter_of_a_package_function_is_read(path):
+    """A parameter nothing reads is an option no caller can use; ``self``
+    and ``cls``, a body that only raises, and a protocol slot are exempt."""
+    unread = {}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name, fn in _functions(tree):
+        if _only_raises(fn):
+            continue
+        # an augmented assignment reads its target
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)} | {
+            node.target.id for node in ast.walk(fn)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Name)}
+        args = fn.args
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))):
+            if (a.arg not in read | {"self", "cls"}
+                    and (name, a.arg) not in PROTOCOL_SLOTS):
+                unread[f"{name}({a.arg})"] = a.lineno
+    assert not unread, f"{path.name}: parameters never read {unread}"
 
 
 def test_every_private_definition_is_named():

@@ -18,7 +18,6 @@ from eismeasure.functions import (
     ProductFunction,
     h_to_f,
     random_lc_function,
-    symmetrize,
     unit_weight_factor,
 )
 from eismeasure.hermitian import CuspData, enumerate_positive
@@ -33,6 +32,7 @@ from eismeasure.measure import (
 from eismeasure.padic import PadicElt, _vp
 from eismeasure.qexp import _expansions, _rule_point
 from eismeasure.rings import QQ, PadicRing
+from point_tables import table_at_points
 from ring_oracle import (
     oracle_factor_in_ring,
     oracle_theta_apply,
@@ -57,7 +57,7 @@ def test_rank_one_integration_pinned():
 def test_integrate_rejects_non_invariant_integrands():
     rng = random.Random(1)
     raw = random_lc_function(GAUSS, 1, 1, rng, entries=20)
-    ctx = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 1), 8, precision=1)
+    ctx = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 1), 8)
     with pytest.raises(EquivarianceViolation):
         integrate(raw, ctx)
 
@@ -82,15 +82,17 @@ def test_moment_detd_rejects_a_negative_power(d):
 
 
 def test_moment_routes_cross_check_runs():
-    rng = random.Random(14)
-    h = symmetrize(random_lc_function(GAUSS, 2, 1, rng, entries=6),
-                   Weight(2, 0))
-    ctx = MeasureContext(GAUSS, CuspData.single_term(GAUSS, 2), 4, precision=1)
+    """Both moment routes agree on a unit-invariant table that is nonzero at
+    the sweep's points, and the moment is not zero."""
+    cusp = CuspData.single_term(GAUSS, 2)
+    h = table_at_points(GAUSS, 2, cusp, 4, Weight(0, 0), 14)
+    ctx = MeasureContext(GAUSS, cusp, 4)
     fz = f_zeta(MatrixPolynomial.variable(2, 0, 0), 10)
     q = moment_zeta(h, fz, ctx)
     base = integrate(h, ctx)
     other = theta_apply(base, fz)
     assert q == other
+    assert sum(not q.ring.is_zero(c) for _, c in q.terms.values()) >= 17
 
 
 def test_kummer_check_passes_for_congruent_weights():

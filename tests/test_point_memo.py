@@ -153,53 +153,53 @@ def _assert_same(got, want):
 
 def test_interleaved_sweeps_over_stored_points_match_the_oracle(monkeypatch):
     """Sweeps in shuffled order, alone and in groups, with and without
-    validation and truncation, over every context twice: each expansion
-    (or error) equals the oracle's, run by run.  The oracle's points store
-    neither coset keys nor translates."""
+    validation, over every context twice: each expansion (or error) equals
+    the oracle's, run by run.  The oracle's points store neither coset keys
+    nor translates."""
     jobs = [_jobs(field, cusp.n, cusp, bound, 7 + i)
             for i, (field, cusp, bound) in enumerate(CONTEXTS)]
     enumerate_positive.cache_clear()  # the first round starts cold
-    runs = [(c, (j,), prec, validate)
+    runs = [(c, (j,), validate)
             for c, ctx_jobs in enumerate(jobs)
             for j in range(len(ctx_jobs))
-            for prec, validate in ((None, False), (2, False), (None, True))]
+            for validate in (False, True)]
     oracle = {}
 
-    def want(c, j, prec, validate):
-        if (c, j, prec, validate) not in oracle:
+    def want(c, j, validate):
+        if (c, j, validate) not in oracle:
             field, cusp, bound = CONTEXTS[c]
             f, w = jobs[c][j]
             with monkeypatch.context() as m:
                 m.setattr(GnPoint, "unit_translate", _fresh_translate)
                 m.setattr(GnPoint, "coset_key", _fresh_coset_key)
-                oracle[c, j, prec, validate] = _outcome(lambda: oracle_qexp(
-                    f, w, cusp, bound, field, prec, validate=validate))
-        return oracle[c, j, prec, validate]
+                oracle[c, j, validate] = _outcome(lambda: oracle_qexp(
+                    f, w, cusp, bound, field, validate=validate))
+        return oracle[c, j, validate]
 
-    for c, (j,), prec, validate in runs:
-        want(c, j, prec, validate)
+    for c, (j,), validate in runs:
+        want(c, j, validate)
     rng = random.Random(12)
     for c, ctx_jobs in enumerate(jobs):  # groups of jobs that succeed alone
         good = [j for j in range(len(ctx_jobs))
-                if not isinstance(want(c, j, None, False), tuple)]
+                if not isinstance(want(c, j, False), tuple)]
         assert len(good) >= 5
         for _ in range(3):
-            runs.append((c, tuple(rng.sample(good, 3)), None, False))
+            runs.append((c, tuple(rng.sample(good, 3)), False))
     failed = 0
     for _ in range(2):
         rng.shuffle(runs)
-        for c, group, prec, validate in runs:
+        for c, group, validate in runs:
             field, cusp, bound = CONTEXTS[c]
             got = _outcome(lambda: _expansions(
-                [jobs[c][j] for j in group], cusp, bound, field, prec,
+                [jobs[c][j] for j in group], cusp, bound, field,
                 validate=validate))
             if len(group) == 1:
                 got = got if isinstance(got, tuple) else got[0]
-                _assert_same(got, want(c, group[0], prec, validate))
+                _assert_same(got, want(c, group[0], validate))
                 failed += isinstance(got, tuple)
                 continue
             for j, q in zip(group, got):
-                _assert_same(q, want(c, j, prec, False))
+                _assert_same(q, want(c, j, False))
     # the validated raw tables fail the check, and so are compared as errors
     assert failed > 0
 
@@ -586,8 +586,7 @@ def test_the_view_from_the_rules_integers_equals_the_one_from_points(field):
     kinds = collections.Counter()
     for cusp, n in _view_cusps(field):
         mono = MonomialFunction(field, n, QQ, Fraction(1), e_xs=2, e_det=-1)
-        coefficient = _job_coefficient(mono, Weight(n + 2, 0), n, field,
-                                       None)
+        coefficient = _job_coefficient(mono, Weight(n + 2, 0), n, field)
         enumerate_positive.cache_clear()
         betas = [*enumerate_positive(field, n, 12 if n == 1 else 5)]
         if cusp.label != "divisor":  # it needs an integral trace

@@ -264,24 +264,22 @@ def _rational_rank_two_jobs(field, cusp, bound):
     return [(mono, Weight(2, 0)), (prod, Weight(3, 0))]
 
 
-#: case -> (job builder, field, cusp, trace bound, precision)
+#: case -> (job builder, field, cusp, trace bound)
 SWEEPS = {
     "qq-divisor-n1": (_rational_jobs, SYMPL, CuspData.divisor_rule(SYMPL),
-                      40, None),
+                      40),
     "zp-divisor-n1": (_padic_rank_one_jobs, SYMPL,
-                      CuspData.divisor_rule(SYMPL), 30, None),
-    "zp-divisor-n1-truncated": (_padic_rank_one_jobs, SYMPL,
-                                CuspData.divisor_rule(SYMPL), 30, 3),
+                      CuspData.divisor_rule(SYMPL), 30),
     "zp-single-n1": (_padic_rank_one_jobs, GAUSS,
-                     CuspData.single_term(GAUSS, 1), 12, None),
+                     CuspData.single_term(GAUSS, 1), 12),
     "zp-single-n2": (_padic_rank_two_jobs, GAUSS,
-                     CuspData.single_term(GAUSS, 2), 4, None),
+                     CuspData.single_term(GAUSS, 2), 4),
     "qq-single-n2": (_rational_rank_two_jobs, GAUSS,
-                     CuspData.single_term(GAUSS, 2), 4, None),
+                     CuspData.single_term(GAUSS, 2), 4),
     "qq-divisor-n1-powers": (_power_sum_jobs, SYMPL,
-                             CuspData.divisor_rule(SYMPL), 40, None),
+                             CuspData.divisor_rule(SYMPL), 40),
     "qq-divisor-unitary-n1": (_power_sum_jobs, GAUSS,
-                              CuspData.divisor_rule(GAUSS), 40, None),
+                              CuspData.divisor_rule(GAUSS), 40),
 }
 
 
@@ -302,18 +300,18 @@ def assert_same_expansion(got: QExpansion, want: QExpansion):
 
 @pytest.mark.parametrize("case", sorted(SWEEPS))
 def test_sweep_matches_the_per_function_oracle(case):
-    make_jobs, field, cusp, bound, precision = SWEEPS[case]
+    make_jobs, field, cusp, bound = SWEEPS[case]
     jobs = make_jobs(field, cusp, bound)
-    got = _expansions(jobs, cusp, bound, field, precision, validate=False)
+    got = _expansions(jobs, cusp, bound, field, validate=False)
     assert len(got) == len(jobs)
     for (f, w), q in zip(jobs, got):
-        want = oracle_qexp(f, w, cusp, bound, field, precision, validate=False)
+        want = oracle_qexp(f, w, cusp, bound, field, validate=False)
         assert_same_expansion(q, want)
         if isinstance(f, MonomialFunction) and f.ring is QQ:  # a power sum
             assert_same_expansion(
                 q, oracle_power_qexp(f, w, cusp, bound, field))
         assert_same_expansion(
-            _expansions([(f, w)], cusp, bound, field, precision,
+            _expansions([(f, w)], cusp, bound, field,
                         validate=False)[0], want)
         assert any(not f.ring.is_zero(c) for _, c in q.terms.values())
 
@@ -475,16 +473,16 @@ def test_monomial_sweeps_make_no_value_call(monkeypatch):
     calls = collections.Counter()
 
     def counting(method):
-        def counted(self, pt, j=None):
+        def counted(self, pt):
             calls[type(self).__name__] += 1
-            return method(self, pt, j)
+            return method(self, pt)
         return counted
 
     for cls in (MonomialFunction, ProductFunction, LinearCombination):
         monkeypatch.setattr(cls, "evaluate", counting(vars(cls)["evaluate"]))
     for case in ("qq-divisor-n1-powers", "qq-divisor-unitary-n1",
                  "qq-single-n2"):
-        make_jobs, field, cusp, bound, _ = SWEEPS[case]
+        make_jobs, field, cusp, bound = SWEEPS[case]
         jobs = [(f, w) for f, w in make_jobs(field, cusp, bound)
                 if isinstance(f, MonomialFunction)]
         _expansions(jobs, cusp, bound, field, validate=False)

@@ -47,7 +47,8 @@ def test_moment_checks_the_bridged_function_as_integrate_does(capsys,
     integrand check reads it at the y cosets 1 to 4 mod 25, where it is
     zero; the bridged function reads it at y^-1, and 2^-1 = 13 mod 25.
     Both commands refuse it with the bridged check's witness."""
-    table = {"level": 2, "n": 1, "support": "all", "ring": "zp", "entries": [
+    table = {"p": 5, "level": 2, "n": 1, "support": "all", "ring": "zp",
+             "entries": [
         {"x_coset": [1, 1], "y_coset": [13],
          "value": {"val": 0, "unit": 3, "prec": 2}}]}
     path = "@" + _write(tmp_path, table)
@@ -88,7 +89,8 @@ def test_invariance_is_checked_at_the_values_precision(capsys, tmp_path):
     digits."""
     # i moves the x coset (1, 1) to (2, 3), and -i to (3, 2)
     values = {(1, 1): 1, (4, 4): 1 + 5 ** 5, (2, 3): 1, (3, 2): 1}
-    table = {"level": 1, "n": 1, "support": "all", "ring": "zp", "entries": [
+    table = {"p": 5, "level": 1, "n": 1, "support": "all", "ring": "zp",
+             "entries": [
         {"x_coset": list(xk), "y_coset": [1],
          "value": {"val": 0, "unit": u, "prec": 10}}
         for xk, u in values.items()]}
@@ -124,6 +126,24 @@ def test_an_expansion_over_another_prime_is_refused(capsys, tmp_path):
                                                         p="13"))
     assert code == 2 and out == ""
     assert err == "error: an expansion over p = 13 read with p = 5\n"
+
+
+@pytest.mark.parametrize("p, error", [
+    (5, "a table over p = 5 read with p = 7"), (None, "p is missing")])
+def test_a_table_over_another_prime_is_refused(capsys, tmp_path, p, error):
+    """A table records its prime: a p = 5 table read under a p = 7 config,
+    or one without p, is refused before its cosets are read."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"p": 7, "k_disc": -3}))
+    data = random_lc_function(FieldData(p=5), 1, 1, random.Random(7),
+                              entries=6).to_json()
+    assert data.pop("p") == 5
+    if p is not None:
+        data["p"] = p
+    code, out, err = run(capsys, "decompose", "--config", str(config),
+                         "--table", _write(tmp_path, data))
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("key, value", [("trace_bound", 4.7), ("n", True)])

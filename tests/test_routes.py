@@ -1,5 +1,6 @@
-"""Routes no other test runs: integrating a continuous function, symmetrizing
-a rational table, a monomial's truncation at a singular y coset, and the
+"""Routes no other test runs: integrating a continuous function through its
+truncations, the bridge and twist of a continuous function, symmetrizing a
+rational table, a monomial's truncation at a singular y coset, and the
 discrete-log table against the primitive-root search it replaced."""
 
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dlog_oracle import oracle_dlog_table
+from eismeasure.errors import LevelMismatch
 from eismeasure.fields import FieldData, Weight
 from eismeasure.functions import (
     ContinuousFunction,
@@ -19,10 +21,12 @@ from eismeasure.functions import (
     check_equivariance,
     h_to_f,
     symmetrize,
+    weight_twist,
 )
 from eismeasure.hermitian import CuspData
 from eismeasure.measure import MeasureContext, integrate
 from eismeasure.rings import QQ, PadicRing
+from point_tables import sweep_points
 
 GAUSS = FieldData(p=5, k_disc=-4)
 SYMPL = FieldData(p=5, mode="symplectic")
@@ -53,27 +57,57 @@ CONTINUOUS_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CONTINUOUS_CASES)
-def test_a_continuous_integrand_integrates_as_its_truncations(case):
-    """The continuous function whose level-j truncation is m.truncate(j)
-    integrates at precision j to integrate(m) mod p^j; its bridge keeps each
-    truncation a level-j table."""
+def _continuous_case(case):
     field, n, cusp_kind, bound, exps, floor = CONTINUOUS_CASES[case]
     cusp = (CuspData.divisor_rule(field) if cusp_kind == "divisor"
             else CuspData.single_term(field, n))
     m = MonomialFunction(field, n, R8, 1, **exps)
-    want = integrate(m, MeasureContext(field, cusp, bound))
+    return field, n, cusp, bound, m, floor
+
+
+@pytest.mark.parametrize("case", CONTINUOUS_CASES)
+def test_a_continuous_integrand_integrates_as_its_truncations(case):
+    """The continuous function whose level-j truncation is m.truncate(j)
+    integrates, through that truncation, to integrate(m) mod p^j; its
+    bridge keeps each truncation a level-j table, and it is not itself
+    integrated."""
+    field, n, cusp, bound, m, floor = _continuous_case(case)
+    ctx = MeasureContext(field, cusp, bound)
+    want = integrate(m, ctx)
     h = ContinuousFunction(field, n, R8, m.truncate)
+    with pytest.raises(LevelMismatch, match=r"truncate\(j\)"):
+        integrate(h, ctx)
     for j in (1, 2, 3):
         f_j = h_to_f(h).truncate(j)
         assert isinstance(f_j, LCFunction) and f_j.level == j
-        got = integrate(h, MeasureContext(field, cusp, bound, precision=j))
+        got = integrate(h.truncate(j), ctx)
         assert got.terms.keys() == want.terms.keys()
         nonzero = 0
         for key, (_, c) in want.terms.items():
             assert _congruent(got.terms[key][1], c, field.p, j), (j, key)
             nonzero += not _congruent(c, R8.zero(), field.p, j)
         assert nonzero >= floor, (j, nonzero)
+
+
+@pytest.mark.parametrize("case", CONTINUOUS_CASES)
+def test_the_bridge_and_twist_of_a_continuous_function_are_continuous(case):
+    """h_to_f(h) and weight_twist(h, w) are continuous, and their level-j
+    truncations are the bridge and twist of h.truncate(j) at the sweep's
+    points, where each is a unit."""
+    field, n, cusp, bound, m, _ = _continuous_case(case)
+    h = ContinuousFunction(field, n, R8, m.truncate)
+    pts = [pt for pt in sweep_points(field, n, cusp, bound) if pt.x_is_unit]
+    assert pts
+    routes = [(h_to_f(h), h_to_f)] + [
+        (weight_twist(h, w), lambda g, w=w: weight_twist(g, w))
+        for w in (Weight(n, 0), Weight(n + 2, -1), Weight(n + 1, 1))]
+    for g, route in routes:
+        assert isinstance(g, ContinuousFunction)
+        for j in (1, 2, 3):
+            got, want = g.truncate(j), route(h.truncate(j))
+            for pt in pts:
+                v = got.evaluate(pt)
+                assert v == want.evaluate(pt) and v.val == 0, (j, pt.x, pt.y)
 
 
 @pytest.mark.parametrize("w", [Weight(2, 0), Weight(4, -1), Weight(0, 1)],

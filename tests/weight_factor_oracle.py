@@ -203,15 +203,14 @@ def unit_weight_factor(e: KNum, w: Weight, field: FieldData) -> KNum:
     return e ** (w.k + 2 * w.nu) * field.K(e.norm()) ** (-w.nu)
 
 
-def check_unit_invariance(h: GnFunction, points,
-                          j: int | None = None) -> EquivarianceReport:
+def check_unit_invariance(h: GnFunction, points) -> EquivarianceReport:
     """Integrands must satisfy h(e*x, relnorm(e)*y) = h(x, y)."""
     field = h.field
     for e in field.unit_group:
         ei = e.inverse()
         for pt in points:
-            lhs = h.evaluate(pt.unit_translate(ei), j)
-            rhs = h.evaluate(pt, j)
+            lhs = h.evaluate(pt.unit_translate(ei))
+            rhs = h.evaluate(pt)
             if not lhs == rhs:
                 return EquivarianceReport(False, (e, pt, lhs, rhs))
     return EquivarianceReport(True)
