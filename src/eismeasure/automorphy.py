@@ -12,11 +12,25 @@ point run the same kernels on a stack of one.  ``selftest`` draws its samples
 in chunks of up to ``CHUNK`` passes, from the ``random.Random(seed)`` stream
 in the order of a pass-by-pass loop, checks the chunk's points against the
 domain in one call, verifies the chunk with the kernels, and folds the
-residuals pass by pass in scalar Python arithmetic.  Every pass draws the
-same, rejected or not, so the chunks are independent.  Stacked ``det``,
-``inv``, ``svd``, ``eigvalsh`` and ``@`` give the same bits as calls on
-single matrices, so a seed gives the same residuals as the pass-by-pass
-loop; ``_ill`` asks LAPACK's ``cond`` only where det and norm cannot settle it.
+chunk's residuals as arrays.  Every pass draws the same, rejected or not, so
+the chunks are independent.  Stacked ``det``, ``inv``, ``svd``, ``eigvalsh``
+and ``@`` give the same bits as calls on single matrices, so a seed gives the
+same residuals as the pass-by-pass loop; ``_ill`` asks LAPACK's ``cond`` only
+where det and norm cannot settle it.
+
+The residuals are defined by a per-pass fold in Python's scalar arithmetic
+(``_Cocycle.residuals`` and ``_Section.value``), and numpy's complex ``*``,
+``/`` and ``**`` differ from Python's in the last bit.  So the array fold
+writes out CPython's own complex product, Smith's quotient and its integer
+power by squaring (for exponents up to 100) in float arrays, takes ``abs()``
+as ``np.hypot``, and leaves real powers to Python's ``**``, element by
+element.  It stops at the first pass that the per-pass fold would not fold:
+one where that raises other than by rejecting the pass (a point off the
+domain, an overflow, a division by zero), or has a value that is not
+finite.  That pass and the rest of the chunk go through the per-pass code,
+so every error keeps its type, its text and its pass.  A weight with an
+integer power above 100, which CPython computes in polar form, sends every
+chunk there.
 
 The draws call ``rng.getrandbits`` and ``rng.random`` directly and follow
 CPython's ``random`` algorithms bit for bit: ``randrange``, ``randint`` and
@@ -42,7 +56,7 @@ from .errors import NearSingularAutomorphyFactor
 TOL_COND = 1e8
 
 #: Most passes that ``selftest`` draws and verifies together.
-CHUNK = 64
+CHUNK = 256
 
 
 def _t(x: np.ndarray) -> np.ndarray:
@@ -136,9 +150,14 @@ def _outside(z: np.ndarray):
     return np.linalg.eigvalsh(eta_matrix(z)).min(axis=-1) <= 0
 
 
+def _delta(z: np.ndarray) -> np.ndarray:
+    """det(eta(z) / 2) at every point of a stack."""
+    return np.real(np.linalg.det(eta_matrix(z) / 2))
+
+
 def delta(z: np.ndarray):
     """det(eta(z) / 2): a float for a point, a list of floats for a stack."""
-    return np.real(np.linalg.det(eta_matrix(z) / 2)).tolist()
+    return _delta(z).tolist()
 
 
 class DomainPoint:
@@ -209,14 +228,23 @@ def _check_factor(jj: complex, ill: bool):
         raise NearSingularAutomorphyFactor("factor of automorphy is near singular")
 
 
-def _absmax(x: np.ndarray) -> list:
+def _factor_rows(jj_abs: np.ndarray, ill: np.ndarray):
+    """``_check_factor`` at every row, from abs(jj): (rejected, raising).
+
+    abs() raises OverflowError where it is not finite, before ill is read.
+    """
+    finite = np.isfinite(jj_abs)
+    return finite & ((jj_abs < 1e-12) | ill), ~finite
+
+
+def _absmax(x: np.ndarray) -> np.ndarray:
     """max |entry| of every matrix of a stack."""
-    return np.abs(x).max(axis=(-2, -1)).tolist()
+    return np.abs(x).max(axis=(-2, -1))
 
 
 def _rel_parts(a: np.ndarray, b: np.ndarray):
     """Per row: max |a|, max |b| and max |a - b|, for the relative residual."""
-    return list(zip(_absmax(a), _absmax(b), _absmax(a - b)))
+    return _absmax(a), _absmax(b), _absmax(a - b)
 
 
 def _rel(a: complex, b: complex) -> float:
@@ -224,6 +252,84 @@ def _rel(a: complex, b: complex) -> float:
     # residuals are defined with np.abs
     scale = max(1.0, float(np.abs(a)), float(np.abs(b)))
     return float(np.abs(a - b)) / scale
+
+
+def _rel_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_rel`` at every row of two arrays; np.abs of an array gives the
+    bits of np.abs of each of its numbers."""
+    return np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+# -- CPython's complex arithmetic on arrays ------------------------------------------
+# numpy's complex *, / and ** differ from CPython's in the last bit.  These
+# helpers repeat Objects/complexobject.c operation by operation on a pair
+# (re, im) of float arrays (or floats), so every element has the bits of
+# Python's own complex arithmetic.  Where Python raises, the element is not
+# finite: a zero divisor gives nan, an overflow inf or nan.  abs() is
+# np.hypot, as _Py_c_abs calls hypot.
+
+_ONE = (1.0, 0.0)
+
+
+def _parts(x: np.ndarray):
+    return x.real, x.imag
+
+
+def _complex(x) -> np.ndarray:
+    """The complex array with the parts of x."""
+    out = np.empty(np.shape(x[0]), dtype=complex)
+    out.real, out.imag = x
+    return out
+
+
+def _c_prod(a, b):
+    """a * b, as _Py_c_prod; a float f is the pair (f, 0.0)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _c_quot(a, b):
+    """a / b, as _Py_c_quot: divided through by the larger part of b (Smith)."""
+    (ar, ai), (br, bi) = a, b
+    by_re = np.abs(br) >= np.abs(bi)  # false at a nan part: the result is nan
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    ratio = small / big  # nan where b is 0, which Python raises on
+    denom = big + small * ratio
+    return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _c_powi(x, e: int):
+    """x ** e for an integer |e| <= 100, as c_powi: binary powering from
+    (1, 0) (c_powu), then 1 / that for e <= 0.  Beyond 100 CPython takes the
+    polar _Py_c_pow instead."""
+    r, p, bits = _ONE, x, abs(e)
+    while bits:
+        if bits & 1:
+            r = _c_prod(r, p)
+        bits >>= 1
+        if bits:
+            p = _c_prod(p, p)
+    return r if e > 0 else _c_quot(_ONE, r)
+
+
+def _pow(xs: list, e) -> np.ndarray:
+    """Python's float ``x ** e`` for each x, nan where it raises or is complex."""
+    out = []
+    for x in xs:
+        try:
+            x = x ** e
+        except (ArithmeticError, ValueError):
+            x = math.nan
+        out.append(x if type(x) is float else math.nan)
+    return np.array(out, dtype=float)
+
+
+def _finite(*parts) -> np.ndarray:
+    """Where all of the float arrays (or floats) are finite."""
+    ok = np.isfinite(parts[0])
+    for x in parts[1:]:
+        ok = ok & np.isfinite(x)
+    return ok
 
 
 class _Cocycle:
@@ -234,18 +340,18 @@ class _Cocycle:
         self.nu_alpha = nu_alpha
         lam_a, mu_a, j_a, ill_a = _factors(alpha, z)
         az = _act(alpha, z, mu_a, ill_a)
-        self.ill_act = ill_a.tolist()
-        self.az_outside = _outside(az).tolist()
+        self.az_outside = _outside(az)
         lam_b, mu_b, j_b, ill_b = _factors(beta, az)
         lam_ba, mu_ba, j_ba, ill_ba = _factors(beta @ alpha, z)
-        self.factors = list(zip(j_a.tolist(), ill_a.tolist(), j_b.tolist(),
-                                ill_b.tolist(), j_ba.tolist(), ill_ba.tolist()))
+        # the factors of alpha at z, of beta at alpha.z and of beta alpha at
+        # z; alpha's ill flag is also the action's
+        self.j, self.ill = (j_a, j_b, j_ba), (ill_a, ill_b, ill_ba)
         self.lam = _rel_parts(lam_ba, lam_b @ lam_a)
         self.mu = _rel_parts(mu_ba, mu_b @ mu_a)
-        self.det_lam_a = np.linalg.det(lam_a).tolist()
-        self.det_conj_a = np.linalg.det(np.conj(alpha)).tolist()
-        self.delta_az = delta(az)
-        self.delta_z = delta(z)
+        self.det_lam_a = np.linalg.det(lam_a)
+        self.det_conj_a = np.linalg.det(np.conj(alpha))
+        self.delta_az = _delta(az)
+        self.delta_z = _delta(z)
 
     def residuals(self, i: int):
         """Row i's residuals (lambda, mu, det, det_lambda, delta).
@@ -254,23 +360,50 @@ class _Cocycle:
         ill-conditioned action, a point off the domain, then a near-singular
         factor of alpha, of beta at alpha.z, or of beta alpha.
         """
-        _check_action(self.ill_act[i], self.az_outside[i])
-        j_a, ill_a, j_b, ill_b, j_ba, ill_ba = self.factors[i]
-        _check_factor(j_a, ill_a)
-        _check_factor(j_b, ill_b)
-        _check_factor(j_ba, ill_ba)
-        lam_ba, lam_prod, lam_diff = self.lam[i]
-        mu_ba, mu_prod, mu_diff = self.mu[i]
+        _check_action(self.ill[0][i], self.az_outside[i])
+        j_a, j_b, j_ba = (complex(jj[i]) for jj in self.j)
+        for jj, ill in zip((j_a, j_b, j_ba), self.ill):
+            _check_factor(jj, ill[i])
+        lam_ba, lam_prod, lam_diff = (float(x[i]) for x in self.lam)
+        mu_ba, mu_prod, mu_diff = (float(x[i]) for x in self.mu)
         r1 = lam_diff / max(1.0, lam_ba, lam_prod)
         r2 = mu_diff / max(1.0, mu_ba, mu_prod)
         r3 = _rel(j_ba, j_b * j_a)
         # determinant relation: det(lambda) = det(conj(alpha)) nu^-n j
         n, nu = self.n, self.nu_alpha[i]
-        r4 = _rel(self.det_lam_a[i], self.det_conj_a[i] * nu ** (-n) * j_a)
+        r4 = _rel(complex(self.det_lam_a[i]),
+                  complex(self.det_conj_a[i]) * nu ** (-n) * j_a)
         # volume factor transformation
-        r5 = _rel(self.delta_az[i],
-                  nu ** n * abs(j_a) ** (-2) * self.delta_z[i])
+        r5 = _rel(float(self.delta_az[i]),
+                  nu ** n * abs(j_a) ** (-2) * float(self.delta_z[i]))
         return r1, r2, r3, r4, r5
+
+    def rows(self):
+        """``max(residuals(i))`` at every row in one array, with two masks:
+        the rows whose residuals are computed, and the rows that ``residuals``
+        must take because it raises there other than by rejecting them, or a
+        value is not finite."""
+        reach = ~self.ill[0]
+        left = reach & self.az_outside
+        reach &= ~self.az_outside
+        j_a, j_b, j_ba = (_parts(jj) for jj in self.j)
+        abs_a = np.hypot(*j_a)
+        for jj, ill in zip((abs_a, np.hypot(*j_b), np.hypot(*j_ba)), self.ill):
+            rejected, raising = _factor_rows(jj, ill)
+            left |= reach & raising
+            reach &= ~rejected & ~raising
+        n, nu = self.n, self.nu_alpha
+        r3 = _rel_rows(self.j[2], _complex(_c_prod(j_b, j_a)))
+        prod = _c_prod(_parts(self.det_conj_a), (_pow(nu, -n), 0.0))
+        r4 = _rel_rows(self.det_lam_a, _complex(_c_prod(prod, j_a)))
+        r5 = _rel_rows(self.delta_az, _pow(nu, n) * _pow(abs_a.tolist(), -2)
+                       * self.delta_z)
+        res = r3
+        for big_ba, big_prod, diff in (self.lam, self.mu):  # r1 and r2
+            res = np.maximum(res, diff / np.maximum(np.maximum(1.0, big_ba),
+                                                    big_prod))
+        res = np.maximum(np.maximum(res, r4), r5)  # nan wins, as it should
+        return res, reach, left | reach & ~np.isfinite(res)
 
 
 class _Section:
@@ -278,16 +411,31 @@ class _Section:
 
     def __init__(self, alpha, nu_alpha, z):
         scaled = alpha / np.sqrt(np.array(nu_alpha))[:, None, None]
-        lam, _, jj, ill = _factors(scaled, z)
-        self.rows = list(zip(jj.tolist(), np.linalg.det(lam).tolist(),
-                             ill.tolist()))
+        lam, _, self.jj, self.ill = _factors(scaled, z)
+        self.det_lam = np.linalg.det(lam)
 
     def value(self, i: int, delta_z: float, k: int, nu: int, s: float) -> complex:
-        jj, det_lam, ill = self.rows[i]
-        _check_factor(jj, ill)
+        jj = complex(self.jj[i])
+        _check_factor(jj, self.ill[i])
         # the weighted factor j^(k+nu) * det(lambda)^(-nu)
-        jkv = jj ** (k + nu) * det_lam ** (-nu)
+        jkv = jj ** (k + nu) * complex(self.det_lam[i]) ** (-nu)
         return (1 / jkv) * abs(jj ** (-2)) ** (s - k / 2) * delta_z ** (s - k / 2)
+
+    def values(self, delta_pow: np.ndarray, k: int, nu: int, s: float):
+        """``value`` at every row, with delta_pow the rows' delta_z ** (s - k/2),
+        for |k + nu| and |nu| at most 100: the values, the rows that its
+        factor check rejects, and the rows that ``value`` must take because it
+        raises there other than by rejecting them, or a value is not finite."""
+        jj = _parts(self.jj)
+        rejected, raising = _factor_rows(np.hypot(*jj), self.ill)
+        p1, p2, p3 = (_c_powi(jj, k + nu), _c_powi(_parts(self.det_lam), -nu),
+                      _c_powi(jj, -2))
+        inv = _c_quot(_ONE, _c_prod(p1, p2))
+        a = np.hypot(*p3)
+        v = _c_prod(_c_prod(inv, (_pow(a.tolist(), s - k / 2), 0.0)),
+                    (delta_pow, 0.0))
+        finite = _finite(*p1, *p2, *inv, *p3, a, *v)
+        return v, rejected, raising | ~rejected & ~finite
 
 
 # -- single elements: stacks of one ----------------------------------------------------
@@ -436,6 +584,48 @@ def _draw_pass(n: int, rng, data: list, lengths: list) -> np.ndarray:
     return pt
 
 
+def _fold(cocycle: _Cocycle, sections: _Section, ill_gz, gz_outside, delta_gz,
+          delta_base: float, k: int, nu: int, s: float, worst: dict):
+    """The array form of ``_verify``'s loop, over its rows up to the first
+    one that the loop would not fold: one where it raises other than by
+    rejecting the pass, or a value is not finite.
+
+    Folds those rows into ``worst`` and returns how many there are and how
+    many of them count.
+    """
+    res, reach, left = cocycle.rows()
+    m, delta_gz = len(res), delta_gz.tolist()
+    e = s - k / 2
+    base_pow = _pow([delta_base], e)
+    values, rejected, raising = sections.values(
+        np.concatenate([np.repeat(base_pow, m), _pow(delta_gz, e),
+                        np.repeat(base_pow, m)]), k, nu, s)
+    # the section stage, in the loop's order: the action on the base point,
+    # then the factors of alpha g, alpha and g
+    counts = reach & ~ill_gz
+    left |= counts & gz_outside
+    counts &= ~gz_outside
+    for part in range(3):
+        cut = slice(part * m, (part + 1) * m)
+        left |= counts & raising[cut]
+        counts &= ~rejected[cut] & ~raising[cut]
+    (lhs_re, a_re, g_re), (lhs_im, a_im, g_im) = (np.split(x, 3) for x in values)
+    rhs = _c_prod(_c_prod((a_re, a_im), (g_re, g_im)),
+                  (_pow(delta_gz, k / 2 - s), 0.0))
+    lhs_abs, rhs_abs = np.hypot(lhs_re, lhs_im), np.hypot(*rhs)
+    diff = np.hypot(lhs_re - rhs[0], lhs_im - rhs[1])
+    left |= counts & ~_finite(lhs_abs, rhs_abs, diff)
+    stop = int(np.argmax(left)) if left.any() else m
+    reach, counts = reach[:stop], counts[:stop]
+    if reach.any():
+        worst["cocycle"] = max(worst["cocycle"], float(res[:stop][reach].max()))
+    if counts.any():
+        scale = np.maximum(np.maximum(1.0, lhs_abs), rhs_abs)[:stop][counts]
+        worst["section"] = max(worst["section"],
+                               float((diff[:stop][counts] / scale).max()))
+    return stop, int(np.count_nonzero(counts))
+
+
 def _verify(n: int, data: list, lengths: list, points: np.ndarray,
             base: DomainPoint, k: int, nu: int, s: float, worst: dict):
     """Fold the passes' residuals into ``worst`` in pass order.
@@ -444,21 +634,32 @@ def _verify(n: int, data: list, lengths: list, points: np.ndarray,
     data and lengths: alpha, beta and g.  Returns the number of passes that
     count.  A pass rejected at the cocycle stage folds nothing; one rejected
     at the section stage folds its cocycle residual.  Neither counts.
+
+    ``_fold`` takes the passes up to the first that it cannot fold as the
+    loop would; that pass and the rest go through the loop.
     """
     mats, nus = _words(n, data, lengths)
     alpha, beta, g = mats[0::3], mats[1::3], mats[2::3]
     nu_a, nu_g = nus[0::3], nus[2::3]
+    m = len(points)
     cocycle = _Cocycle(alpha, nu_a, beta, points)
     _, mu_g, _, ill_gz = _factors(g, base.z)
     gz = _act(g, base.z, mu_g, ill_gz)
-    ill_gz, gz_outside = ill_gz.tolist(), _outside(gz).tolist()
-    delta_gz = delta(gz)
-    lhs_f = _Section(alpha @ g, [a * b for a, b in zip(nu_a, nu_g)], base.z)
-    alpha_f = _Section(alpha, nu_a, gz)
-    g_f = _Section(g, nu_g, base.z)
+    gz_outside = _outside(gz)
+    delta_gz = _delta(gz)
+    # the section's factors at (alpha g, base), (alpha, g.z) and (g, base):
+    # rows i, m + i and 2m + i for pass i
+    base_z = np.broadcast_to(base.z, gz.shape)
+    sections = _Section(np.concatenate([alpha @ g, alpha, g]),
+                        [a * b for a, b in zip(nu_a, nu_g)] + nu_a + nu_g,
+                        np.concatenate([base_z, gz, base_z]))
     delta_base = delta(base.z)
-    counted = 0
-    for i in range(len(points)):
+    start = counted = 0
+    if max(abs(k + nu), abs(nu)) <= 100:  # else CPython's powers are polar
+        with np.errstate(all="ignore"):
+            start, counted = _fold(cocycle, sections, ill_gz, gz_outside,
+                                   delta_gz, delta_base, k, nu, s, worst)
+    for i in range(start, m):
         try:
             res = max(cocycle.residuals(i))
         except NearSingularAutomorphyFactor:
@@ -467,10 +668,11 @@ def _verify(n: int, data: list, lengths: list, points: np.ndarray,
         # section factorization against the base point
         try:
             _check_action(ill_gz[i], gz_outside[i])
-            lhs = lhs_f.value(i, delta_base, k, nu, s)
-            rhs = (alpha_f.value(i, delta_gz[i], k, nu, s)
-                   * g_f.value(i, delta_base, k, nu, s)
-                   * delta_gz[i] ** (k / 2 - s))
+            delta_i = float(delta_gz[i])
+            lhs = sections.value(i, delta_base, k, nu, s)
+            rhs = (sections.value(m + i, delta_i, k, nu, s)
+                   * sections.value(2 * m + i, delta_base, k, nu, s)
+                   * delta_i ** (k / 2 - s))
         except NearSingularAutomorphyFactor:
             continue
         scale = max(1.0, abs(lhs), abs(rhs))

@@ -150,8 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--nu", type=int, default=1)
-    sp.add_argument("--s", type=float, default=3.0)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--s", type=float, default=3.0,
+                    help="section exponent; a negative one in exponent form "
+                         "as --s=-1e3")
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="largest residual that passes; a value with a minus "
+                         "in exponent form as --tol=-1e-9")
     sp.add_argument("--out")
     return ap
 

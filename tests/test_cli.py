@@ -162,6 +162,34 @@ def test_automorphy_selftest_with_a_bad_number_is_usage_error(capsys, option,
     assert err.startswith("error:") and text in err
 
 
+@pytest.mark.parametrize("option, value, text", [
+    ("--s", "-1e308", "--k 4, --nu 1, --s -1e+308 take the self-test out of "
+                      "float range (OverflowError: "),
+    ("--tol", "-1e-9", "tolerance must be finite and > 0, got -1e-09"),
+])
+def test_automorphy_selftest_negative_exponent_form_needs_the_equals_sign(
+        capsys, monkeypatch, option, value, text):
+    """argparse reads a separate "-1e308" as an option, so "--s -1e308" is
+    argparse's usage error; "--s=-1e308" reaches the self-test, and --help
+    names that form for --s and --tol."""
+    argv = ["automorphy-selftest", "--n", "2", "--cases", "50"]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv + [option, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument {option}: expected one argument" in out.err
+    code, out, err = run(capsys, *argv, f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and text in err
+    monkeypatch.setenv("COLUMNS", "200")  # no help line wraps at a hyphen
+    with pytest.raises(SystemExit) as exc:
+        run_command(["automorphy-selftest", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--s=-1e3" in text and "--tol=-1e-9" in text
+
+
 def test_equivariance_violation_is_a_failed_verification(capsys):
     # x^3 is not invariant under the unit -1 of Q(i) in unitary mode
     code, out, err = run(capsys, "integrate", "--function", "x^3")
