@@ -1,12 +1,14 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
-Outputs are deterministic JSON (sorted keys) written to stdout or --out.
+Outputs are deterministic JSON (sorted keys) written to stdout or --out;
+exact coefficients are written and read in full, whatever their size.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -160,10 +162,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift CPython's limit on int <-> str digits (4,300 since 3.10.7) for
+    the block, so that exact coefficients of any size are written and read
+    in full; the limit is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        with _exact_digits():
+            return _dispatch(args)
     except EquivarianceViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

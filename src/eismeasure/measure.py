@@ -153,10 +153,10 @@ def kummer_check(field: FieldData, k: int, k2: int, m: int,
     w = Weight(1, 0)
     q1, q2 = _expansions([(h_to_f(h1), w), (h_to_f(h2), w)], ctx.cusp,
                          trace_bound, field, validate=False)
-    # one pass over the sorted rank-one indices, each read as its trace
+    # one pass over both in enumeration order, which is by trace at rank one
     checked, witness = 0, None
-    for key, (beta, c1) in sorted(q1.terms.items()):
-        trace, c2 = beta.entries[0][0].a, q2.terms[key][1]
+    for (beta, c1), (_, c2) in zip(q1.terms.values(), q2.terms.values()):
+        trace = beta.entries[0][0].a
         if trace % p:
             checked += 1
             if witness is None and not _congruent(c1, c2, p, j):

@@ -9,8 +9,10 @@ measure, moments, congruence checks) goes through one sweep,
 index.  An index stores what the rule last swept there gave, so the rule
 runs and each point is built at most once per enumeration and rule.  A
 rational monomial's coefficient is a power sum of x over the rule's
-(a, mult) pairs with x = a/d a rational unit: it reads their integers
-and det(beta) and builds no point (``_power_sum``).  Any other
+(a, mult) pairs with x = a/d a rational unit: it reads their integers,
+stored scaled to a common denominator (``_power_view``), and det(beta),
+builds no point, and takes each integer power from a table of the job's
+own that lives for one sweep (``_power_sum``).  Any other
 coefficient is summed over the points in its ring, each term times the
 ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n) (``ring.monomial``).
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from .errors import (
     EquivarianceViolation,
@@ -255,7 +258,10 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
 
 
 def _job_coefficient(f, w, n, field):
-    """The job's accumulator, (beta, rule terms) -> coefficient."""
+    """The job's accumulator, (beta, rule terms) -> coefficient.  A rational
+    monomial's is ``_power_sum`` with its constants bound and a power table
+    of its own, m -> m^|e|, that lives as long as the accumulator: one
+    sweep, never an index."""
     # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
     e = (-w.k - w.nu, w.nu, w.k - n)
     by_term = partial(_ring_coefficient, f, e, field)
@@ -263,39 +269,89 @@ def _job_coefficient(f, w, n, field):
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
         return by_term
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
-    return partial(_power_sum, f, f.e_xs + f.e_xb - r * n * f.e_det - w.k,
-                   f.e_det + w.k - n, field.p, by_term)
+    xexp = f.e_xs + f.e_xb - r * n * f.e_det - w.k
+    dexp = f.e_det + w.k - n
+    return partial(_power_sum, _Powers(abs(xexp)).__getitem__,
+                   2 if xexp >= 0 else 3, abs(dexp), dexp >= 0,
+                   f.coef.numerator, f.coef.denominator, f.y_invertible,
+                   field.p, by_term)
 
 
-def _power_sum(f, e, dexp, p, by_term, beta, terms) -> Fraction:
-    """coef * det(beta)^dexp * the sum of mult * x^e, x^e as a^e/d^e, over
-    beta's view (y invertible, (mult, a, d) per pair); 0 where y is not
-    invertible and the monomial asks that: at (x, x^-r * beta) det(y) =
-    det(beta) * x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k /
-    det(beta)^n.  The view reads the rule's pairs, not points: x = a is a
-    rational unit iff a.b = 0 and p divides neither a.a nor a.d, and then
-    v_p(det y) = v_p(det beta).  Otherwise, or if beta is not p-integral,
-    the view is False and ``by_term`` sums f(pt)."""
-    _, pairs, _, view = terms
-    detb = beta.det_exact  # rational, so its residue at a root is a/d
+class _Powers(dict):
+    """m -> m^e, each power computed on its first read."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: int):
+        self.e = e
+
+    def __missing__(self, m: int) -> int:
+        power = self[m] = m ** self.e
+        return power
+
+
+def _power_sum(power, side, dexp, det_up, cnum, cden, y_invertible, p,
+               by_term, beta, terms) -> Fraction:
+    """coef * det(beta)^(dexp if det_up else -dexp) * the sum of mult * x^e
+    over beta's pairs, x^e = (n / D)^|e| for the view's scaled integers n
+    and their common denominator D (``_power_view``; ``side`` picks the
+    form for the sign of e), each n^|e| and D^|e| read from the job's
+    table ``power``; 0 where y is not invertible and the monomial asks
+    that.  At (x, x^-r * beta) det(y) = det(beta) * x^-rn, so this sums
+    mult * f(pt) * (det(beta)/x)^k / det(beta)^n.  Where the view is False
+    ``by_term`` sums f(pt)."""
+    view = terms[3]
     if view is None:
-        view = terms[3] = (
-            (detb.a % p != 0, tuple([(mult, a.a, a.d) for a, mult in pairs]))
-            if all(not a.b and a.a % p and a.d % p for a, _ in pairs)
-            and all(e.d % p for row in beta.entries for e in row) else False)
+        view = terms[3] = _power_view(beta, terms[1], p)
     if view is False:
         return by_term(beta, terms)
-    (y_inv, entries), num, den = view, 0, 1
-    for mult, a, d in entries if y_inv or not f.y_invertible else ():
-        tn, td = (a ** e, d ** e) if e >= 0 else (d ** -e, a ** -e)
-        if td == den:  # every integral x when e >= 0
-            num += mult * tn
-        else:  # over the lcm of the denominators
-            g = math.gcd(den, td)
-            num, den = num * (td // g) + mult * tn * (den // g), den // g * td
-    dn, dd = (detb.a, detb.d) if dexp >= 0 else (detb.d, detb.a)
-    return Fraction(num * f.coef.numerator * dn ** abs(dexp),
-                    den * f.coef.denominator * dd ** abs(dexp))
+    ns, den = view[side] or _inverse_form(view, terms[1])
+    if y_invertible and not view[0]:
+        num = 0
+    elif view[1] is None:
+        num = sum(map(power, ns))
+    else:
+        num = sum(map(mul, view[1], map(power, ns)))
+    detb = beta.det_exact  # rational, so its residue at a root is a/d
+    dn, dd = (detb.a, detb.d) if det_up else (detb.d, detb.a)
+    return Fraction(num * cnum * dn ** dexp, power(den) * cden * dd ** dexp)
+
+
+def _power_view(beta, pairs, p):
+    """beta's power view, read from the rule's (a, mult) pairs and
+    det(beta), not from points: [y invertible, the multiplicities or None
+    if all are 1, (n, D), (n', A)], where each x = a/d is n / D over D =
+    lcm(d), for e >= 0, and A / n' over A = lcm(a), for e < 0; the second
+    form is None until an e < 0 job reads it (``_inverse_form``).  x = a/d
+    is a rational unit iff a.b = 0 and p divides neither a.a nor a.d, and
+    then v_p(det y) = v_p(det beta).  Otherwise, or if beta is not
+    p-integral, the view is False."""
+    if not all(e.d % p for row in beta.entries for e in row):
+        return False
+    # the divisor rule's pairs: integral x, each of multiplicity 1
+    nums = tuple([a.a for a, mult in pairs
+                  if mult == 1 and a.d == 1 and not a.b])
+    if len(nums) == len(pairs):
+        mults, form = None, (nums, 1)
+    else:
+        nums, bs, dens, mults = zip(*[(a.a, a.b, a.d, mult)
+                                      for a, mult in pairs])
+        if any(bs) or not all(map(p.__rmod__, dens)):
+            return False
+        lcm_d = math.lcm(*dens)
+        form = tuple(map(mul, nums, map(lcm_d.__floordiv__, dens))), lcm_d
+        mults = None if mults.count(1) == len(mults) else mults
+    if not all(map(p.__rmod__, nums)):
+        return False
+    return [beta.det_exact.a % p != 0, mults, form, None]
+
+
+def _inverse_form(view, pairs):
+    """The view's e < 0 form (n', A), stored on first read: 1/x = d/a =
+    n' / A with A = lcm(a) and n' = d * A / a."""
+    lcm_a = math.lcm(*[a.a for a, _ in pairs])
+    view[3] = form = tuple([a.d * (lcm_a // a.a) for a, _ in pairs]), lcm_a
+    return form
 
 
 def _ring_coefficient(f, e, field, beta, terms):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_grid
 import eismeasure
 from eismeasure.cli import run_command
 
@@ -660,3 +661,45 @@ def test_the_readme_commands_are_the_ones_the_benchmark_times():
     assert all(argv[0] == "eismeasure" for argv in commands)
     assert [argv[1:] for argv in commands] == [
         argv for _, argv in workloads.README_COMMANDS]
+
+
+def test_the_cli_grid_matches_its_recorded_digests(tmp_path):
+    """Every command of ``tests/cli_grid.py`` gives the exit code, stdout
+    digest and error line recorded in ``tests/cli_grid_digests.json``."""
+    with open(cli_grid.DIGESTS) as fh:
+        want = json.load(fh)
+    got = cli_grid.run_grid(str(tmp_path))
+    assert got.keys() == want.keys()
+    changed = {key: (want[key], got[key]) for key in want
+               if got[key] != want[key]}
+    assert not changed
+
+
+#: an exact expansion with a coefficient of more than 4,300 digits
+BIG_QEXP = ("qexp", "--mode", "symplectic", "--p", "5", "--ring", "qq",
+            "--function", "x^4", "--bound", "3", "--k", "10000")
+
+
+def test_exact_coefficients_of_any_size_are_written_and_read(tmp_path,
+                                                             capsys):
+    """The expansion exits 0 and prints every digit; read back through
+    ``transform-cusp`` with the identity h it gives the same coefficients.
+    The interpreter's digit limit is the caller's again after each command,
+    also after one that fails."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *BIG_QEXP)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    data = json.loads(out)
+    assert max(len(t["coeff"]) for t in data["terms"]) > 4300
+    path = tmp_path / "big.json"
+    path.write_text(out)
+    code, back, err = run(capsys, "transform-cusp", "--mode", "symplectic",
+                          "--p", "5", "--input", str(path), "--h", "[[[1, 0]]]")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    assert json.loads(back)["terms"] == data["terms"]
+    assert run(capsys, "kummer", "--p", "5", "--k", "4", "--k2", "5")[0] == 2
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError, match="4300"):
+        str(10 ** 5000)

@@ -13,6 +13,7 @@ stored, and bound what the memo keeps.
 
 import collections
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -409,11 +410,15 @@ def _counting_tests(monkeypatch):
     return calls
 
 
-def _view_of(beta):
+def _view_of(beta, inverse=False):
     """The power view ``qexp._power_sum`` stores, from fresh points' unit
     and invertibility tests: False unless every point can be built and its
-    x is a rational unit, else (y invertible, (mult, a, d) per pair), where
-    every point's y, and beta itself, is invertible alike."""
+    x is a rational unit, else [y invertible, the multiplicities or None if
+    all are 1, (x * D per pair, D), (A / x per pair, A) or None], with D
+    the lcm of the x's denominators and A that of their numerators, where
+    every point's y, and beta itself, is invertible alike.  The last form
+    is None unless ``inverse``: a sweep stores it once a job of negative
+    x-exponent reads it."""
     field, pairs = beta.field, beta._rule_terms[1]
     try:
         points = [_fresh_point(field, a, beta) for a, _ in pairs]
@@ -424,8 +429,13 @@ def _view_of(beta):
     except (ZeroDivisionError, EisMeasureError):
         return False
     assert len(flags) == 1
-    return flags.pop(), tuple((mult, pt.x.a, pt.x.d)
-                              for (_, mult), pt in zip(pairs, points))
+    xs = [Fraction(pt.x.a, pt.x.d) for pt in points]
+    lcm_d = math.lcm(*(x.denominator for x in xs))
+    lcm_a = math.lcm(*(x.numerator for x in xs))
+    mults = tuple(mult for _, mult in pairs)
+    return [flags.pop(), None if all(m == 1 for m in mults) else mults,
+            (tuple(int(x * lcm_d) for x in xs), lcm_d),
+            (tuple(int(lcm_a / x) for x in xs), lcm_a) if inverse else None]
 
 
 def test_a_warm_kummer_sweep_tests_no_point(monkeypatch):
@@ -581,24 +591,28 @@ def test_the_view_from_the_rules_integers_equals_the_one_from_points(field):
     """At every index of each cusp, the view the power sum reads from the
     rule's pairs and det(beta), or False, equals the one built from fresh
     points' unit and invertibility tests (``_view_of``), on the enumerated
-    indices and on indices with p in a denominator.  Each kind of view
-    occurs: y invertible, y not invertible, and False."""
+    indices and on indices with p in a denominator, before and after a job
+    of negative x-exponent reads it.  Each kind of view occurs: y
+    invertible, y not invertible, and False."""
     kinds = collections.Counter()
     for cusp, n in _view_cusps(field):
-        mono = MonomialFunction(field, n, QQ, Fraction(1), e_xs=2, e_det=-1)
-        coefficient = _job_coefficient(mono, Weight(n + 2, 0), n, field)
+        w = Weight(n + 2, 0)
+        coefficients = [_job_coefficient(MonomialFunction(
+            field, n, QQ, Fraction(1), e_xs=e, e_det=-1), w, n, field)
+            for e in (2, -1)]  # x-exponents e >= 0 and e < 0
         enumerate_positive.cache_clear()
         betas = [*enumerate_positive(field, n, 12 if n == 1 else 5)]
         if cusp.label != "divisor":  # it needs an integral trace
             betas += _p_denominator_indices(field, n)
         for beta in betas:
             terms = _rule_terms(cusp.rule, beta)
-            try:  # False views sum term by term, where x = 1/p or 0 raise
-                coefficient(beta, terms)
-            except (ZeroDivisionError, EisMeasureError):
-                pass
-            view = terms[3]
-            assert view == _view_of(beta)
+            for inverse, coefficient in enumerate(coefficients):
+                try:  # False views sum term by term, where x = 1/p or 0 raise
+                    coefficient(beta, terms)
+                except (ZeroDivisionError, EisMeasureError):
+                    pass
+                view = terms[3]
+                assert view == _view_of(beta, inverse)
             kinds["none" if view is False
                   else "invertible" if view[0] else "singular"] += 1
     assert set(kinds) == {"none", "invertible", "singular"}

@@ -1,6 +1,7 @@
 """Expansions: construction, congruences, cusp re-indexing, normalization."""
 
 import collections
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -34,7 +35,7 @@ from eismeasure.functions import (
     y_det_key,
 )
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
-from eismeasure import fields, functions, hermitian, measure
+from eismeasure import fields, functions, hermitian, measure, qexp
 from eismeasure.measure import _zeta_multiplier, kummer_check
 from eismeasure.padic import PadicElt
 from eismeasure.qexp import (
@@ -264,8 +265,40 @@ def _rational_rank_two_jobs(field, cusp, bound):
     return [(mono, Weight(2, 0)), (prod, Weight(3, 0))]
 
 
+def _rational_units_cusp(field):
+    """A hand rule whose x are rational units, two of them non-integral:
+    1, 3/2 (multiplicity 3) and, at traces prime to 3, -2/7 (multiplicity
+    -1)."""
+    K = field.K
+    pairs = [(K(1), 1), (K(Fraction(3, 2)), 3)]
+    last = [(K(Fraction(-2, 7)), -1)]
+    return CuspData("units", 1, lambda beta: pairs + (
+        last if beta.entries[0][0].a % 3 else []))
+
+
+def _power_sign_jobs(field, cusp, bound):
+    """qq monomials, n = 1, whose x-exponent e in the power sum is positive,
+    0 or negative (odd, so the sign of -2/7 shows), each with y-invertibility
+    on and off: the rule's y is singular at every trace divisible by p."""
+    r = 1 if field.mode == "symplectic" else 2
+    jobs = []
+    for e in (4, 0, -3):
+        for e_det, inv in ((-1, True), (0, False), (2, True), (1, False)):
+            k = 1 + r * abs(e_det)  # k >= n = 1
+            e_xs = e + r * e_det + k
+            f = MonomialFunction(field, 1, QQ, Fraction(-4, 9), e_xs=e_xs,
+                                 e_det=e_det, y_invertible=inv)
+            assert f.y_invertible is inv
+            jobs.append((f, Weight(k, 0)))
+    return jobs
+
+
 #: case -> (job builder, field, cusp, trace bound)
 SWEEPS = {
+    "qq-rational-units-n1": (_power_sign_jobs, SYMPL,
+                             _rational_units_cusp(SYMPL), 40),
+    "qq-rational-units-unitary-n1": (_power_sign_jobs, GAUSS,
+                                     _rational_units_cusp(GAUSS), 40),
     "qq-divisor-n1": (_rational_jobs, SYMPL, CuspData.divisor_rule(SYMPL),
                       40),
     "zp-divisor-n1": (_padic_rank_one_jobs, SYMPL,
@@ -314,6 +347,46 @@ def test_sweep_matches_the_per_function_oracle(case):
             _expansions([(f, w)], cusp, bound, field,
                         validate=False)[0], want)
         assert any(not f.ring.is_zero(c) for _, c in q.terms.values())
+
+
+def _live_power_tables():
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is qexp._Powers]
+
+
+def test_each_power_sum_job_has_its_own_power_table(monkeypatch):
+    """Each rational monomial job of a sweep gets a power table of its
+    own, holding only powers m^|e| of its own exponent, also when two
+    sweeps run jobs of different exponents on one enumeration.  No table
+    outlives its sweep: once a sweep returns none is alive, so nothing
+    reachable from an index, its view or the cusp holds one."""
+    cusp = _rational_units_cusp(SYMPL)
+    jobs = _power_sign_jobs(SYMPL, cusp, 40)
+    enumerate_positive.cache_clear()
+    assert not _live_power_tables()
+    for _ in range(2):  # the tables of a cold and of a warm sweep
+        for group in (jobs[:4], jobs[4:] + jobs[:1]):  # e = 4, then all
+            tables = []
+            make = qexp._job_coefficient
+
+            def recording(*args):
+                coefficient = make(*args)
+                tables.append(coefficient.args[0].__self__)
+                return coefficient
+
+            monkeypatch.setattr(qexp, "_job_coefficient", recording)
+            _expansions(group, cusp, 40, SYMPL, validate=False)
+            monkeypatch.undo()
+            assert len({id(t) for t in tables}) == len(group)
+            for table, (f, w) in zip(tables, group):
+                e = abs(f.e_xs - f.e_det - w.k)
+                assert table.e == e and table
+                assert all(v == m ** e for m, v in table.items())
+            del tables, table
+            assert not _live_power_tables()
+    betas = enumerate_positive(SYMPL, 1, 40)
+    assert all(b._rule_terms[3] for b in betas)
+    assert not _live_power_tables()
 
 
 def test_power_sum_of_a_zero_monomial_is_a_zero_fraction():
