@@ -33,12 +33,10 @@ from .functions import (
     LinearCombination,
     MonomialFunction,
     ProductFunction,
-    UnitCharacter,
     character_decompose,
     check_equivariance,
     f_to_h,
     h_to_f,
-    partition_function,
     random_lc_function,
     symmetrize,
     weight_twist,
@@ -55,12 +53,9 @@ from .measure import (
 from .padic import DEFAULT_PRECISION, PadicElt
 from .qexp import (
     ChiData,
-    NormalizationConstant,
     QExpansion,
     cusp_transform,
     eisenstein_qexp,
-    leading_constant,
-    normalization_constant,
 )
 from .rings import QQ, CycloElt, CyclotomicRing, PadicRing, RationalRing
 

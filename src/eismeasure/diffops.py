@@ -202,10 +202,6 @@ def psi_z(hw: HighestWeight) -> list[Fraction]:
     return poly
 
 
-def psi_eval(hw: HighestWeight, s: Fraction) -> Fraction:
-    return sum(c * s ** i for i, c in enumerate(psi_z(hw)))
-
-
 # -- cyclic span and the coefficient multiplier ---------------------------------
 
 
@@ -285,28 +281,3 @@ def theta_apply(qexp, mult: MatrixPolynomial):
         v = eval_multiplier(mult, beta.entries, beta.field, qexp.ring)
         out[key] = (beta, c * v)
     return qexp.replace_terms(out)
-
-
-class EigenvalueConstant:
-    """i^i_power * 2^two_power * value, one archimedean place."""
-
-    def __init__(self, i_power: int, two_power: int, value: Fraction):
-        self.i_power, self.two_power, self.value = i_power, two_power, value
-
-
-def archimedean_eigenvalue(k: int, d: int, n: int,
-                           convention: str = "action") -> EigenvalueConstant:
-    """Eigenvalue constant of the det^d operator at scalar weight k.
-
-    ``action``: i^(nd) * psi(-k - s) at s = k/2, the operator normalization.
-    ``weight_shift``: (i/2)^(nd) * psi(-k), the product over h <= n, j <= d
-    of (-k - j + h), the constant in front of the shifted-weight expansion.
-    """
-    hw = HighestWeight((d,) * n)
-    deg = n * d
-    if convention == "action":
-        val = psi_eval(hw, Fraction(-k) - Fraction(k, 2))
-        return EigenvalueConstant(deg % 4, 0, val)
-    if convention == "weight_shift":
-        return EigenvalueConstant(deg % 4, -deg, psi_eval(hw, Fraction(-k)))
-    raise ValueError(f"unknown convention {convention!r}")

@@ -26,7 +26,6 @@ multiplies any other function by the factor's value, the ring's monomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable
 
 from .errors import (
@@ -71,12 +70,6 @@ def y_inverse_key(yk: YKey, n: int, p: int, pj: int) -> YKey:
         return (di,)
     return ((yk[3] * di) % pj, (-yk[1] * di) % pj,
             (-yk[2] * di) % pj, (yk[0] * di) % pj)
-
-
-def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
-    if field.mode == "symplectic":
-        return xk[0] % pj
-    return xk[0] * xk[1] % pj
 
 
 # -- points -------------------------------------------------------------------
@@ -555,7 +548,7 @@ def symmetrize(f: LCFunction, w: Weight) -> LCFunction:
                       y_invertible=f.y_invertible)
 
 
-# -- characters and partition functions ---------------------------------------
+# -- characters ---------------------------------------------------------------
 
 
 def _dlog_table(p: int, j: int) -> tuple[int, dict[int, int], int]:
@@ -584,35 +577,6 @@ def teichmuller(u: int, p: int, prec: int) -> PadicElt:
     for _ in range(prec):
         x = pow(x, p, pk)
     return PadicElt(p, 0, x, prec)
-
-
-class UnitCharacter:
-    """A finite-order character on the units mod p^level, extended by zero."""
-
-    def __init__(self, p: int, level: int, ring, values: dict[int, object]):
-        self.p, self.level, self.ring, self.values = p, level, ring, values
-
-    def __call__(self, residue: int):
-        r = residue % self.p ** self.level
-        if r % self.p == 0:
-            return self.ring.zero()
-        return self.values[r]
-
-    @classmethod
-    def trivial(cls, p: int, level: int, ring) -> "UnitCharacter":
-        pj = p ** level
-        return cls(p, level, ring,
-                   {r: ring.coerce(1) for r in range(1, pj) if r % p})
-
-    @classmethod
-    def teichmuller_power(cls, t: int, p: int, level: int,
-                          prec: int) -> "UnitCharacter":
-        """x -> teich(x)^t, p-adically valued."""
-        ring = PadicRing(p, prec)
-        pj = p ** level
-        vals = {r: teichmuller(r, p, prec) ** t
-                for r in range(1, pj) if r % p}
-        return cls(p, level, ring, vals)
 
 
 def character_decompose(f: LCFunction):
@@ -668,49 +632,6 @@ def character_decompose(f: LCFunction):
                 field, f.n, out_ring, j, values=comp,
                 y_invertible=f.y_invertible)))
     return components
-
-
-class PartitionSpec:
-    """An ordered partition of n with one unit character per part."""
-
-    def __init__(self, n: int, parts: tuple[int, ...],
-                 characters: tuple[UnitCharacter, ...]):
-        if sum(parts) != n:
-            raise ValueError("parts must sum to n")
-        if len(parts) != len(characters):
-            raise ValueError("one character per part required")
-        self.n, self.parts, self.characters = n, parts, characters
-
-
-def partition_function(spec: PartitionSpec, chi: tuple[UnitCharacter, UnitCharacter],
-                       field: FieldData, level: int) -> LCFunction:
-    """chi(x) * (first component of x)^n * product of characters of nested minors.
-
-    The minors are the leading principal minors of relnorm(x) * transpose(y)
-    of cumulative sizes given by the partition.
-    """
-    n = spec.n
-    for ch in (*spec.characters, *chi):
-        if ch.level > level:
-            raise LevelMismatch("character level exceeds the table level")
-    ring = spec.characters[0].ring
-    p = field.p
-    pj = p ** level
-    cum = list(accumulate(spec.parts))
-
-    def rule(xk: XKey, yk: YKey):
-        nx = x_norm_key(xk, field, pj)
-        m = [[nx * yk[b * n + a] % pj for b in range(n)] for a in range(n)]
-        out = chi[0](xk[0]) * chi[1](xk[1])
-        out = out * ring.coerce(PadicElt(p, 0, pow(xk[0], n, pj), level))
-        for ch, c in zip(spec.characters, cum):
-            v = ch(mat_det([row[:c] for row in m[:c]]))
-            if ring.is_zero(v):
-                return ring.zero()
-            out = out * v
-        return out
-
-    return LCFunction(field, n, ring, level, rule=rule)
 
 
 # -- random tables (test and CLI support) --------------------------------------

@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diffops import (
+    HighestWeight,
     MatrixPolynomial,
-    det_polynomial,
     eval_multiplier,
+    highest_weight_vector,
     theta_apply,
 )
 from .errors import HypothesisViolation, ShapeMismatch
@@ -95,17 +96,15 @@ def moment_zeta(h: GnFunction, mult: MatrixPolynomial,
 def moment_detd(h: GnFunction, d: int, ctx: MeasureContext) -> QExpansion:
     """The determinant-power moment, labeled with the shifted weight.
 
-    Computed as the det^d polynomial moment for d >= 0; the result carries
-    weight (n + 2d, -d).  The product-integrand route is checked against
+    Computed for d >= 0 as the moment against the highest-weight vector of
+    weight (d, ..., d), which is det^d; the result carries weight
+    (n + 2d, -d).  The product-integrand route is checked against
     coefficientwise multiplication by det(beta)^d.
     """
     if d < 0:
         raise ValueError(f"the determinant power must be >= 0, got {d}")
     n = ctx.n
-    det, mult = det_polynomial(n, n), MatrixPolynomial.constant(n, 1)
-    for _ in range(d):
-        mult = mult * det
-    q = moment_zeta(h, mult, ctx)
+    q = moment_zeta(h, highest_weight_vector(HighestWeight((d,) * n)), ctx)
     return QExpansion(q.field, q.n, Weight(n + 2 * d, -d), q.cusp_label,
                       q.trace_bound, q.ring, q.terms)
 

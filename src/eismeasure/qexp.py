@@ -423,78 +423,3 @@ def cusp_transform(q: QExpansion, h: Matrix, lam,
         terms[beta.key()] = (beta, pre * c)
     return QExpansion(q.field, q.n, q.weight,
                       f"{q.cusp_label}*levi", q.trace_bound, q.ring, terms)
-
-
-# -- normalization bookkeeping ---------------------------------------------------
-
-
-class NormalizationConstant:
-    """Exact bookkeeping of the scalar in front of an expansion.
-
-    Transcendental and unknown pieces stay symbolic: powers of i, 2 and pi
-    are integer exponents per place, Gamma values are exact factorials, and
-    p-stabilized L-values are opaque tokens that enter inversely.
-    """
-
-    def __init__(self, rational_part: Fraction, two_power: int, i_power: int,
-                 two_pi_power: int, pi_power: int,
-                 gamma_factorials: tuple[int, ...], disc_powers: tuple,
-                 lvalue_tokens: tuple[str, ...], euler_polynomials: dict):
-        self.rational_part = rational_part
-        self.two_power = two_power  # all powers of 2, including the 2-part of (2*pi)^(nk)
-        self.i_power = i_power
-        self.two_pi_power = two_pi_power  # recorded exponent of (2*pi); informational
-        self.pi_power = pi_power  # net power of pi
-        self.gamma_factorials = gamma_factorials
-        self.disc_powers = disc_powers  # symbolic leftovers: (base, Fraction exponent)
-        self.lvalue_tokens = lvalue_tokens
-        self.euler_polynomials = euler_polynomials
-
-
-def leading_constant(field: FieldData, n: int) -> tuple[Fraction, int, tuple]:
-    """2^(n(n-1)/2) * |disc_K|^(-n(n-1)/4) with |disc_E| = 1, folded when exact."""
-    two = n * (n - 1) // 2
-    rat = Fraction(1)
-    disc = ()
-    if field.mode == "unitary":
-        base = abs(field.k_disc)
-        exp = Fraction(-n * (n - 1), 4)
-        rat, disc = _fold_power(base, exp)
-    return rat, two, disc
-
-
-def _fold_power(base: int, exp: Fraction) -> tuple[Fraction, tuple]:
-    if exp == 0:
-        return Fraction(1), ()
-    if exp.denominator == 1:
-        return Fraction(base) ** int(exp), ()
-    if exp.denominator == 2:
-        r = math.isqrt(base)
-        if r * r == base:
-            return Fraction(r) ** int(2 * exp), ()
-    return Fraction(1), ((base, exp),)
-
-
-def normalization_constant(field: FieldData, n: int, k: int,
-                           b_norm: int = 1,
-                           euler_polynomials: dict | None = None) -> NormalizationConstant:
-    """Assemble the full normalization in front of a weight-k expansion."""
-    if k < n:
-        raise ValueError("weight below rank")
-    rat, two, disc = leading_constant(field, n)
-    rat *= Fraction(1, b_norm ** (n * n))
-    # archimedean factor, one real place
-    two += (1 - n) * n + n * k
-    i_power = (-n * k) % 4
-    gammas = tuple(math.factorial(k - t - 1) for t in range(n))
-    tokens = tuple(f"L^p({k - i}, chi_E^-1 tau^{i})" for i in range(n))
-    euler = dict(euler_polynomials or {})
-    for key, coeffs in euler.items():
-        if not coeffs or coeffs[0] != 1 or any(not isinstance(c, int) for c in coeffs):
-            raise ValueError(f"Euler polynomial {key} must be integral with"
-                             " constant term 1")
-    return NormalizationConstant(
-        rational_part=rat, two_power=two, i_power=i_power,
-        two_pi_power=n * k, pi_power=n * k - n * (n - 1) // 2,
-        gamma_factorials=gammas, disc_powers=disc,
-        lvalue_tokens=tokens, euler_polynomials=euler)

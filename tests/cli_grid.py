@@ -61,7 +61,7 @@ def _expansion_commands():
                             yield ["qexp", *base, "--k", str(k), "--nu",
                                    str(nu), "--function", fn]
                         yield ["integrate", *base, "--function", fn]
-                        for d in (1, 2):
+                        for d in (0, 1, 2, 3):
                             yield ["moment", *base, "--function", fn,
                                    "--det-power", str(d)]
 

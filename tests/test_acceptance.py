@@ -13,6 +13,7 @@ from eismeasure.diffops import (
     HighestWeight,
     MatrixPolynomial,
     f_zeta,
+    highest_weight_vector,
     psi_z,
     theta_apply,
 )
@@ -165,7 +166,15 @@ def test_acceptance_05_theta_moments():
     q2 = moment_zeta(h2, fz, ctx2)
     assert q2 == theta_apply(integrate(h2, ctx2), fz)
     assert sum(not q2.ring.is_zero(c) for _, c in q2.terms.values()) >= 17
-    report(5, "det^d for d<=3 and the rank-(1,0) multiplier at n=2")
+    # vector weights through the measure: moment_zeta raises unless its
+    # two routes agree, and the scalar weight (1, 1) is moment_detd's det^1
+    for r in ((1, 0), (2, 0), (1, 1), (2, 1)):
+        qr = moment_zeta(h2, highest_weight_vector(HighestWeight(r)), ctx2)
+        assert len(qr.terms) == 38
+        assert sum(not qr.ring.is_zero(c) for _, c in qr.terms.values()) >= 17
+        if r[0] == r[1]:
+            assert qr.terms == moment_detd(h2, r[0], ctx2).terms
+    report(5, "det^d for d<=3 and vector-weight multipliers at n=2")
 
 
 def test_acceptance_06_eigenvalue_polynomials():

@@ -9,12 +9,10 @@ from eismeasure.errors import SpanNotClosed
 from eismeasure.diffops import (
     HighestWeight,
     MatrixPolynomial,
-    archimedean_eigenvalue,
     det_polynomial,
     eval_multiplier,
     f_zeta,
     highest_weight_vector,
-    psi_eval,
     psi_z,
     theta_apply,
     weights_to_exponents,
@@ -40,6 +38,14 @@ def test_highest_weight_vector_degree():
     assert weights_to_exponents(hw) == (1, 1)
     v = highest_weight_vector(hw)
     assert v.is_homogeneous() and v.degree() == 3
+    # the scalar weight (d, ..., d) gives det^d, multiplied out by hand
+    for n in (1, 2, 3):
+        det = det_polynomial(n, n)
+        power = MatrixPolynomial.constant(n, 1)
+        for d in range(6):
+            assert highest_weight_vector(HighestWeight((d,) * n)).coeffs == \
+                power.coeffs, (n, d)
+            power = power * det
 
 
 def test_polynomial_translation_consistency():
@@ -102,34 +108,7 @@ def test_psi_z_pinned_values():
     # prod over (h, j) in {(1,1),(1,2),(2,1)}: (s)(s-1)(s+1) = s^3 - s
     assert psi_z(HighestWeight((2, 1))) == [Fraction(0), Fraction(-1),
                                             Fraction(0), Fraction(1)]
-    assert psi_eval(HighestWeight((2, 1)), Fraction(3)) == 24
-    assert psi_eval(HighestWeight((1,)), Fraction(-6)) == -6
 
-
-def test_archimedean_eigenvalue_conventions():
-    ev0 = archimedean_eigenvalue(4, 0, 2, "action")
-    assert ev0.value == 1 and ev0.i_power == 0
-    ev = archimedean_eigenvalue(4, 1, 1, "action")
-    assert ev.i_power == 1
-    assert ev.value == Fraction(-3 * 4, 2)
-    ws = archimedean_eigenvalue(4, 1, 1, "weight_shift")
-    assert ws.i_power == 1 and ws.two_power == -1
-    assert ws.value == Fraction(-4)  # (-k - j + h) at j = h = 1
-
-
-
-def test_weight_shift_eigenvalue_is_the_product_over_h_and_j():
-    """(i/2)^(nd) times the product of (-k - j + h) over h <= n, j <= d."""
-    for k in range(12):
-        for d in range(5):
-            for n in range(1, 4):
-                want = Fraction(1)
-                for h in range(1, n + 1):
-                    for j in range(1, d + 1):
-                        want *= -k - j + h
-                ev = archimedean_eigenvalue(k, d, n, "weight_shift")
-                assert (ev.i_power, ev.two_power, ev.value) == \
-                    ((n * d) % 4, -n * d, want)
 
 def test_theta_apply_multiplies_by_multiplier_at_index():
     ctx = MeasureContext.rank_one(SYMPL, 8)

@@ -18,15 +18,12 @@ from eismeasure.functions import (
     GnPoint,
     LCFunction,
     MonomialFunction,
-    PartitionSpec,
     ProductFunction,
-    UnitCharacter,
     _congruent,
     character_decompose,
     check_equivariance,
     f_to_h,
     h_to_f,
-    partition_function,
     random_lc_function,
     symmetrize,
     teichmuller,
@@ -190,23 +187,6 @@ def test_character_decompose_refuses_padic_at_deep_level():
     f = random_lc_function(GAUSS, 1, 2, rng, entries=4)
     with pytest.raises(GroupOrderNotInvertible):
         character_decompose(f)
-
-
-def test_partition_function_rank_one_oracle():
-    from eismeasure.padic import PadicElt
-
-    prec = 4
-    ch = UnitCharacter.teichmuller_power(2, 5, 1, prec)
-    ring = ch.ring
-    chi = (UnitCharacter.trivial(5, 1, ring), UnitCharacter.trivial(5, 1, ring))
-    spec = PartitionSpec(1, (1,), (ch,))
-    f = partition_function(spec, chi, SYMPL, 1)
-    for x in (1, 2, 3, 4):
-        for y in (1, 2, 3, 4):
-            pt = GnPoint(SYMPL, SYMPL.K(x), ((SYMPL.K(y),),))
-            got = f.evaluate(pt)
-            expected = PadicElt(5, 0, x, 1) * ch(x * y % 5)
-            assert got == expected
 
 
 def test_continuous_function_consistency_and_level_requirement():

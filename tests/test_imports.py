@@ -5,7 +5,10 @@ annotations included (a quoted annotation is text, and does not count).
 A name bound in a function must be read in that function, every parameter
 of a package function must be read in it, and a private (``_``-prefixed)
 function, class or method of the package must be named somewhere in the
-package besides its definition.
+package besides its definition.  A public top-level function or class
+must be reached: named by a script, by module-level code, or by a reached
+definition, or listed as a library entry point with the test or benchmark
+that reaches it.
 """
 
 import ast
@@ -141,3 +144,58 @@ def test_every_private_definition_is_named():
                 private[node.name] = f"{path.name}:{node.lineno}"
     unnamed = {k: v for k, v in private.items() if k not in named}
     assert not unnamed, f"private definitions nothing names: {unnamed}"
+
+
+#: public definitions nothing in the package, ``cli.py`` or ``scripts/``
+#: names, and the test or benchmark that reaches each
+ENTRY_POINTS = {
+    "f_zeta": "tests/test_acceptance.py::test_acceptance_05_theta_moments",
+    "psi_z": "tests/test_acceptance.py::test_acceptance_06_eigenvalue_polynomials",
+    "f_to_h": "tests/test_acceptance.py::test_acceptance_03_bridge_bijection_roundtrip",
+    "symmetrize": "tests/test_acceptance.py::test_acceptance_04_weight_shift_identity"
+                  " and the weight-shift-rank2 benchmark",
+    "weight_twist": "tests/test_acceptance.py::test_acceptance_04_weight_shift_identity"
+                    " and the weight-shift-rank2 benchmark",
+    "random_lc_function": "perfbench/micro.py and the tests",
+    # perfbench/tracing.py spans these by name
+    "norm_weight": "perfbench/tracing.py",
+    "act": "perfbench/tracing.py",
+    "factors": "perfbench/tracing.py",
+    "section_infty": "perfbench/tracing.py",
+    "cocycle_check": "perfbench/tracing.py",
+    "random_word": "perfbench/tracing.py",
+}
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_reached():
+    """A top-level function or class of the package is live when an entry
+    point, a script, module-level code, or a live definition other than
+    itself names it; one that only dead definitions name is dead too.  An
+    import names nothing by itself, and the ``__init__`` re-exports do not
+    count."""
+    uses, where, live_names = {}, {}, set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, DEFS) and path.parent.name == "eismeasure":
+                uses[node.name] = _names(node) - {node.name}
+                where[node.name] = f"{path.name}:{node.lineno}"
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                live_names |= _names(node)
+    assert set(ENTRY_POINTS) <= set(uses), "an entry point is not defined"
+    live, frontier = set(), live_names | set(ENTRY_POINTS)
+    while frontier:
+        new = {name for name in frontier if name in uses} - live
+        live |= new
+        frontier = set().union(*(uses[name] for name in new))
+    dead = {name: where[name] for name in uses
+            if name not in live and not name.startswith("_")}
+    assert not dead, f"public definitions nothing reaches: {dead}"
+    named = live_names.union(*(uses[name] for name in live))
+    stale = {name for name in ENTRY_POINTS if name in named}
+    assert not stale, f"entry points the package names: {stale}"

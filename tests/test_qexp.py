@@ -45,8 +45,6 @@ from eismeasure.qexp import (
     _rule_point,
     cusp_transform,
     eisenstein_qexp,
-    leading_constant,
-    normalization_constant,
 )
 from eismeasure.rings import QQ, PadicRing
 from point_tables import WS_WEIGHTS, table_at_points
@@ -173,29 +171,6 @@ def test_cusp_transform_rejects_nonintegral_targets():
     with pytest.raises(LatticeMismatch):
         cusp_transform(q, ((SYMPL.K(1),),), Fraction(1, 2),
                        ChiData(Fraction(1), 0, 0))
-
-
-def test_leading_constant_values():
-    assert leading_constant(GAUSS, 1) == (Fraction(1), 0, ())
-    rat, two, disc = leading_constant(GAUSS, 2)
-    assert rat * Fraction(2) ** two == 1 and disc == ()
-    # disc -3 keeps a symbolic sqrt: 2 / 3^(1/2)
-    rat3, two3, disc3 = leading_constant(FieldData(p=7, k_disc=-3), 2)
-    assert disc3 == ((3, Fraction(-1, 2)),) and rat3 == 1 and two3 == 1
-
-
-def test_normalization_constant_bookkeeping():
-    nc = normalization_constant(GAUSS, 2, 6, 1, {"q": [1, -5]})
-    assert nc.two_pi_power == 12
-    assert nc.pi_power == 12 - 1
-    assert nc.gamma_factorials == (120, 24)
-    assert nc.i_power == (-12) % 4
-    assert nc.lvalue_tokens[0].startswith("L^p(6,")
-    assert len(nc.lvalue_tokens) == 2
-    with pytest.raises(ValueError):
-        normalization_constant(GAUSS, 2, 6, 1, {"bad": [2, 1]})
-    with pytest.raises(ValueError):
-        normalization_constant(GAUSS, 2, 6, 1, {"bad": [1, Fraction(1, 2)]})
 
 
 # -- the shared sweep against the per-function oracle ---------------------------

@@ -29,11 +29,16 @@ from eismeasure.functions import (
     XKey,
     YKey,
     norm_rel_exact,
-    x_norm_key,
     y_inverse_key,
 )
 from eismeasure.padic import PadicElt
 from eismeasure.rings import PadicRing, RationalRing
+
+
+def x_norm_key(xk: XKey, field: FieldData, pj: int) -> int:
+    if field.mode == "symplectic":
+        return xk[0] % pj
+    return xk[0] * xk[1] % pj
 
 
 def y_det_key(yk: YKey, n: int, pj: int) -> int:
