@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="section exponent; a negative one in exponent form "
                          "as --s=-1e3")
     sp.add_argument("--tol", type=float, default=1e-9,
-                    help="largest residual that passes; a value with a minus "
+                    help="a residual below it passes; a value with a minus "
                          "in exponent form as --tol=-1e-9")
     sp.add_argument("--out")
     return ap
@@ -250,7 +250,15 @@ def _dispatch(args) -> int:
                              f"--s {args.s} take the self-test out of float "
                              f"range ({type(exc).__name__}: {exc})") from exc
         _emit({"residuals": worst, "tolerance": args.tol}, args.out)
-        return 0 if max(worst.values()) < args.tol else 1
+        if max(worst.values()) < args.tol:
+            return 0
+        # the residuals a failure rests on, in stdout's order
+        over = ", ".join(f"{name} {r!r}" for name, r in sorted(worst.items())
+                         if not r < args.tol)
+        print(f"error: self-test residuals at or above --tol {args.tol!r}: "
+              f"{over} (--n {args.n}, --cases {args.cases}, "
+              f"--seed {args.seed})", file=sys.stderr)
+        return 1
     raise EisMeasureError(f"unknown command {cmd}")
 
 

@@ -9,6 +9,8 @@ fields (Gaussian p = 5, Eisenstein p = 7, symplectic p = 5), at n = 1 and
 back by the sweeps; ``transform-cusp`` on expansions the grid wrote; and
 ``decompose`` on tables over qq (the cyclotomic ring) and over zp.  The
 self-test is left out: its residual bytes depend on the numpy build.
+Every function is passed as ``--function=FN``, so that one with a leading
+minus reaches the program instead of argparse's option parsing.
 
 ``tests/cli_grid_digests.json`` holds the results recorded from the code
 the grid guards; ``tests/record_cli_grid.py`` rewrites it, and
@@ -59,10 +61,10 @@ def _expansion_commands():
                     for fn in FUNCTIONS:
                         for k, nu in ((n + 2, 0), (n + 3, -1)):
                             yield ["qexp", *base, "--k", str(k), "--nu",
-                                   str(nu), "--function", fn]
-                        yield ["integrate", *base, "--function", fn]
+                                   str(nu), f"--function={fn}"]
+                        yield ["integrate", *base, f"--function={fn}"]
                         for d in (0, 1, 2, 3):
-                            yield ["moment", *base, "--function", fn,
+                            yield ["moment", *base, f"--function={fn}",
                                    "--det-power", str(d)]
 
 
@@ -74,7 +76,7 @@ def _power_sum_commands():
             for k in range(1, 7):
                 yield ["qexp", "--mode", "symplectic", "--p", "5", "--ring",
                        "qq", "--cusp", "divisor", "--bound", "40", "--k",
-                       str(k), "--function", f"2/3*x^{e}*ydet^{d}"]
+                       str(k), f"--function=2/3*x^{e}*ydet^{d}"]
 
 
 def _kummer_commands():
@@ -132,7 +134,7 @@ def _table_commands(tmp):
         opts = FIELDS[name][0]
         label = os.path.basename(path)[:3]
         base = [*opts, "--ring", label[:2], "--n", str(n), "--cusp", cusp,
-                "--bound", "8" if n == 1 else "3", "--function", "@" + path]
+                "--bound", "8" if n == 1 else "3", "--function=@" + path]
         yield ["integrate", *base]
         yield ["moment", *base, "--det-power", "1"]
         yield ["qexp", *base, "--k", str(n + 1), "--nu", "0"]
@@ -141,7 +143,7 @@ def _table_commands(tmp):
     # a table read with another prime, and a missing table
     yield ["decompose", "--p", "7", "--k-disc", "-3", "--table",
            os.path.join(tmp, "zp1-0.json")]
-    yield ["integrate", "--p", "5", "--function", "@" + os.path.join(
+    yield ["integrate", "--p", "5", "--function=@" + os.path.join(
         tmp, "missing.json")]
 
 
@@ -149,13 +151,13 @@ def _transform_commands(tmp):
     """Expansions written with --out, then re-indexed."""
     sources = [
         ("gauss", 1, ["--ring", "zp", "--cusp", "divisor", "--k", "3",
-                      "--function", "x^3"]),
+                      "--function=x^3"]),
         ("symplectic", 1, ["--ring", "qq", "--cusp", "divisor", "--k", "3",
-                           "--function", "x^2*ydet^-1"]),
+                           "--function=x^2*ydet^-1"]),
         ("gauss", 2, ["--ring", "zp", "--cusp", "single", "--k", "4",
-                      "--function", "1"]),
+                      "--function=1"]),
         ("eisenstein", 1, ["--ring", "zp", "--cusp", "divisor", "--k", "3",
-                           "--function", "x^3"]),
+                           "--function=x^3"]),
     ]
     for i, (name, n, args) in enumerate(sources):
         opts = FIELDS[name][0]
@@ -173,19 +175,19 @@ def _transform_commands(tmp):
 
 
 def _refusal_commands():
-    yield ["qexp", "--p", "5", "--k", "4", "--function", "x^2", "--bound", "0"]
+    yield ["qexp", "--p", "5", "--k", "4", "--function=x^2", "--bound", "0"]
     yield ["integrate", "--config", "missing.json", "--p", "5",
-           "--function", "1"]
-    yield ["qexp", "--p", "5", "--k", "1", "--n", "2", "--function", "1"]
-    yield ["qexp", "--p", "5", "--k", "4", "--function", "x^^2"]
-    yield ["qexp", "--p", "6", "--k", "4", "--function", "1"]
-    yield ["integrate", "--p", "5", "--ring", "zp", "--function", "x^3"]
-    yield ["moment", "--p", "5", "--function", "1", "--det-power", "-1"]
+           "--function=1"]
+    yield ["qexp", "--p", "5", "--k", "1", "--n", "2", "--function=1"]
+    yield ["qexp", "--p", "5", "--k", "4", "--function=x^^2"]
+    yield ["qexp", "--p", "6", "--k", "4", "--function=1"]
+    yield ["integrate", "--p", "5", "--ring", "zp", "--function=x^3"]
+    yield ["moment", "--p", "5", "--function=1", "--det-power", "-1"]
     yield ["qexp", "--p", "5", "--precision", "0", "--k", "4",
-           "--function", "1"]
+           "--function=1"]
     # exact coefficients of more than 4300 digits
     yield ["qexp", "--mode", "symplectic", "--p", "5", "--ring", "qq",
-           "--function", "x^4", "--bound", "3", "--k", "10000"]
+           "--function=x^4", "--bound", "3", "--k", "10000"]
 
 
 def commands(tmp):

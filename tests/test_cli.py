@@ -116,14 +116,35 @@ def test_automorphy_selftest_command(capsys):
 def test_automorphy_selftest_above_its_tolerance_is_a_failed_verification(
         capsys):
     """A worst residual at or above --tol exits 1 and still prints the
-    residuals with the tolerance they were held to."""
+    residuals with the tolerance they were held to; stderr names them."""
     code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
                          "--cases", "20", "--tol", "1e-30")
-    assert (code, err) == (1, "")
+    assert code == 1
     data = json.loads(out)
     assert sorted(data) == ["residuals", "tolerance"]
     assert data["tolerance"] == 1e-30
-    assert max(data["residuals"].values()) >= 1e-30
+    over = [f"{name} {r!r}" for name, r in data["residuals"].items()
+            if r >= 1e-30]
+    assert over
+    assert err == (f"error: self-test residuals at or above --tol 1e-30: "
+                   f"{', '.join(over)} (--n 2, --cases 20, --seed 0)\n")
+
+
+def test_a_failed_automorphy_selftest_names_its_witness_on_stderr(capsys):
+    """Seed 27 fails on rounding (ROADMAP item 1).  Stdout is the residual
+    JSON alone; the one stderr line names each residual over --tol by its
+    repr, with the run's n, cases and seed."""
+    code, out, err = run(capsys, "automorphy-selftest", "--n", "2",
+                         "--cases", "1000", "--seed", "27")
+    assert code == 1
+    assert out == (
+        '{\n  "residuals": {\n    "base_delta": 0.0,\n'
+        '    "cocycle": 4.4987792935380355e-09,\n'
+        '    "section": 4.147177671447248e-10\n  },\n'
+        '  "tolerance": 1e-09\n}\n')
+    assert err == ("error: self-test residuals at or above --tol 1e-09: "
+                   "cocycle 4.4987792935380355e-09 "
+                   "(--n 2, --cases 1000, --seed 27)\n")
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

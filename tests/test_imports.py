@@ -8,10 +8,14 @@ function, class or method of the package must be named somewhere in the
 package besides its definition.  A public top-level function or class
 must be reached: named by a script, by module-level code, or by a reached
 definition, or listed as a library entry point with the test or benchmark
-that reaches it.
+that reaches it.  The package namespace itself imports nothing, so a
+program loads only the modules it names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,8 +180,7 @@ def test_every_public_definition_is_reached():
     """A top-level function or class of the package is live when an entry
     point, a script, module-level code, or a live definition other than
     itself names it; one that only dead definitions name is dead too.  An
-    import names nothing by itself, and the ``__init__`` re-exports do not
-    count."""
+    import names nothing by itself."""
     uses, where, live_names = {}, {}, set()
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -199,3 +202,37 @@ def test_every_public_definition_is_reached():
     named = live_names.union(*(uses[name] for name in live))
     stale = {name for name in ENTRY_POINTS if name in named}
     assert not stale, f"entry points the package names: {stale}"
+
+
+def test_the_package_namespace_is_its_docstring_alone():
+    """``__init__.py`` re-exports nothing: every name is imported from its
+    module, so ``import eismeasure`` loads no submodule."""
+    tree = ast.parse((ROOT / "src" / "eismeasure" / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1, "__init__.py holds more than its docstring"
+
+
+def _loaded(statement: str) -> set[str]:
+    """The package's modules a fresh interpreter holds after statement."""
+    code = (f"{statement}\nimport sys\nprint(*sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'eismeasure'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded("import eismeasure") == {"eismeasure"}
+
+
+def test_the_automorphy_self_test_loads_no_exact_layer():
+    assert _loaded("import eismeasure.automorphy") == {
+        "eismeasure", "eismeasure.errors", "eismeasure.automorphy"}
+
+
+def test_a_field_import_loads_no_layer_above_it():
+    loaded = _loaded("from eismeasure.fields import FieldData")
+    above = {f"eismeasure.{name}" for name in (
+        "functions", "hermitian", "qexp", "measure", "diffops", "automorphy")}
+    assert "eismeasure.fields" in loaded and not loaded & above
