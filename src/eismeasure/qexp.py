@@ -5,16 +5,17 @@ cusp rule: multiplicity times the coefficient function at the point
 (a, relnorm(a)^-1 * beta), times the weight norm of a^-1 * det(beta),
 times det(beta)^-n.  Everything downstream (integration against the
 measure, moments, congruence checks) goes through one sweep,
-``_expansions``, which sums every expansion of the same context at each
-index.  An index stores what the rule last swept there gave, so the rule
-runs and each point is built at most once per enumeration and rule.  A
-rational monomial's coefficient is a power sum of x over the rule's
-(a, mult) pairs with x = a/d a rational unit: it reads their integers,
-stored scaled to a common denominator (``_power_view``), and det(beta),
-builds no point, and takes each integer power from a table of the job's
-own that lives for one sweep (``_power_sum``).  Any other
-coefficient is summed over the points in its ring, each term times the
-ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n) (``ring.monomial``).
+``_expansions``, which sums the expansions of the same context job by
+job, each in one loop over the indices.  An index stores what the rule
+last swept there gave, so the rule runs and each point is built at most
+once per enumeration and rule.  A rational monomial's coefficient is a
+power sum of x over the rule's (a, mult) pairs with x = a/d a rational
+unit: it reads their integers, stored scaled to a common denominator
+(``_power_view``), and det(beta), builds no point, and takes each integer
+power from a table that lives for one job of one sweep (``_job_sweep``).
+Any other coefficient is summed over the points in its ring, each term
+times the ring's monomial xs^(-k-nu) * xb^nu * det(beta)^(k-n)
+(``ring.monomial``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import islice, tee
 from operator import mul
 
 from .errors import (
@@ -218,14 +220,15 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
     ``validate``, each job's equivariance, on one ``_sample_points`` set; a
     bound that leaves the set empty is a ``ValueError``.
 
-    The indices are enumerated once; at each index the rule's stored pairs
-    are read (``_rule_terms`` runs the rule once), then every job sums over
-    them, in cusp-rule order whatever the other jobs are, so each expansion
-    equals the one computed alone.  Each job's accumulator is chosen once
-    (``_job_coefficient``): a rational monomial sums x-powers
-    (``_power_sum``), any other job its terms, each weighted by
-    ``ring.monomial``; a ring without one (cyclotomic) is rejected before
-    the sweep.
+    The indices are enumerated once and swept job by job (``_job_sweep``):
+    the first job reads the rule's stored pairs at each index as it reaches
+    it (``_rule_terms`` runs the rule once), and the later jobs loop over
+    the pairs it kept.  Each sums in cusp-rule order, so each expansion
+    equals the one computed alone.  When a job raises at an index, the
+    later jobs run only over the indices before it, so the error raised is
+    the first in (index, job) order, as an index-by-index sweep raises it.
+    A ring without ``ring.monomial`` (cyclotomic) is rejected before the
+    sweep.
     """
     n = cusp.n
     for f, w in jobs:
@@ -247,34 +250,66 @@ def _expansions(jobs, cusp: CuspData, trace_bound: int, field: FieldData,
         report = check_equivariance(g, w, pts)
         if not report.passed:
             raise EquivarianceViolation(f"{failure} at {report.witness_text()}")
-    coefficient = [_job_coefficient(f, w, n, field) for f, w in jobs]
-    terms = [{} for _ in jobs]
-    for beta in betas:
-        key, rule_terms = beta.key(), _rule_terms(cusp.rule, beta)
-        for coeff, out in zip(coefficient, terms):
-            out[key] = (beta, coeff(beta, rule_terms))
-    return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring, t)
-            for (f, w), t in zip(jobs, terms)]
+    # (beta, rule terms), read as the first job reaches beta and kept for
+    # the others; each job stops where the one before it stopped
+    reached = tee(zip(betas, map(partial(_rule_terms, cusp.rule), betas)),
+                  len(jobs))
+    coefficients, limit, failure = [], len(betas), None
+    for (f, w), indexed in zip(jobs, reached):
+        coefficients.append(coeffs := [])
+        try:
+            _job_sweep(f, w, n, field, islice(indexed, limit), coeffs)
+        except Exception as exc:  # raised once the later jobs have run
+            failure = exc  # at a lower index than any failure before it
+        limit = len(coeffs)
+    if failure is not None:
+        raise failure
+    keys = [beta.key() for beta in betas]
+    return [QExpansion(field, n, w, cusp.label, trace_bound, f.ring,
+                       dict(zip(keys, zip(betas, coeffs))))
+            for (f, w), coeffs in zip(jobs, coefficients)]
 
 
-def _job_coefficient(f, w, n, field):
-    """The job's accumulator, (beta, rule terms) -> coefficient.  A rational
-    monomial's is ``_power_sum`` with its constants bound and a power table
-    of its own, m -> m^|e|, that lives as long as the accumulator: one
-    sweep, never an index."""
+def _job_sweep(f, w, n, field, indexed, coeffs):
+    """Append the job's coefficient at each (beta, rule terms) of indexed to
+    coeffs.  A rational monomial's is coef * det(beta)^+-dexp * the sum of
+    mult * x^e over beta's pairs, each x^e = (n / D)^|e| read from the
+    view's scaled integers n and their common denominator D
+    (``_power_view``; ``side`` picks the form for the sign of e) and a
+    power table of the job's own, m -> m^|e|; 0 where y is not invertible
+    and the monomial asks that.  At (x, x^-r * beta) det(y) = det(beta) *
+    x^-rn, so this sums mult * f(pt) * (det(beta)/x)^k / det(beta)^n.  Any
+    other job, and one at an index whose view is False, sums its terms."""
     # N_w(det(beta)/x) / det(beta)^n as exponents of (xs, xb, det(beta))
     e = (-w.k - w.nu, w.nu, w.k - n)
-    by_term = partial(_ring_coefficient, f, e, field)
     if not (isinstance(f.ring, RationalRing) and isinstance(f, MonomialFunction)
             and isinstance(f.coef, (int, Fraction))):  # else evaluate raises
-        return by_term
+        return _ring_coefficients(f, e, field, indexed, coeffs)
     r = 1 if field.mode == "symplectic" else 2  # relnorm(x) = x^r
     xexp = f.e_xs + f.e_xb - r * n * f.e_det - w.k
     dexp = f.e_det + w.k - n
-    return partial(_power_sum, _Powers(abs(xexp)).__getitem__,
-                   2 if xexp >= 0 else 3, abs(dexp), dexp >= 0,
-                   f.coef.numerator, f.coef.denominator, f.y_invertible,
-                   field.p, by_term)
+    power, side = _Powers(abs(xexp)).__getitem__, 2 if xexp >= 0 else 3
+    det_up, dexp = dexp >= 0, abs(dexp)
+    cnum, cden = f.coef.numerator, f.coef.denominator
+    y_invertible, p, append = f.y_invertible, field.p, coeffs.append
+    for beta, terms in indexed:
+        view = terms[3]
+        if view is None:
+            view = terms[3] = _power_view(beta, terms[1], p)
+        if view is False:
+            _ring_coefficients(f, e, field, ((beta, terms),), coeffs)
+            continue
+        ns, den = view[side] or _inverse_form(view, terms[1])
+        if y_invertible and not view[0]:
+            num = 0
+        elif view[1] is None:
+            num = sum(map(power, ns))
+        else:
+            num = sum(map(mul, view[1], map(power, ns)))
+        detb = beta.det_exact  # rational, so its residue at a root is a/d
+        dn, dd = (detb.a, detb.d) if det_up else (detb.d, detb.a)
+        append(Fraction(num * cnum * dn ** dexp,
+                        power(den) * cden * dd ** dexp))
 
 
 class _Powers(dict):
@@ -288,33 +323,6 @@ class _Powers(dict):
     def __missing__(self, m: int) -> int:
         power = self[m] = m ** self.e
         return power
-
-
-def _power_sum(power, side, dexp, det_up, cnum, cden, y_invertible, p,
-               by_term, beta, terms) -> Fraction:
-    """coef * det(beta)^(dexp if det_up else -dexp) * the sum of mult * x^e
-    over beta's pairs, x^e = (n / D)^|e| for the view's scaled integers n
-    and their common denominator D (``_power_view``; ``side`` picks the
-    form for the sign of e), each n^|e| and D^|e| read from the job's
-    table ``power``; 0 where y is not invertible and the monomial asks
-    that.  At (x, x^-r * beta) det(y) = det(beta) * x^-rn, so this sums
-    mult * f(pt) * (det(beta)/x)^k / det(beta)^n.  Where the view is False
-    ``by_term`` sums f(pt)."""
-    view = terms[3]
-    if view is None:
-        view = terms[3] = _power_view(beta, terms[1], p)
-    if view is False:
-        return by_term(beta, terms)
-    ns, den = view[side] or _inverse_form(view, terms[1])
-    if y_invertible and not view[0]:
-        num = 0
-    elif view[1] is None:
-        num = sum(map(power, ns))
-    else:
-        num = sum(map(mul, view[1], map(power, ns)))
-    detb = beta.det_exact  # rational, so its residue at a root is a/d
-    dn, dd = (detb.a, detb.d) if det_up else (detb.d, detb.a)
-    return Fraction(num * cnum * dn ** dexp, power(den) * cden * dd ** dexp)
 
 
 def _power_view(beta, pairs, p):
@@ -354,18 +362,20 @@ def _inverse_form(view, pairs):
     return form
 
 
-def _ring_coefficient(f, e, field, beta, terms):
-    """The coefficient in the function's ring, term by term over the
-    points, each nonzero term times the ring's monomial of exponents e at
-    (x, det(beta))."""
-    points = terms[2] or _rule_points(field, beta, terms)
-    ring, c, detb = f.ring, f.ring.zero(), beta.det_exact
-    for (_, mult), pt in zip(terms[1], points):
-        fval = evaluate(f, pt)
-        if ring.is_zero(fval):
-            continue
-        c = c + ring.coerce(mult) * fval * ring.monomial(pt.x, detb, e, field)
-    return c
+def _ring_coefficients(f, e, field, indexed, coeffs):
+    """Append the coefficient in the function's ring at each (beta, rule
+    terms) of indexed to coeffs: term by term over the points, each nonzero
+    term times the ring's monomial of exponents e at (x, det(beta))."""
+    ring, monomial, append = f.ring, f.ring.monomial, coeffs.append
+    for beta, terms in indexed:
+        points = terms[2] or _rule_points(field, beta, terms)
+        c, detb = ring.zero(), beta.det_exact
+        for (_, mult), pt in zip(terms[1], points):
+            fval = evaluate(f, pt)
+            if ring.is_zero(fval):
+                continue
+            c = c + ring.coerce(mult) * fval * monomial(pt.x, detb, e, field)
+        append(c)
 
 
 # -- cusp change ---------------------------------------------------------------

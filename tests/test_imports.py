@@ -9,7 +9,8 @@ package besides its definition.  A public top-level function or class
 must be reached: named by a script, by module-level code, or by a reached
 definition, or listed as a library entry point with the test or benchmark
 that reaches it.  The package namespace itself imports nothing, so a
-program loads only the modules it names.
+program loads only the modules it names, and the command line imports the
+layers above the rings only in the commands that use them.
 """
 
 import ast
@@ -236,3 +237,14 @@ def test_a_field_import_loads_no_layer_above_it():
     above = {f"eismeasure.{name}" for name in (
         "functions", "hermitian", "qexp", "measure", "diffops", "automorphy")}
     assert "eismeasure.fields" in loaded and not loaded & above
+
+
+def test_the_self_test_command_loads_no_exact_layer():
+    """``cli`` imports the layers above the rings in the commands that use
+    them, so the automorphy self-test command loads none of them."""
+    loaded = _loaded(
+        "import contextlib, io\nfrom eismeasure.cli import run_command\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run_command(['automorphy-selftest', '--cases', '3']) == 0")
+    assert loaded == {f"eismeasure{name}" for name in (
+        "", ".errors", ".padic", ".fields", ".rings", ".cli", ".automorphy")}

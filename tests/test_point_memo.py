@@ -42,7 +42,7 @@ from eismeasure.functions import (
 from eismeasure.hermitian import CuspData, HermitianMatrix, enumerate_positive
 from eismeasure.measure import kummer_check
 from eismeasure.padic import PadicElt
-from eismeasure.qexp import _expansions, _job_coefficient, _rule_terms
+from eismeasure.qexp import _expansions, _job_sweep, _rule_terms
 from eismeasure.rings import QQ, PadicRing
 from qexp_oracle import oracle_qexp
 
@@ -597,18 +597,17 @@ def test_the_view_from_the_rules_integers_equals_the_one_from_points(field):
     kinds = collections.Counter()
     for cusp, n in _view_cusps(field):
         w = Weight(n + 2, 0)
-        coefficients = [_job_coefficient(MonomialFunction(
-            field, n, QQ, Fraction(1), e_xs=e, e_det=-1), w, n, field)
-            for e in (2, -1)]  # x-exponents e >= 0 and e < 0
+        monos = [MonomialFunction(field, n, QQ, Fraction(1), e_xs=e, e_det=-1)
+                 for e in (2, -1)]  # x-exponents e >= 0 and e < 0
         enumerate_positive.cache_clear()
         betas = [*enumerate_positive(field, n, 12 if n == 1 else 5)]
         if cusp.label != "divisor":  # it needs an integral trace
             betas += _p_denominator_indices(field, n)
         for beta in betas:
             terms = _rule_terms(cusp.rule, beta)
-            for inverse, coefficient in enumerate(coefficients):
+            for inverse, mono in enumerate(monos):
                 try:  # False views sum term by term, where x = 1/p or 0 raise
-                    coefficient(beta, terms)
+                    _job_sweep(mono, w, n, field, [(beta, terms)], [])
                 except (ZeroDivisionError, EisMeasureError):
                     pass
                 view = terms[3]

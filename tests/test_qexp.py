@@ -21,6 +21,7 @@ from eismeasure.errors import (
 )
 from eismeasure.fields import CMElt, FieldData, Weight
 from eismeasure.functions import (
+    GnFunction,
     GnPoint,
     LCFunction,
     LinearCombination,
@@ -342,14 +343,13 @@ def test_each_power_sum_job_has_its_own_power_table(monkeypatch):
     for _ in range(2):  # the tables of a cold and of a warm sweep
         for group in (jobs[:4], jobs[4:] + jobs[:1]):  # e = 4, then all
             tables = []
-            make = qexp._job_coefficient
+            init = qexp._Powers.__init__
 
-            def recording(*args):
-                coefficient = make(*args)
-                tables.append(coefficient.args[0].__self__)
-                return coefficient
+            def recording(table, e):
+                tables.append(table)
+                init(table, e)
 
-            monkeypatch.setattr(qexp, "_job_coefficient", recording)
+            monkeypatch.setattr(qexp._Powers, "__init__", recording)
             _expansions(group, cusp, 40, SYMPL, validate=False)
             monkeypatch.undo()
             assert len({id(t) for t in tables}) == len(group)
@@ -561,6 +561,61 @@ def test_sweep_validates_every_job():
             _expansions(jobs, cusp, 8, GAUSS)
     with pytest.raises(ValueError):
         _expansions([(good, w), (good, Weight(0, 0))], cusp, 8, GAUSS)
+
+
+class _Planted(Exception):
+    pass
+
+
+def _trace(entries):
+    t = entries[0][0]
+    return Fraction(t.a, t.d)
+
+
+class _FailsAtTrace(GnFunction):
+    """1 at every rank-one point, but a _Planted error carrying the name
+    where y has the given trace."""
+
+    def __init__(self, trace, name):
+        super().__init__(SYMPL, 1, QQ)
+        self.trace, self.name = trace, name
+
+    def evaluate(self, pt):
+        if _trace(pt.y) == self.trace:
+            raise _Planted(self.name)
+        return Fraction(1)
+
+
+def test_a_sweep_raises_the_first_failure_in_index_then_job_order():
+    """Jobs are summed one after another, yet the sweep raises what an
+    index-by-index sweep meets first: the failure at the lowest index, and
+    there the earliest job, with the cusp rule before every job."""
+    w, single = Weight(2, 0), CuspData.single_term(SYMPL, 1)
+    late, mid, early = (_FailsAtTrace(t, name) for t, name in
+                        ((5, "late"), (4, "mid"), (3, "early")))
+    ok = MonomialFunction(SYMPL, 1, QQ, Fraction(1), e_xs=2, e_det=-1)
+
+    def rule(beta):
+        if _trace(beta.entries) == 6:
+            raise _Planted("rule")
+        return [(SYMPL.K(1), 1)]
+
+    hand = CuspData("hand", 1, rule)
+    cases = [(single, (late, early), "early"),
+             (single, (late, ok, mid, early), "early"),
+             (single, (mid, early, late), "early"),
+             (single, (late, mid), "mid"),
+             (single, (late, _FailsAtTrace(5, "late too")), "late"),
+             (hand, (ok,), "rule"),
+             (hand, (ok, early), "early"),
+             (hand, (ok, _FailsAtTrace(6, "at the rule")), "rule"),
+             (hand, (late, ok), "late")]
+    for cusp, jobs, name in cases:
+        with pytest.raises(_Planted, match=f"^{name}$"):
+            _expansions([(f, w) for f in jobs], cusp, 8, SYMPL,
+                        validate=False)
+    got = _expansions([(ok, w), (ok, w)], single, 8, SYMPL, validate=False)
+    assert got[0] == got[1] and len(got[0].terms) == 8
 
 
 def test_points_and_residues_are_built_once_per_sweep(monkeypatch):
